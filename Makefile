@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify vet fmt golden race faultsmoke soak servesmoke slosmoke approx-check fuzz-smoke fuzz litmus execdiff bench bench-json bench-json-0 bench-diff ci
+.PHONY: verify vet fmt golden race faultsmoke soak servesmoke slosmoke approx-check fuzz-smoke fuzz litmus execdiff selectors bench bench-json bench-diff ci
 
 # Tier-1: the gate every change must pass (see ROADMAP.md), plus the
 # static gates and the race detector over the parallel sweep engine.
@@ -111,24 +111,46 @@ execdiff:
 	$(GO) test -race -count=1 -run 'TestExecDiff|TestTrapMatrix|TestTrapMalformedBinaryRegression|TestMakeRoom|TestAllocRetry' ./internal/ctrl
 	$(GO) test -race -count=1 -run TestExecPathEquivalence ./internal/exp/runner
 
+# Selector guard: go test passes when -run matches nothing, so a renamed
+# test would drop out of its tier unnoticed. Every |-alternative of
+# every -run regex in this Makefile must list at least one test in each
+# package on the same line (go test -list, once per package). bench's
+# -run xxx is the one deliberately empty selector.
+selectors:
+	@pairs=$$(awk '/^\t/ { re = ""; pkgs = ""; \
+		for (i = 1; i <= NF; i++) { \
+			if ($$i == "-run") re = $$(i + 1); \
+			if ($$i ~ /^\.\//) pkgs = pkgs " " $$i; \
+		} \
+		gsub("\047", "", re); \
+		if (re == "" || re == "xxx") next; \
+		np = split(pkgs, p, " "); na = split(re, a, "|"); \
+		for (j = 1; j <= np; j++) for (k = 1; k <= na; k++) print p[j], a[k]; \
+	}' Makefile); \
+	fail=0; \
+	for pkg in $$(echo "$$pairs" | cut -d' ' -f1 | sort -u); do \
+		tests=$$($(GO) test -list . $$pkg) || exit 1; \
+		for alt in $$(echo "$$pairs" | awk -v p=$$pkg '$$1 == p { print $$2 }'); do \
+			if ! echo "$$tests" | grep -E '^(Test|Fuzz|Example)' | grep -qE -- "$$alt"; then \
+				echo "selectors: -run alternative $$alt lists no test in $$pkg"; fail=1; \
+			fi; \
+		done; \
+	done; \
+	if [ $$fail = 1 ]; then exit 1; fi; \
+	echo "selectors: all $$(echo "$$pairs" | wc -l) (package, alternative) pairs list a test"
+
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx .
 
 # Perf baseline: regenerate the committed BENCH_1.json — the full
 # deterministic figure set plus the hotloop executor microbenchmark.
-# The deterministic figures are seed-pinned and worker-count-invariant
-# (byte-identical to BENCH_0.json's); the hotloop figure carries
-# wall-clock ns-per-action and the fast-path speedup, which are
-# machine-dependent by nature.
+# The deterministic figures are seed-pinned and worker-count-invariant,
+# so regenerating them on an unchanged tree is byte-identical (the
+# result-invariance proof speed PRs rely on, gated by bench-diff); the
+# hotloop figure carries wall-clock ns-per-action and the fast-path
+# speedup, which are machine-dependent by nature.
 bench-json:
 	XCACHE_BENCH_WORKERS=8 $(GO) run ./cmd/xcache-bench -scale 25 -hotloop -json BENCH_1.json >/dev/null
-
-# The original perf baseline, without the wall-clock hotloop figure:
-# regenerating it on an unchanged tree must be byte-identical to the
-# checked-in copy, which is the result-invariance proof speed PRs rely
-# on (ROADMAP item 1).
-bench-json-0:
-	XCACHE_BENCH_WORKERS=8 $(GO) run ./cmd/xcache-bench -scale 25 -json BENCH_0.json >/dev/null
 
 # Perf gate: re-run the evaluation and compare against the committed
 # BENCH_1.json. Deterministic figures must match exactly; the hotloop
@@ -137,4 +159,4 @@ bench-json-0:
 bench-diff:
 	XCACHE_BENCH_WORKERS=8 $(GO) run ./cmd/xcache-bench -scale 25 -hotloop -bench-diff BENCH_1.json >/dev/null
 
-ci: verify race faultsmoke soak servesmoke slosmoke approx-check fuzz-smoke litmus execdiff
+ci: verify selectors race faultsmoke soak servesmoke slosmoke approx-check fuzz-smoke litmus execdiff

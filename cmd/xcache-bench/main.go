@@ -36,11 +36,12 @@
 // violation exits 1 — this is the `make bench-diff` perf gate.
 //
 // -json FILE additionally writes every selected figure's metrics, notes
-// and table rows as one machine-readable JSON document. Everything in
-// the file is seed-pinned and worker-count-invariant, so regenerating it
-// with the same flags is byte-identical — `make bench-json` maintains
-// the committed BENCH_0.json perf baseline this way. Wall time is
-// deliberately reported on stderr only, to keep the file reproducible.
+// and table rows as one machine-readable JSON document. The standard
+// figures are seed-pinned and worker-count-invariant, so regenerating
+// them with the same flags is byte-identical; only the -hotloop figure
+// carries wall-clock numbers. `make bench-json` maintains the committed
+// BENCH_1.json perf baseline this way. The run's own wall time is
+// reported on stderr only, to keep the figures reproducible.
 //
 // Resilience:
 //
@@ -75,7 +76,8 @@ import (
 
 // benchBaseline is the -json document: the deterministic slice of a
 // bench run (metrics, notes, rendered rows — no wall times), so the
-// committed BENCH_0.json stays byte-stable across regenerations.
+// deterministic figures of the committed BENCH_1.json stay byte-stable
+// across regenerations.
 type benchBaseline struct {
 	Schema  string         `json:"schema"` // "xcache-bench/1"
 	Scale   int            `json:"scale"`

@@ -248,6 +248,8 @@ func (c *Cache) deliver(cy sim.Cycle) {
 	c.pend = keep
 }
 
+// wbFlag marks a DRAM request as a dirty-line writeback (request-ID
+// layout: DESIGN.md §9).
 const wbFlag = uint64(1) << 63
 
 // writeback pushes a dirty line to memory. Writebacks are off the

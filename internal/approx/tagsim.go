@@ -210,9 +210,9 @@ func (m *tagModel) apply(ev ctrl.TraceEvent) {
 			m.tags.Dealloc(w.entry)
 		}
 
-	case ctrl.TraceDrain, ctrl.TraceFlush:
+	case ctrl.TraceDrain:
 		// Bulk stable-entry removal; transient entries stay, as in the
-		// controller's drain/flush loops.
+		// controller's drain loop.
 		m.tags.ForEach(func(e *metatag.Entry) {
 			if e.Walker == metatag.NoWalker && e.State == program.StateValid {
 				m.tags.Dealloc(e)

@@ -237,15 +237,6 @@ func (h *Harness) Stalled(c sim.Cycle) bool {
 	return h != nil && h.wd != nil && h.wd.stalled(c)
 }
 
-// StallFor returns how many cycles the machine has made no progress
-// (0 without a watchdog).
-func (h *Harness) StallFor(c sim.Cycle) sim.Cycle {
-	if h == nil || h.wd == nil {
-		return 0
-	}
-	return h.wd.stallFor(c)
-}
-
 // Report assembles a StallReport from the kernel's current state, for
 // callers that run their own supervised loop over Step.
 func (h *Harness) Report(kind FailureKind, reason string) *StallReport {
@@ -371,12 +362,23 @@ func (h *Harness) report(kind FailureKind, reason string) *StallReport {
 
 // --- deterministic PRNG (splitmix64 finalizer over hashed streams) ---
 
-func mix64(z uint64) uint64 {
+// Mix64 is the splitmix64 finalizer behind the simulator's seeded
+// runtime decisions: fault rolls, service arrivals and shard hashing,
+// coherence fault rolls.
+func Mix64(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27
 	z *= 0x94d049bb133111eb
 	return z ^ z>>31
+}
+
+// Roll returns a uniform value in [0,1) determined entirely by the seed,
+// the stream, and the two salts. It keeps no state, so a decision never
+// depends on tick order, worker count, or which other streams drew.
+func Roll(seed, stream, a, b uint64) float64 {
+	z := seed ^ stream*0x9e3779b97f4a7c15 ^ a*0xff51afd7ed558ccd ^ b*0xc4ceb9fe1a85ec53
+	return float64(Mix64(z)>>11) / (1 << 53)
 }
 
 func hashString(s string) uint64 {

@@ -74,26 +74,19 @@ func (in *Injector) Clog(q sim.Clogger) { in.clog(q) }
 // controller's ParityCheck so corruptions are scrubbed rather than served.
 func (in *Injector) WatchTags(a *metatag.Array) { in.tags = append(in.tags, a) }
 
-// roll returns a uniform value in [0,1) determined entirely by the seed,
-// the stream, and the two salts.
-func (in *Injector) roll(stream, a, b uint64) float64 {
-	z := in.seed ^ stream*0x9e3779b97f4a7c15 ^ a*0xff51afd7ed558ccd ^ b*0xc4ceb9fe1a85ec53
-	return float64(mix64(z)>>11) / (1 << 53)
-}
-
 // ReadResponse implements dram.FaultInjector: called once per read
 // response at completion time. Retries of a dropped fill arrive at later
 // cycles and therefore roll independently, so a bounded retry budget
 // converges even at high drop rates.
 func (in *Injector) ReadResponse(r dram.Response, c sim.Cycle) (drop bool, delay int) {
 	salt := r.Addr ^ r.ID<<1
-	if in.cfg.DropResp > 0 && in.roll(streamDrop, uint64(c), salt) < in.cfg.DropResp {
+	if in.cfg.DropResp > 0 && Roll(in.seed, streamDrop, uint64(c), salt) < in.cfg.DropResp {
 		in.Drops++
 		return true, 0
 	}
-	if in.cfg.DelayResp > 0 && in.roll(streamDelay, uint64(c), salt) < in.cfg.DelayResp {
+	if in.cfg.DelayResp > 0 && Roll(in.seed, streamDelay, uint64(c), salt) < in.cfg.DelayResp {
 		in.Delays++
-		d := 1 + int(in.roll(streamDelayAmt, uint64(c), salt)*float64(in.cfg.DelayMax))
+		d := 1 + int(Roll(in.seed, streamDelayAmt, uint64(c), salt)*float64(in.cfg.DelayMax))
 		return false, d
 	}
 	return false, 0
@@ -106,7 +99,7 @@ func (in *Injector) ReadResponse(r dram.Response, c sim.Cycle) (drop bool, delay
 func (in *Injector) clog(q sim.Clogger) {
 	name := hashString(q.Name())
 	q.SetClog(func() bool {
-		if in.roll(streamClog, uint64(in.k.Cycle()), name) < in.cfg.ClogQueue {
+		if Roll(in.seed, streamClog, uint64(in.k.Cycle()), name) < in.cfg.ClogQueue {
 			atomic.AddUint64(&in.Clogs, 1)
 			return true
 		}
@@ -121,7 +114,7 @@ func (in *Injector) clog(q sim.Clogger) {
 // corruption undetectable, which models a double-bit error the paper's
 // single-parity tag RAM cannot catch either.
 func (in *Injector) AfterStep(c sim.Cycle) {
-	if in.cfg.FlipBit <= 0 || in.roll(streamFlipGate, uint64(c), 0) >= in.cfg.FlipBit {
+	if in.cfg.FlipBit <= 0 || Roll(in.seed, streamFlipGate, uint64(c), 0) >= in.cfg.FlipBit {
 		return
 	}
 	eligible := func(e *metatag.Entry) bool {
@@ -144,15 +137,15 @@ func (in *Injector) AfterStep(c sim.Cycle) {
 		}
 	}
 	if len(cand) > 0 {
-		ci := min(int(in.roll(streamFlipArr, uint64(c), 0)*float64(len(cand))), len(cand)-1)
+		ci := min(int(Roll(in.seed, streamFlipArr, uint64(c), 0)*float64(len(cand))), len(cand)-1)
 		ti := cand[ci]
 		a, n := in.tags[ti], counts[ti]
-		pick := min(int(in.roll(streamFlipPick, uint64(c), uint64(ti))*float64(n)), n-1)
+		pick := min(int(Roll(in.seed, streamFlipPick, uint64(c), uint64(ti))*float64(n)), n-1)
 		word := 0
 		if a.Cfg.KeyWords > 1 {
-			word = min(int(in.roll(streamFlipWord, uint64(c), uint64(ti))*float64(a.Cfg.KeyWords)), a.Cfg.KeyWords-1)
+			word = min(int(Roll(in.seed, streamFlipWord, uint64(c), uint64(ti))*float64(a.Cfg.KeyWords)), a.Cfg.KeyWords-1)
 		}
-		bit := min(int(in.roll(streamFlipBit, uint64(c), uint64(ti))*64), 63)
+		bit := min(int(Roll(in.seed, streamFlipBit, uint64(c), uint64(ti))*64), 63)
 		i := 0
 		a.ForEach(func(e *metatag.Entry) {
 			if !eligible(e) {

@@ -11,8 +11,8 @@ import (
 func TestRollDeterministicAndStreamSeparated(t *testing.T) {
 	in := newInjector(42, FaultConfig{DropResp: 0.5}, sim.NewKernel())
 	for i := uint64(0); i < 1000; i++ {
-		a := in.roll(streamDrop, i, i*3)
-		if b := in.roll(streamDrop, i, i*3); a != b {
+		a := Roll(in.seed, streamDrop, i, i*3)
+		if b := Roll(in.seed, streamDrop, i, i*3); a != b {
 			t.Fatalf("roll not deterministic at %d: %v vs %v", i, a, b)
 		}
 		if a < 0 || a >= 1 {
@@ -22,7 +22,7 @@ func TestRollDeterministicAndStreamSeparated(t *testing.T) {
 	// Streams must decorrelate: identical salts, different streams.
 	same := 0
 	for i := uint64(0); i < 1000; i++ {
-		if (in.roll(streamDrop, i, 0) < 0.5) == (in.roll(streamDelay, i, 0) < 0.5) {
+		if (Roll(in.seed, streamDrop, i, 0) < 0.5) == (Roll(in.seed, streamDelay, i, 0) < 0.5) {
 			same++
 		}
 	}
@@ -33,7 +33,7 @@ func TestRollDeterministicAndStreamSeparated(t *testing.T) {
 	in2 := newInjector(43, FaultConfig{}, sim.NewKernel())
 	same = 0
 	for i := uint64(0); i < 1000; i++ {
-		if (in.roll(streamDrop, i, 0) < 0.5) == (in2.roll(streamDrop, i, 0) < 0.5) {
+		if (Roll(in.seed, streamDrop, i, 0) < 0.5) == (Roll(in2.seed, streamDrop, i, 0) < 0.5) {
 			same++
 		}
 	}

@@ -206,15 +206,6 @@ func (r *StallReport) StuckQueues() []string {
 	return names
 }
 
-// Suffix renders the report for appending to an error message; it is
-// nil-safe so callers can use it unconditionally.
-func (r *StallReport) Suffix() string {
-	if r == nil {
-		return ""
-	}
-	return "\n" + r.String()
-}
-
 // String renders the full report: reason, queue table, component detail.
 func (r *StallReport) String() string {
 	var b strings.Builder

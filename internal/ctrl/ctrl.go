@@ -208,9 +208,10 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-const (
-	wbIDFlag = uint64(1) << 63 // DRAM request id flag: eviction writeback
-)
+// wbIDFlag marks a DRAM write (walker writeback or dirty-eviction
+// spill), whose ack acceptFills discards (request-ID layout: DESIGN.md
+// §9).
+const wbIDFlag = uint64(1) << 63
 
 // message is a pending wakeup for a walker.
 type message struct {
@@ -1021,29 +1022,6 @@ func (c *Controller) DrainStable(fn func(Drained)) int {
 		}
 		if fn != nil {
 			fn(Drained{Key: e.Key, Value: v})
-		}
-		c.Tags.Dealloc(e)
-		n++
-	})
-	return n
-}
-
-// FlushStable invalidates every stable entry without reading it (DASX's
-// end-of-round object-cache reload). Dirty data is dropped; DASX caches
-// read-only index objects.
-func (c *Controller) FlushStable() int {
-	c.trace(TraceEvent{Kind: TraceFlush})
-	n := 0
-	c.Tags.ForEach(func(e *metatag.Entry) {
-		if e.Walker != metatag.NoWalker || e.State != program.StateValid {
-			return
-		}
-		if c.evictHook != nil {
-			// Flush drops data by contract, so no value travels with the note.
-			c.evictHook(EvictNote{Key: e.Key, Dirty: e.Dirty})
-		}
-		if e.SectorCount > 0 {
-			c.Data.Free(e.SectorBase, e.SectorCount)
 		}
 		c.Tags.Dealloc(e)
 		n++

@@ -33,10 +33,9 @@ const (
 	// approximate replay reject traces containing these (the request is
 	// re-admitted and double-classified).
 	TraceAllocRetry
-	// TraceDrain and TraceFlush are the bulk stable-entry removals
-	// (GraphPulse superstep pops, DASX round flushes).
+	// TraceDrain is the bulk stable-entry removal (GraphPulse superstep
+	// pops).
 	TraceDrain
-	TraceFlush
 )
 
 // ReqClass is the front-end's classification of an admitted request.
@@ -55,8 +54,7 @@ const (
 
 // TraceEvent is one controller trace record. Field validity depends on
 // Kind: Class/Op/ID/Replay are set for TraceReq; State for TraceAlloc;
-// Store/HasEntry for TraceSettle; Key for everything except
-// TraceDrain/TraceFlush.
+// Store/HasEntry for TraceSettle; Key for everything except TraceDrain.
 type TraceEvent struct {
 	Kind     TraceKind
 	Class    ReqClass

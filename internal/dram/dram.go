@@ -15,7 +15,7 @@ import (
 
 // Request is a memory read or write issued by a cache controller.
 type Request struct {
-	ID    uint64   // opaque caller tag, echoed in the Response
+	ID    uint64   // opaque caller tag, echoed in the Response (layout: DESIGN.md §9)
 	Addr  uint64   // byte address, word aligned
 	Words int      // number of 8-byte words
 	Write bool     // true for writebacks
@@ -158,10 +158,6 @@ type DRAM struct {
 	// (outage, issue stall, burst latency).
 	Disrupt Disruptor
 
-	// Label, when non-empty, names this channel in stall reports so
-	// multi-channel topologies stay tellable apart.
-	Label string
-
 	img        *mem.Image
 	banks      []bank
 	window     []*pending
@@ -190,9 +186,6 @@ func New(k *sim.Kernel, cfg Config, img *mem.Image) *DRAM {
 		Resp:  sim.NewQueue[Response](k, name+".resp", cfg.RespDepth),
 		img:   img,
 		banks: make([]bank, cfg.Banks),
-	}
-	if cfg.Name != "" {
-		d.Label = cfg.Name
 	}
 	for i := range d.banks {
 		d.banks[i].openRow = -1
@@ -242,10 +235,11 @@ func (d *DRAM) ActivityCount() uint64 {
 	return d.stats.Reads + d.stats.Writes + d.stats.RowHits + d.stats.RowMisses
 }
 
-// DiagnoseName labels this component in stall reports.
+// DiagnoseName labels this component in stall reports: the channel's
+// Cfg.Name, so multi-channel topologies stay tellable apart.
 func (d *DRAM) DiagnoseName() string {
-	if d.Label != "" {
-		return d.Label
+	if d.Cfg.Name != "" {
+		return d.Cfg.Name
 	}
 	return "dram"
 }

@@ -186,6 +186,8 @@ func (l *MetaL1) Idle() bool {
 	return l.ReqQ.Len() == 0 && len(l.mshrs) == 0 && len(l.pend) == 0
 }
 
+// l1IDBit marks the ctrl.MetaReq IDs a MetaL1 forwards downstream
+// (request-ID layout: DESIGN.md §9).
 const l1IDBit = uint64(1) << 62
 
 // Tick implements sim.Component.
@@ -389,6 +391,8 @@ func (a *XCOverAddr) Tick(cy sim.Cycle) {
 	a.next++
 	jid := a.next
 	a.jobs[jid] = &mxaJob{req: req, remaining: nBlocks, data: make([]uint64, req.Words), base: first}
+	// Access ID: job in bits 16..63, block index in 0..15 (request-ID
+	// layout: DESIGN.md §9).
 	for i := 0; i < nBlocks; i++ {
 		a.ac.ReqQ.MustPush(addrcache.Access{ID: jid<<16 | uint64(i), Addr: first + uint64(i)*bb, Issued: cy})
 	}
@@ -400,13 +404,9 @@ func (a *XCOverAddr) Tick(cy sim.Cycle) {
 // partitions its data, streaming the affine part (matrix A, adjacency
 // lists) with global addresses over a dedicated channel while dynamic
 // accesses go through X-Cache. It prefetches ahead in fixed bursts and
-// meters how many words the datapath may consume. A stream binds to a
-// request/response queue pair — a whole DRAM channel (NewStream) or one
-// DRAMMux port when the channel is shared with a walker cache.
+// meters how many words the datapath may consume.
 type Stream struct {
-	req         *sim.Queue[dram.Request]
-	resp        *sim.Queue[dram.Response]
-	d           *dram.DRAM // non-nil only when the stream owns the channel
+	d           *dram.DRAM
 	cursor, end uint64
 	outstanding int
 	avail       uint64
@@ -420,17 +420,7 @@ type Stream struct {
 // 64-word FIFO. Use SetBuffer before the first Tick when a consumer takes
 // larger units than that.
 func NewStream(k *sim.Kernel, d *dram.DRAM, from, words uint64) *Stream {
-	s := NewStreamOn(k, d.Req, d.Resp, from, words)
-	s.d = d
-	return s
-}
-
-// NewStreamOn builds a stream over an arbitrary request/response queue
-// pair — typically one DRAMMux port, so the affine stream and a walker
-// cache contend for the same channel instead of each owning one.
-func NewStreamOn(k *sim.Kernel, req *sim.Queue[dram.Request], resp *sim.Queue[dram.Response],
-	from, words uint64) *Stream {
-	s := &Stream{req: req, resp: resp, cursor: from, end: from + words*8,
+	s := &Stream{d: d, cursor: from, end: from + words*8,
 		burstWords: 8, maxOutst: 4, bufferWords: 64}
 	k.Add(s)
 	return s
@@ -448,7 +438,7 @@ func (s *Stream) SetBuffer(words uint64) {
 // Tick implements sim.Component.
 func (s *Stream) Tick(cy sim.Cycle) {
 	for {
-		if _, ok := s.resp.Pop(); !ok {
+		if _, ok := s.d.Resp.Pop(); !ok {
 			break
 		}
 		s.outstanding--
@@ -459,7 +449,7 @@ func (s *Stream) Tick(cy sim.Cycle) {
 	for s.outstanding < s.maxOutst &&
 		s.avail+uint64((s.outstanding+1)*s.burstWords) <= s.bufferWords &&
 		s.cursor < s.end {
-		if !s.req.Push(dram.Request{ID: s.cursor, Addr: s.cursor, Words: s.burstWords}) {
+		if !s.d.Req.Push(dram.Request{ID: s.cursor, Addr: s.cursor, Words: s.burstWords}) {
 			break
 		}
 		s.cursor += uint64(s.burstWords) * 8
@@ -482,118 +472,5 @@ func (s *Stream) Avail() uint64 { return s.avail }
 // Done reports whether the whole range has been fetched.
 func (s *Stream) Done() bool { return s.cursor >= s.end && s.outstanding == 0 }
 
-// DRAMStats exposes the stream channel's statistics. On a shared mux
-// port the channel is not the stream's to report; the zero value is
-// returned (use the DRAM's own Stats there).
-func (s *Stream) DRAMStats() dram.Stats {
-	if s.d == nil {
-		return dram.Stats{}
-	}
-	return s.d.Stats()
-}
-
-// --- Shared-channel mux: several clients over one DRAM channel. ---
-
-// muxPortShift places the port tag in request-ID bits 52..61: above any
-// address-sized stream cursor and the controller's walker ids, below the
-// hierarchy's l1IDBit (62) and ctrl's writeback flag (63), both of which
-// must survive the round trip untouched.
-const (
-	muxPortShift = 52
-	muxPortMask  = uint64(0x3FF) << muxPortShift
-)
-
-type muxPort struct {
-	req  *sim.Queue[dram.Request]
-	resp *sim.Queue[dram.Response]
-}
-
-// DRAMMux multiplexes several clients — walker caches, stream ports —
-// onto one DRAM channel. Each client binds to a private queue pair; the
-// mux tags forwarded request IDs with the port index and routes each
-// response back to its port by the same tag, so clients keep their own
-// ID namespaces (walker ids, stream cursors, writeback flags).
-type DRAMMux struct {
-	d     *dram.DRAM
-	k     *sim.Kernel
-	ports []muxPort
-	rr    int
-	stats DRAMMuxStats
-}
-
-// DRAMMuxStats counts mux activity per direction.
-type DRAMMuxStats struct {
-	Forwarded uint64 // requests multiplexed onto the channel
-	Returned  uint64 // responses routed back to a port
-}
-
-// NewDRAMMux builds a mux over the channel. Create every port before
-// the first kernel step.
-func NewDRAMMux(k *sim.Kernel, d *dram.DRAM) *DRAMMux {
-	m := &DRAMMux{d: d, k: k}
-	k.Add(m)
-	return m
-}
-
-// Port adds a client port named name, returning the request/response
-// queue pair the client should treat as its private DRAM channel.
-func (m *DRAMMux) Port(name string, depth int) (req *sim.Queue[dram.Request], resp *sim.Queue[dram.Response]) {
-	if depth <= 0 {
-		depth = 16
-	}
-	p := muxPort{
-		req:  sim.NewQueue[dram.Request](m.k, name+".req", depth),
-		resp: sim.NewQueue[dram.Response](m.k, name+".resp", depth),
-	}
-	m.ports = append(m.ports, p)
-	return p.req, p.resp
-}
-
-// Stats returns a copy of the mux statistics.
-func (m *DRAMMux) Stats() DRAMMuxStats { return m.stats }
-
-// Tick implements sim.Component: route channel responses back to their
-// ports, then multiplex waiting requests round-robin onto the channel.
-func (m *DRAMMux) Tick(cy sim.Cycle) {
-	for {
-		resp, ok := m.d.Resp.Peek()
-		if !ok {
-			break
-		}
-		tag := int((resp.ID & muxPortMask) >> muxPortShift)
-		if tag < 1 || tag > len(m.ports) {
-			panic(fmt.Sprintf("hier: DRAMMux response with unknown port tag %d", tag))
-		}
-		p := m.ports[tag-1]
-		if !p.resp.CanPush() {
-			break // hold in the channel queue until the port drains
-		}
-		m.d.Resp.Pop()
-		resp.ID &^= muxPortMask
-		p.resp.MustPush(resp)
-		m.stats.Returned++
-	}
-	if len(m.ports) == 0 {
-		return
-	}
-	// Round-robin across ports, one request per port per cycle, while the
-	// channel accepts them.
-	for i := 0; i < len(m.ports); i++ {
-		if !m.d.Req.CanPush() {
-			break
-		}
-		pi := (m.rr + i) % len(m.ports)
-		req, ok := m.ports[pi].req.Peek()
-		if !ok {
-			continue
-		}
-		if req.ID&muxPortMask != 0 {
-			panic(fmt.Sprintf("hier: DRAMMux client request ID %#x collides with the port tag bits", req.ID))
-		}
-		m.ports[pi].req.Pop()
-		req.ID |= uint64(pi+1) << muxPortShift
-		m.d.Req.MustPush(req)
-		m.stats.Forwarded++
-	}
-	m.rr = (m.rr + 1) % len(m.ports)
-}
+// DRAMStats exposes the stream channel's statistics.
+func (s *Stream) DRAMStats() dram.Stats { return s.d.Stats() }

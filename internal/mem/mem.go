@@ -38,9 +38,6 @@ func (im *Image) Alloc(n, align uint64) uint64 {
 	return base
 }
 
-// Brk returns the current top of the allocated region.
-func (im *Image) Brk() uint64 { return im.brk }
-
 // Footprint returns the number of distinct words ever written.
 func (im *Image) Footprint() int { return len(im.words) }
 

@@ -190,7 +190,7 @@ func TestMuxFailover(t *testing.T) {
 
 	reqs := []*sim.Queue[dram.Request]{sim.NewQueue[dram.Request](k, "t.req", 256)}
 	resps := []*sim.Queue[dram.Response]{sim.NewQueue[dram.Response](k, "t.resp", 256)}
-	m := newDRAMMux(k, []*dram.DRAM{d0, d1}, PolicyInterleave, 128, reqs, resps)
+	m := newDRAMMux(k, []*dram.DRAM{d0, d1}, PolicyInterleave, reqs, resps)
 
 	// Open-loop: issue one read per cycle, alternating rows so both
 	// channels own traffic; run long enough for quarantine + steady

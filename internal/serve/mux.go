@@ -8,9 +8,9 @@ import (
 )
 
 // Shard-id tagging for requests multiplexed onto the shared DRAM
-// channels. Controller request ids occupy the low 32 bits (walker index,
-// possibly OR'd with the bit-63 writeback flag and the bit-62 hierarchy
-// flag), so bits 32..47 are free for the shard index.
+// channels. A shard's controller puts its walker index in the low 32
+// bits and its writeback flag in bit 63, so bits 32..47 are free for the
+// shard index (request-ID layout: DESIGN.md §9).
 const (
 	muxShardShift = 32
 	muxShardMask  = uint64(0xffff)
@@ -89,12 +89,12 @@ func (h chanHealth) String() string {
 // scale, with the breaker-style doubling bounding probe spam during a
 // long outage.
 const (
-	chanWatchdogDefault = 512  // silent cycles (with work pending) before quarantine
-	chanProbeNeed       = 4    // returned responses required to re-admit
-	chanProbeTimeout    = 1024 // cycles after the first probe before giving up
-	chanCooldownBase    = 1024 // quarantine → first probe delay
-	chanCooldownCap     = 16   // max cooldown doubling multiplier
-	chanMaxErrors       = 16   // DegradedError records kept per run
+	chanWatchdog     = 512  // silent cycles (with work pending) before quarantine
+	chanProbeNeed    = 4    // returned responses required to re-admit
+	chanProbeTimeout = 1024 // cycles after the first probe before giving up
+	chanCooldownBase = 1024 // quarantine → first probe delay
+	chanCooldownCap  = 16   // max cooldown doubling multiplier
+	chanMaxErrors    = 16   // DegradedError records kept per run
 )
 
 // muxChannel is one DRAM channel plus its health/failover state.
@@ -140,7 +140,6 @@ type dramMux struct {
 	rr       int
 	policy   ChannelPolicy
 	rowBytes uint64
-	watchdog sim.Cycle
 
 	forwarded      uint64
 	returned       uint64
@@ -149,7 +148,7 @@ type dramMux struct {
 	errs           []*DegradedError
 }
 
-func newDRAMMux(k *sim.Kernel, chans []*dram.DRAM, policy ChannelPolicy, watchdog int,
+func newDRAMMux(k *sim.Kernel, chans []*dram.DRAM, policy ChannelPolicy,
 	reqs []*sim.Queue[dram.Request], resps []*sim.Queue[dram.Response]) *dramMux {
 	if len(reqs) != len(resps) {
 		panic(fmt.Sprintf("serve: mux port mismatch: %d req vs %d resp", len(reqs), len(resps)))
@@ -157,13 +156,7 @@ func newDRAMMux(k *sim.Kernel, chans []*dram.DRAM, policy ChannelPolicy, watchdo
 	if len(chans) == 0 {
 		panic("serve: mux with no channels")
 	}
-	if watchdog <= 0 {
-		watchdog = chanWatchdogDefault
-	}
-	m := &dramMux{
-		reqs: reqs, resps: resps, policy: policy,
-		rowBytes: chans[0].Cfg.RowBytes, watchdog: sim.Cycle(watchdog),
-	}
+	m := &dramMux{reqs: reqs, resps: resps, policy: policy, rowBytes: chans[0].Cfg.RowBytes}
 	for _, d := range chans {
 		m.chans = append(m.chans, &muxChannel{d: d, cooldownMult: 1})
 	}
@@ -259,7 +252,7 @@ func (m *dramMux) updateHealth(c sim.Cycle) {
 		switch ch.health {
 		case chanHealthy:
 			hasWork := ch.d.Pending() > 0 || ch.d.Req.Len() > 0
-			if len(m.chans) > 1 && hasWork && c-ch.lastProgress >= m.watchdog {
+			if len(m.chans) > 1 && hasWork && c-ch.lastProgress >= chanWatchdog {
 				m.quarantine(c, ci, fmt.Sprintf("no progress for %d cycles", c-ch.lastProgress))
 			}
 		case chanQuarantined:

@@ -27,7 +27,7 @@ func TestMuxRoutesByShard(t *testing.T) {
 		reqs[i] = sim.NewQueue[dram.Request](k, "t.req", 8)
 		resps[i] = sim.NewQueue[dram.Response](k, "t.resp", 8)
 	}
-	newDRAMMux(k, []*dram.DRAM{d}, PolicyInterleave, 0, reqs, resps)
+	newDRAMMux(k, []*dram.DRAM{d}, PolicyInterleave, reqs, resps)
 
 	// Same request id 7 on every shard, each reading a different word.
 	for s := 0; s < shards; s++ {
@@ -90,7 +90,7 @@ func TestMuxFairness(t *testing.T) {
 		sim.NewQueue[dram.Response](k, "a.resp", 64),
 		sim.NewQueue[dram.Response](k, "b.resp", 64),
 	}
-	newDRAMMux(k, []*dram.DRAM{d}, PolicyInterleave, 0, reqs, resps)
+	newDRAMMux(k, []*dram.DRAM{d}, PolicyInterleave, reqs, resps)
 
 	const n = 32
 	for i := 0; i < n; i++ {

@@ -41,7 +41,8 @@ import (
 
 // attemptBits is how many low bits of a controller request id carry the
 // attempt number (the rest carry the request id), letting late responses
-// from timed-out attempts be matched — and deduplicated — exactly.
+// from timed-out attempts be matched — and deduplicated — exactly
+// (request-ID layout: DESIGN.md §9).
 const attemptBits = 3
 
 // maxRetries is the largest per-request retry budget the attempt field
@@ -75,11 +76,6 @@ type Config struct {
 	// PolicyInterleave (default, row-granular address interleave) or
 	// PolicyAffine (shard mod Channels).
 	ChannelPolicy ChannelPolicy
-	// ChannelWatchdog is how many silent cycles (no channel progress
-	// with work pending) before the mux quarantines a channel and
-	// re-steers its traffic (default 512; meaningful only with ≥2
-	// channels).
-	ChannelWatchdog int
 	// SLOEpoch is the SLO governor's evaluation period in cycles
 	// (default 1024). Tenants acquire SLOs via TenantGroup.SLO.
 	SLOEpoch int
@@ -162,12 +158,6 @@ func (c *Config) defaults() error {
 		if f.Channel >= c.Channels {
 			return fmt.Errorf("serve: channel fault %d targets channel %d of %d", i, f.Channel, c.Channels)
 		}
-	}
-	if c.ChannelWatchdog == 0 {
-		c.ChannelWatchdog = chanWatchdogDefault
-	}
-	if c.ChannelWatchdog < 0 {
-		return fmt.Errorf("serve: ChannelWatchdog %d negative", c.ChannelWatchdog)
 	}
 	if c.SLOEpoch == 0 {
 		c.SLOEpoch = sloEpochDefault
@@ -444,7 +434,7 @@ func New(cfg Config) (*Service, error) {
 		s.shards = append(s.shards, sh)
 		ctrls = append(ctrls, cache.Ctrl)
 	}
-	s.mux = newDRAMMux(k, s.chans, cfg.ChannelPolicy, cfg.ChannelWatchdog, memReqs, memResps)
+	s.mux = newDRAMMux(k, s.chans, cfg.ChannelPolicy, memReqs, memResps)
 	k.Add(s)
 
 	// Shard controllers are mutually independent within a cycle (they
@@ -527,7 +517,7 @@ func expandTenants(cfg Config) []tenantState {
 				slo: uint64(g.SLO), sloFactor: 1,
 			}
 			if g.BurstLen > 0 {
-				t.phase = mix64(cfg.Seed^uint64(ti)*0x9e3779b97f4a7c15^streamPhase) % uint64(g.BurstLen)
+				t.phase = check.Mix64(cfg.Seed^uint64(ti)*0x9e3779b97f4a7c15^streamPhase) % uint64(g.BurstLen)
 			}
 			out = append(out, t)
 		}
@@ -538,11 +528,11 @@ func expandTenants(cfg Config) []tenantState {
 // valueOf is the seeded content of array[key], the oracle every OK
 // response is checked against.
 func (s *Service) valueOf(key uint64) uint64 {
-	return mix64(key*0x9e3779b97f4a7c15 + 0xd1b54a32d192ed03)
+	return check.Mix64(key*0x9e3779b97f4a7c15 + 0xd1b54a32d192ed03)
 }
 
 func (s *Service) shardOf(key uint64) int {
-	return int(mix64(key+0x2545f4914f6cdd1d) % uint64(len(s.shards)))
+	return int(check.Mix64(key+0x2545f4914f6cdd1d) % uint64(len(s.shards)))
 }
 
 // effRate is the tenant's offered arrival probability this cycle: the
@@ -677,10 +667,10 @@ func (s *Service) generate(c sim.Cycle) {
 		if p > 1 {
 			p = 1
 		}
-		if roll(s.Cfg.Seed, streamArrival, uint64(c), uint64(ti)) >= p {
+		if check.Roll(s.Cfg.Seed, streamArrival, uint64(c), uint64(ti)) >= p {
 			continue
 		}
-		key := zipfKey(roll(s.Cfg.Seed, streamKey, uint64(c), uint64(ti)), s.Cfg.Keys, t.skew)
+		key := zipfKey(check.Roll(s.Cfg.Seed, streamKey, uint64(c), uint64(ti)), s.Cfg.Keys, t.skew)
 		s.accept(c, ti, key)
 	}
 }
