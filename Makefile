@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify vet fmt golden race faultsmoke soak servesmoke slosmoke approx-check fuzz-smoke fuzz litmus execdiff selectors bench bench-json bench-diff ci
+.PHONY: verify vet fmt golden race faultsmoke soak servesmoke slosmoke approx-check fuzz-smoke fuzz litmus execdiff selectors perfbench-check bench bench-json bench-diff ci
 
 # Tier-1: the gate every change must pass (see ROADMAP.md), plus the
 # static gates and the race detector over the parallel sweep engine.
@@ -139,6 +139,13 @@ selectors:
 	if [ $$fail = 1 ]; then exit 1; fi; \
 	echo "selectors: all $$(echo "$$pairs" | wc -l) (package, alternative) pairs list a test"
 
+# Benchmark module: perfbench/ is its own Go module (replace xcache =>
+# ../), so the root `go build ./...` never compiles it, yet it imports
+# the DSA runners' Options and widx.AddrGeometry. Vet it and run its
+# short tests against the current tree.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test -short -count=1 .
+
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx .
 
@@ -159,4 +166,4 @@ bench-json:
 bench-diff:
 	XCACHE_BENCH_WORKERS=8 $(GO) run ./cmd/xcache-bench -scale 25 -hotloop -bench-diff BENCH_1.json >/dev/null
 
-ci: verify selectors race faultsmoke soak servesmoke slosmoke approx-check fuzz-smoke litmus execdiff
+ci: verify selectors perfbench-check race faultsmoke soak servesmoke slosmoke approx-check fuzz-smoke litmus execdiff

@@ -58,7 +58,6 @@ func DefaultWork(scale int) Work {
 // Options configure a run.
 type Options struct {
 	Cfg       core.Config
-	DRAM      dram.Config
 	MaxCycles int
 	// Check attaches the hardening harness to the X-Cache run. DRAM
 	// drop/delay faults never apply here — the controller's fills are
@@ -69,9 +68,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.Cfg.Sets == 0 {
 		o.Cfg = Config()
-	}
-	if o.DRAM.Banks == 0 {
-		o.DRAM = dram.DefaultConfig()
 	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 50_000_000
@@ -192,7 +188,7 @@ func RunXCache(w Work, opt Options) (dsa.Result, error) {
 
 	k := sim.NewKernel()
 	img := mem.NewImage()
-	d := dram.New(k, opt.DRAM, img)
+	d := dram.New(k, dram.DefaultConfig(), img)
 	meter := &energy.Counters{}
 	l2 := addrcache.New(k, addrGeometry(opt.Cfg, 2), d.Req, d.Resp, meter)
 	_, xcReq, xcResp := hier.NewXCOverAddr(k, l2)
@@ -231,26 +227,12 @@ func RunXCache(w Work, opt Options) (dsa.Result, error) {
 		}
 	})
 	k.Add(pump)
-	h := check.Attach(k, opt.Check)
-	if ok, rep := check.Run(h, k, func() bool { return done == len(trace) }, opt.MaxCycles); !ok {
-		return dsa.Result{}, fmt.Errorf("btree xcache: aborted at %d/%d: %w", done, len(trace), rep.Failure())
+	r, err := dsa.Run(k, meter, opt.Check, func() bool { return done == len(trace) }, opt.MaxCycles)
+	if err != nil {
+		return dsa.Result{}, fmt.Errorf("btree xcache: aborted at %d/%d: %w", done, len(trace), err)
 	}
-	if t := xc.Ctrl.Trap(); t != nil {
-		return dsa.Result{}, fmt.Errorf("btree xcache: %w", t)
-	}
-	cst := xc.Ctrl.Stats()
-	return dsa.Result{
-		DSA: "BTreeIdx", Workload: "zipf", Kind: dsa.KindXCache,
-		Cycles: uint64(k.Cycle()), DRAMAccesses: d.Stats().Accesses(), DRAMReadWords: d.Stats().WordsRead,
-		OnChipHits: cst.Hits, OnChipMisses: cst.Misses, HitRate: cst.HitRate(),
-		AvgLoadToUse: cst.AvgLoadToUse(), HitLoadToUse: cst.AvgHitLoadToUse(),
-		L2UP50: cst.L2UHist.Percentile(0.5), L2UP99: cst.L2UHist.Percentile(0.99),
-		Occupancy: cst.OccupancyByteCycles,
-		Energy:    meter.Energy(energy.DefaultParams()), Checked: okAll,
-		FillRetries:  cst.FillRetries,
-		DroppedFills: d.Stats().DroppedResps,
-		ParityScrubs: cst.ParityScrubs,
-	}, nil
+	r.DSA, r.Workload, r.Kind, r.Checked = "BTreeIdx", "zipf", dsa.KindXCache, okAll
+	return r, nil
 }
 
 // addrGeometry sizes an address cache to the X-Cache config's data bytes
@@ -308,7 +290,7 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 	opt.defaults()
 	k := sim.NewKernel()
 	img := mem.NewImage()
-	d := dram.New(k, opt.DRAM, img)
+	d := dram.New(k, dram.DefaultConfig(), img)
 	meter := &energy.Counters{}
 	// The whole on-chip budget, 64-byte (node-sized) blocks.
 	cache := addrcache.New(k, addrGeometry(opt.Cfg, 1), d.Req, d.Resp, meter)
@@ -339,15 +321,10 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 		}
 	})
 	k.Add(pump)
-	if !k.RunUntil(func() bool { return done == len(trace) }, opt.MaxCycles) {
-		return dsa.Result{}, fmt.Errorf("btree addr: timeout at %d/%d", done, len(trace))
+	r, err := dsa.Run(k, meter, nil, func() bool { return done == len(trace) }, opt.MaxCycles)
+	if err != nil {
+		return dsa.Result{}, fmt.Errorf("btree addr: aborted at %d/%d: %w", done, len(trace), err)
 	}
-	dst := d.Stats()
-	return dsa.Result{
-		DSA: "BTreeIdx", Workload: "zipf", Kind: dsa.KindAddr,
-		Cycles: uint64(k.Cycle()), DRAMAccesses: dst.Accesses(), DRAMReadWords: dst.WordsRead,
-		OnChipHits: cache.Stats().Hits, OnChipMisses: cache.Stats().Misses, HitRate: cache.Stats().HitRate(),
-		AvgLoadToUse: eng.Stats().AvgLoadToUse(),
-		Energy:       meter.Energy(energy.DefaultParams()), Checked: okAll,
-	}, nil
+	r.DSA, r.Workload, r.Kind, r.Checked = "BTreeIdx", "zipf", dsa.KindAddr, okAll
+	return r, nil
 }

@@ -27,34 +27,27 @@ import (
 
 // Options configure a DASX run.
 type Options struct {
-	Cfg        core.Config // zero value → core.DASXConfig()
-	DRAM       dram.Config
-	MaxCycles  int
-	RoundSize  int // objects per refill-compute-update round
-	Lookahead  int // collector preload distance (X-Cache runs)
-	ComputePer int // compute cycles per object in the compute phase
+	Cfg       core.Config // zero value → core.DASXConfig()
+	MaxCycles int
+	Lookahead int // collector preload distance (X-Cache runs)
 	// Check attaches the hardening harness to the X-Cache run.
 	Check *check.Config
 }
+
+const (
+	roundSize  = 64 // objects per refill-compute-update round (baseline)
+	computePer = 2  // compute cycles per object in the compute phase
+)
 
 func (o *Options) defaults() {
 	if o.Cfg.Sets == 0 {
 		o.Cfg = core.DASXConfig()
 	}
-	if o.DRAM.Banks == 0 {
-		o.DRAM = dram.DefaultConfig()
-	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 50_000_000
 	}
-	if o.RoundSize == 0 {
-		o.RoundSize = 64
-	}
 	if o.Lookahead == 0 {
 		o.Lookahead = 64
-	}
-	if o.ComputePer == 0 {
-		o.ComputePer = 2
 	}
 }
 
@@ -123,16 +116,15 @@ func Spec(shift uint) program.Spec {
 // of the compute stream. Preload responses are discarded; compute
 // responses are validated.
 type collector struct {
-	c          *ctrl.Controller
-	trace      []uint64
-	ix         *hashidx.Index
-	preCursor  int
-	cursor     int
-	done       int
-	lookahead  int
-	computeAt  sim.Cycle
-	computePer int
-	ok         bool
+	c         *ctrl.Controller
+	trace     []uint64
+	ix        *hashidx.Index
+	preCursor int
+	cursor    int
+	done      int
+	lookahead int
+	computeAt sim.Cycle
+	ok        bool
 }
 
 func (dp *collector) Tick(cy sim.Cycle) {
@@ -155,7 +147,7 @@ func (dp *collector) Tick(cy sim.Cycle) {
 			dp.ok = false
 		}
 		// Update phase: fixed compute per consumed object.
-		dp.computeAt = cy + sim.Cycle(dp.computePer)
+		dp.computeAt = cy + computePer
 	}
 
 	// Compute stream first (it must never starve behind the collector):
@@ -185,7 +177,7 @@ func (dp *collector) Tick(cy sim.Cycle) {
 // preloading through meta loads.
 func RunXCache(w widx.Work, opt Options) (dsa.Result, error) {
 	opt.defaults()
-	sys, err := core.NewSystem(opt.Cfg, opt.DRAM, Spec(0))
+	sys, err := core.NewSystem(opt.Cfg, dram.DefaultConfig(), Spec(0))
 	if err != nil {
 		return dsa.Result{}, err
 	}
@@ -200,39 +192,26 @@ func RunXCache(w widx.Work, opt Options) (dsa.Result, error) {
 	sys.Cache.SetEnv(0, ix.Table)
 	sys.Cache.SetEnv(1, hashidx.HashMul)
 
-	dp := &collector{c: sys.Cache.Ctrl, trace: trace, ix: ix,
-		lookahead: opt.Lookahead, computePer: opt.ComputePer, ok: true}
+	dp := &collector{c: sys.Cache.Ctrl, trace: trace, ix: ix, lookahead: opt.Lookahead, ok: true}
 	sys.K.Add(dp)
-	h := check.Attach(sys.K, opt.Check)
-	if ok, rep := check.Run(h, sys.K, func() bool { return dp.done == len(trace) }, opt.MaxCycles); !ok {
-		return dsa.Result{}, fmt.Errorf("dasx xcache: aborted at %d/%d: %w", dp.done, len(trace), rep.Failure())
+	r, err := dsa.Run(sys.K, sys.Meter, opt.Check, func() bool { return dp.done == len(trace) }, opt.MaxCycles)
+	if err != nil {
+		return dsa.Result{}, fmt.Errorf("dasx xcache: aborted at %d/%d: %w", dp.done, len(trace), err)
 	}
-	if t := sys.Cache.Ctrl.Trap(); t != nil {
-		return dsa.Result{}, fmt.Errorf("dasx xcache: %w", t)
-	}
-	st := sys.Snapshot()
-	return dsa.Result{
-		DSA: "DASX", Workload: w.Profile.Name, Kind: dsa.KindXCache,
-		Cycles: st.Cycles, DRAMAccesses: st.DRAM.Accesses(), DRAMReadWords: st.DRAM.WordsRead,
-		OnChipHits: st.Ctrl.Hits, OnChipMisses: st.Ctrl.Misses, HitRate: st.Ctrl.HitRate(),
-		AvgLoadToUse: st.Ctrl.AvgLoadToUse(), HitLoadToUse: st.Ctrl.AvgHitLoadToUse(),
-		L2UP50: st.Ctrl.L2UHist.Percentile(0.5), L2UP99: st.Ctrl.L2UHist.Percentile(0.99),
-		Occupancy: st.Ctrl.OccupancyByteCycles,
-		Energy:    st.Energy, Checked: dp.ok,
-		FillRetries:  st.Ctrl.FillRetries,
-		DroppedFills: st.DRAM.DroppedResps,
-		ParityScrubs: st.Ctrl.ParityScrubs,
-	}, nil
+	r.DSA, r.Workload, r.Kind, r.Checked = "DASX", w.Profile.Name, dsa.KindXCache, dp.ok
+	return r, nil
 }
 
 // RunAddr measures the same workload over an address cache with an ideal
 // walker (no hashing cost, no round barriers).
 func RunAddr(w widx.Work, opt Options) (dsa.Result, error) {
 	opt.defaults()
-	r, err := widx.RunAddr(w, widx.Options{Cfg: opt.Cfg, DRAM: opt.DRAM, MaxCycles: opt.MaxCycles})
+	r, err := widx.RunAddr(w, widx.Options{Cfg: opt.Cfg, MaxCycles: opt.MaxCycles})
+	if err != nil {
+		return dsa.Result{}, fmt.Errorf("dasx addr: %w", err)
+	}
 	r.DSA = "DASX"
-	r.Kind = dsa.KindAddr
-	return r, err
+	return r, nil
 }
 
 // RunBaseline measures the original DASX: refill-compute-update rounds
@@ -242,7 +221,7 @@ func RunBaseline(w widx.Work, opt Options) (dsa.Result, error) {
 	opt.defaults()
 	k := sim.NewKernel()
 	img := mem.NewImage()
-	d := dram.New(k, opt.DRAM, img)
+	d := dram.New(k, dram.DefaultConfig(), img)
 	meter := &energy.Counters{}
 	cache := addrcache.New(k, widx.AddrGeometry(opt.Cfg), d.Req, d.Resp, meter)
 	eng := addrcache.NewEngine(k, addrcache.EngineConfig{Contexts: opt.Cfg.NumActive}, cache)
@@ -273,7 +252,7 @@ func RunBaseline(w widx.Work, opt Options) (dsa.Result, error) {
 		if cy < computing {
 			return // compute phase of the previous round
 		}
-		roundEnd := roundStart + opt.RoundSize
+		roundEnd := roundStart + roundSize
 		if roundEnd > len(trace) {
 			roundEnd = len(trace)
 		}
@@ -291,21 +270,16 @@ func RunBaseline(w widx.Work, opt Options) (dsa.Result, error) {
 		}
 		// Round barrier: all refills done → compute phase → reload cache.
 		if inflight == 0 && issued == roundEnd && done == issued && roundStart < len(trace) {
-			computing = cy + sim.Cycle(opt.ComputePer*(roundEnd-roundStart))
+			computing = cy + sim.Cycle(computePer*(roundEnd-roundStart))
 			roundStart = roundEnd
 			cache.InvalidateAll()
 		}
 	})
 	k.Add(pump)
-	if !k.RunUntil(func() bool { return done == len(trace) && sim.Cycle(0) >= 0 && k.Cycle() >= computing }, opt.MaxCycles) {
-		return dsa.Result{}, fmt.Errorf("dasx baseline: timeout at %d/%d", done, len(trace))
+	r, err := dsa.Run(k, meter, nil, func() bool { return done == len(trace) && k.Cycle() >= computing }, opt.MaxCycles)
+	if err != nil {
+		return dsa.Result{}, fmt.Errorf("dasx baseline: aborted at %d/%d: %w", done, len(trace), err)
 	}
-	dst := d.Stats()
-	return dsa.Result{
-		DSA: "DASX", Workload: w.Profile.Name, Kind: dsa.KindBaseline,
-		Cycles: uint64(k.Cycle()), DRAMAccesses: dst.Accesses(), DRAMReadWords: dst.WordsRead,
-		OnChipHits: cache.Stats().Hits, OnChipMisses: cache.Stats().Misses, HitRate: cache.Stats().HitRate(),
-		AvgLoadToUse: eng.Stats().AvgLoadToUse(),
-		Energy:       meter.Energy(energy.DefaultParams()), Checked: okAll,
-	}, nil
+	r.DSA, r.Workload, r.Kind, r.Checked = "DASX", w.Profile.Name, dsa.KindBaseline, okAll
+	return r, nil
 }

@@ -22,6 +22,7 @@ import (
 	"xcache/internal/ctrl"
 	"xcache/internal/dram"
 	"xcache/internal/dsa"
+	"xcache/internal/dsa/widx"
 	"xcache/internal/energy"
 	"xcache/internal/graph"
 	"xcache/internal/mem"
@@ -70,32 +71,35 @@ func WebGoogle(scale int) Work {
 // Options configure a run.
 type Options struct {
 	Cfg       core.Config // zero → core.GraphPulseConfig()
-	DRAM      dram.Config
 	MaxCycles int
-	PEs       int // processing elements emitting events per cycle
-	Damping   float64
 	// Check attaches the hardening harness to the X-Cache run.
 	Check *check.Config
 }
+
+const (
+	// pes is the number of processing elements emitting events per
+	// cycle: enough that event-insertion throughput — the X-Cache port,
+	// what Fig 18 sweeps — is the binding constraint.
+	pes     = 16
+	damping = 0.85 // PageRank damping factor
+)
 
 func (o *Options) defaults() {
 	if o.Cfg.Sets == 0 {
 		o.Cfg = core.GraphPulseConfig()
 	}
-	if o.DRAM.Banks == 0 {
-		o.DRAM = dram.DefaultConfig()
-	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 500_000_000
 	}
-	if o.PEs == 0 {
-		// Enough PEs that event-insertion throughput — the X-Cache port,
-		// what Fig 18 sweeps — is the binding constraint.
-		o.PEs = 16
-	}
-	if o.Damping == 0 {
-		o.Damping = 0.85
-	}
+}
+
+// newAdjChannel opens the dedicated adjacency stream channel. GraphPulse
+// streams adjacency over a wide interface; the event-insertion path, not
+// edge bandwidth, is the design bottleneck Fig 18 studies.
+func newAdjChannel(k *sim.Kernel, img *mem.Image) *dram.DRAM {
+	cfg := dram.DefaultConfig()
+	cfg.TBusPerWord = 0
+	return dram.New(k, cfg, img)
 }
 
 // Spec is the GraphPulse event-store walker: a store miss allocates an
@@ -154,8 +158,6 @@ type engine struct {
 	g       *graph.Graph
 	lay     graph.Layout
 	adj     *dram.DRAM // dedicated adjacency stream channel
-	pes     int
-	damping float64
 	eps     float64
 	maxSS   int
 
@@ -221,8 +223,8 @@ func (e *engine) Tick(cy sim.Cycle) {
 			}
 			return
 		}
-		init := (1 - e.damping) / float64(e.g.N)
-		for i := 0; i < e.pes && e.seedPos < e.g.N; i++ {
+		init := (1 - damping) / float64(e.g.N)
+		for i := 0; i < pes && e.seedPos < e.g.N; i++ {
 			req := ctrl.MetaReq{ID: e.nid(), Op: ctrl.MetaStoreMerge,
 				Key: metatag.Key{uint64(e.seedPos), 0}, Payload: ToFix(init), Issued: cy}
 			if !e.c.ReqQ.Push(req) {
@@ -240,7 +242,7 @@ func (e *engine) Tick(cy sim.Cycle) {
 
 	// Generation: PEs emit events from ready batches.
 	emitted := 0
-	for emitted < e.pes && len(e.readyQ) > 0 {
+	for emitted < pes && len(e.readyQ) > 0 {
 		b := e.readyQ[0]
 		if b.cur >= len(b.vs) {
 			e.readyQ = e.readyQ[1:]
@@ -260,7 +262,7 @@ func (e *engine) Tick(cy sim.Cycle) {
 			req = ctrl.MetaReq{ID: e.nid(), Op: ctrl.MetaStoreMergeMin,
 				Key: metatag.Key{uint64(w), 0}, Payload: uint64(b.deltas[b.cur]) + 1, Issued: cy}
 		} else {
-			share = e.damping * b.deltas[b.cur] / float64(len(out))
+			share = damping * b.deltas[b.cur] / float64(len(out))
 			req = ctrl.MetaReq{ID: e.nid(), Op: ctrl.MetaStoreMerge,
 				Key: metatag.Key{uint64(w), 0}, Payload: ToFix(share), Issued: cy}
 		}
@@ -389,75 +391,102 @@ func (e *engine) reindexAdj() {
 	}
 }
 
-// run executes PageRank to convergence over X-Cache (or its hardwired
-// twin) and validates ranks against the delta-PageRank reference.
-func run(w Work, opt Options, hardwired bool) (dsa.Result, error) {
+// inf is the SSSP distance of a vertex not yet reached.
+const inf = int64(1) << 30
+
+// run executes the event-store workload over X-Cache (or its hardwired
+// twin): delta-PageRank to convergence, validated against the
+// delta-PageRank reference, or SSSP from src, validated against BFS.
+func run(w Work, opt Options, hardwired bool, mode algoMode, src int) (dsa.Result, error) {
 	opt.defaults()
 	cfg := opt.Cfg
 	cfg.Hardwired = hardwired
 	g := graph.RMAT(w.N, w.E, w.Seed)
 
-	sys, err := core.NewSystem(cfg, opt.DRAM, Spec())
+	sys, err := core.NewSystem(cfg, dram.DefaultConfig(), Spec())
 	if err != nil {
 		return dsa.Result{}, err
 	}
 	lay := g.WriteTo(sys.Img)
-	// GraphPulse streams adjacency over a wide dedicated interface; the
-	// event-insertion path, not edge bandwidth, is the design bottleneck
-	// Fig 18 studies.
-	adjCfg := opt.DRAM
-	adjCfg.TBusPerWord = 0
-	adj := dram.New(sys.K, adjCfg, sys.Img)
-
-	e := &engine{c: sys.Cache.Ctrl, g: g, lay: lay, adj: adj,
-		pes: opt.PEs, damping: opt.Damping, eps: w.Eps, maxSS: w.MaxSS,
+	e := &engine{mode: mode, src: src, c: sys.Cache.Ctrl, g: g, lay: lay,
+		adj: newAdjChannel(sys.K, sys.Img), eps: w.Eps, maxSS: w.MaxSS,
 		rank: make([]float64, g.N), inAdj: map[uint64]int{}}
-	sys.K.Add(e)
-
-	h := check.Attach(sys.K, opt.Check)
-	if ok, rep := check.Run(h, sys.K, func() bool { return e.done }, opt.MaxCycles); !ok {
-		return dsa.Result{}, fmt.Errorf("graphpulse: aborted in superstep %d: %w", e.ss, rep.Failure())
-	}
-	if t := sys.Cache.Ctrl.Trap(); t != nil {
-		return dsa.Result{}, fmt.Errorf("graphpulse: %w", t)
-	}
-
-	ref, _ := graph.DeltaPageRank(g, graph.PageRankParams{Damping: opt.Damping, Eps: w.Eps, MaxIter: w.MaxSS})
-	checked := true
-	for v := range ref {
-		if math.Abs(ref[v]-e.rank[v]) > 1e-4*(1+math.Abs(ref[v])) {
-			checked = false
-			break
+	if mode == modeSSSP {
+		e.settled = make([]int64, g.N)
+		for v := range e.settled {
+			e.settled[v] = inf
 		}
 	}
+	sys.K.Add(e)
 
-	st := sys.Snapshot()
-	kind := dsa.KindXCache
-	if hardwired {
-		kind = dsa.KindBaseline
+	name := "graphpulse"
+	if mode == modeSSSP {
+		name = "graphpulse sssp"
 	}
-	return dsa.Result{
-		DSA: "GraphPulse", Workload: w.Name, Kind: kind,
-		Cycles:        st.Cycles,
-		DRAMAccesses:  st.DRAM.Accesses() + adj.Stats().Accesses(),
-		DRAMReadWords: st.DRAM.WordsRead + adj.Stats().WordsRead,
-		OnChipHits:    st.Ctrl.Hits, OnChipMisses: st.Ctrl.Misses, HitRate: st.Ctrl.HitRate(),
-		AvgLoadToUse: st.Ctrl.AvgLoadToUse(), HitLoadToUse: st.Ctrl.AvgHitLoadToUse(),
-		L2UP50: st.Ctrl.L2UHist.Percentile(0.5), L2UP99: st.Ctrl.L2UHist.Percentile(0.99),
-		Occupancy: st.Ctrl.OccupancyByteCycles,
-		Energy:    st.Energy, Checked: checked,
-		FillRetries:  st.Ctrl.FillRetries,
-		DroppedFills: st.DRAM.DroppedResps,
-		ParityScrubs: st.Ctrl.ParityScrubs,
-	}, nil
+	r, err := dsa.Run(sys.K, sys.Meter, opt.Check, func() bool { return e.done }, opt.MaxCycles)
+	if err != nil {
+		return dsa.Result{}, fmt.Errorf("%s: aborted in superstep %d: %w", name, e.ss, err)
+	}
+	r.DSA, r.Workload, r.Kind = "GraphPulse", w.Name, dsa.KindXCache
+	if hardwired {
+		r.Kind = dsa.KindBaseline
+	}
+	if mode == modeSSSP {
+		r.Workload += "/sssp"
+		r.Checked = distancesMatch(e.settled, graph.BFS(g, src), src)
+	} else {
+		r.Checked = ranksMatch(g, w, e.rank)
+	}
+	return r, nil
+}
+
+// ranksMatch validates ranks against the delta-PageRank reference.
+func ranksMatch(g *graph.Graph, w Work, rank []float64) bool {
+	ref, _ := graph.DeltaPageRank(g, graph.PageRankParams{Damping: damping, Eps: w.Eps, MaxIter: w.MaxSS})
+	for v := range ref {
+		if math.Abs(ref[v]-rank[v]) > 1e-4*(1+math.Abs(ref[v])) {
+			return false
+		}
+	}
+	return true
+}
+
+// distancesMatch validates settled SSSP distances against the BFS
+// reference ref from src.
+func distancesMatch(settled, ref []int64, src int) bool {
+	for v := range ref {
+		got := settled[v]
+		switch {
+		case v == src:
+			// The source settles at 0 via its seed event.
+			if got != 0 {
+				return false
+			}
+		case ref[v] >= inf:
+			if got < inf {
+				return false
+			}
+		case got != ref[v]:
+			return false
+		}
+	}
+	return true
 }
 
 // RunXCache measures GraphPulse with X-Cache as the event store.
-func RunXCache(w Work, opt Options) (dsa.Result, error) { return run(w, opt, false) }
+func RunXCache(w Work, opt Options) (dsa.Result, error) { return run(w, opt, false, modePageRank, 0) }
 
 // RunBaseline measures the original hardwired event queue (identical
 // structures, fixed-function controller).
-func RunBaseline(w Work, opt Options) (dsa.Result, error) { return run(w, opt, true) }
+func RunBaseline(w Work, opt Options) (dsa.Result, error) { return run(w, opt, true, modePageRank, 0) }
+
+// RunSSSP runs single-source shortest paths (unit weights) on the same
+// event-store hardware: events coalesce with MIN instead of ADD in the
+// hit pipeline — one changed merge operator, everything else identical.
+// Distances are validated against a BFS reference.
+func RunSSSP(w Work, opt Options, src int) (dsa.Result, error) {
+	return run(w, opt, false, modeSSSP, src)
+}
 
 // RunAddr measures the address-based alternative: deltas live in a dense
 // DRAM-resident array accessed read-modify-write through an address
@@ -470,25 +499,17 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 	g := graph.RMAT(w.N, w.E, w.Seed)
 	k := sim.NewKernel()
 	img := mem.NewImage()
-	d := dram.New(k, opt.DRAM, img)
+	d := dram.New(k, dram.DefaultConfig(), img)
 	meter := &energy.Counters{}
-	blocks := opt.Cfg.Sets * opt.Cfg.Ways * opt.Cfg.WordsPerSector / 4
-	ways := 8
-	sets := 1
-	for sets*2 <= blocks/ways {
-		sets *= 2
-	}
-	cache := addrcache.New(k, addrcache.Config{Sets: sets, Ways: ways, BlockWords: 4}, d.Req, d.Resp, meter)
-	adjCfg := opt.DRAM
-	adjCfg.TBusPerWord = 0
-	adj := dram.New(k, adjCfg, img)
+	cache := addrcache.New(k, widx.AddrGeometry(opt.Cfg), d.Req, d.Resp, meter)
+	adj := newAdjChannel(k, img)
 	deltaArr := img.AllocWords(g.N + 8)
 	_ = g.WriteTo(img)
 
 	// Seed: every vertex starts with delta (1-d)/N, resident in memory.
 	rank := make([]float64, g.N)
 	acc := make([]uint64, g.N) // mirror of the accumulated fixed-point deltas
-	init := (1 - opt.Damping) / float64(g.N)
+	init := (1 - damping) / float64(g.N)
 	for v := 0; v < g.N; v++ {
 		rank[v] = init
 		acc[v] = ToFix(init)
@@ -583,7 +604,7 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 		// Phase 2: generate events; each is an RMW on delta[w] through the
 		// cache, plus adjacency streaming.
 		emitted := 0
-		for emitted < opt.PEs && len(genQ) > 0 {
+		for emitted < pes && len(genQ) > 0 {
 			gs := &genQ[0]
 			out := g.Out(gs.v)
 			if gs.emit == 0 {
@@ -599,7 +620,7 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 				continue
 			}
 			wv := out[gs.emit]
-			share := opt.Damping * gs.delta / float64(len(out))
+			share := damping * gs.delta / float64(len(out))
 			newAcc := acc[wv] + ToFix(share)
 			if !cache.ReqQ.CanPush() {
 				break
@@ -617,99 +638,10 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 		}
 	})
 	k.Add(pump)
-	if !k.RunUntil(func() bool { return doneAll }, opt.MaxCycles) {
-		return dsa.Result{}, fmt.Errorf("graphpulse addr: timeout in superstep %d", ss)
-	}
-	ref, _ := graph.DeltaPageRank(g, graph.PageRankParams{Damping: opt.Damping, Eps: w.Eps, MaxIter: w.MaxSS})
-	checked := true
-	for v := range ref {
-		if math.Abs(ref[v]-rank[v]) > 1e-4*(1+math.Abs(ref[v])) {
-			checked = false
-			break
-		}
-	}
-	dst := d.Stats()
-	return dsa.Result{
-		DSA: "GraphPulse", Workload: w.Name, Kind: dsa.KindAddr,
-		Cycles:        uint64(k.Cycle()),
-		DRAMAccesses:  dst.Accesses() + adj.Stats().Accesses(),
-		DRAMReadWords: dst.WordsRead + adj.Stats().WordsRead,
-		OnChipHits:    cache.Stats().Hits, OnChipMisses: cache.Stats().Misses, HitRate: cache.Stats().HitRate(),
-		Energy:  meter.Energy(energy.DefaultParams()),
-		Checked: checked,
-	}, nil
-}
-
-// RunSSSP runs single-source shortest paths (unit weights) on the same
-// event-store hardware: events coalesce with MIN instead of ADD in the
-// hit pipeline — one changed merge operator, everything else identical.
-// Distances are validated against a BFS reference.
-func RunSSSP(w Work, opt Options, src int) (dsa.Result, error) {
-	opt.defaults()
-	g := graph.RMAT(w.N, w.E, w.Seed)
-	sys, err := core.NewSystem(opt.Cfg, opt.DRAM, Spec())
+	r, err := dsa.Run(k, meter, nil, func() bool { return doneAll }, opt.MaxCycles)
 	if err != nil {
-		return dsa.Result{}, err
+		return dsa.Result{}, fmt.Errorf("graphpulse addr: aborted in superstep %d: %w", ss, err)
 	}
-	lay := g.WriteTo(sys.Img)
-	adjCfg := opt.DRAM
-	adjCfg.TBusPerWord = 0
-	adj := dram.New(sys.K, adjCfg, sys.Img)
-
-	const inf = int64(1) << 30
-	e := &engine{mode: modeSSSP, src: src, c: sys.Cache.Ctrl, g: g, lay: lay, adj: adj,
-		pes: opt.PEs, damping: opt.Damping, eps: w.Eps, maxSS: w.MaxSS,
-		rank: make([]float64, g.N), settled: make([]int64, g.N), inAdj: map[uint64]int{}}
-	for v := range e.settled {
-		e.settled[v] = inf
-	}
-	sys.K.Add(e)
-	h := check.Attach(sys.K, opt.Check)
-	if ok, rep := check.Run(h, sys.K, func() bool { return e.done }, opt.MaxCycles); !ok {
-		return dsa.Result{}, fmt.Errorf("graphpulse sssp: aborted in superstep %d: %w", e.ss, rep.Failure())
-	}
-	if t := sys.Cache.Ctrl.Trap(); t != nil {
-		return dsa.Result{}, fmt.Errorf("graphpulse sssp: %w", t)
-	}
-
-	ref := graph.BFS(g, src)
-	checked := true
-	for v := range ref {
-		got := e.settled[v]
-		if v == src {
-			// The source settles at 0 via its seed event.
-			if got != 0 {
-				checked = false
-				break
-			}
-			continue
-		}
-		if ref[v] >= inf {
-			if got < inf {
-				checked = false
-				break
-			}
-			continue
-		}
-		if got != ref[v] {
-			checked = false
-			break
-		}
-	}
-
-	st := sys.Snapshot()
-	return dsa.Result{
-		DSA: "GraphPulse", Workload: w.Name + "/sssp", Kind: dsa.KindXCache,
-		Cycles:        st.Cycles,
-		DRAMAccesses:  st.DRAM.Accesses() + adj.Stats().Accesses(),
-		DRAMReadWords: st.DRAM.WordsRead + adj.Stats().WordsRead,
-		OnChipHits:    st.Ctrl.Hits, OnChipMisses: st.Ctrl.Misses, HitRate: st.Ctrl.HitRate(),
-		AvgLoadToUse: st.Ctrl.AvgLoadToUse(), HitLoadToUse: st.Ctrl.AvgHitLoadToUse(),
-		L2UP50: st.Ctrl.L2UHist.Percentile(0.5), L2UP99: st.Ctrl.L2UHist.Percentile(0.99),
-		Occupancy: st.Ctrl.OccupancyByteCycles,
-		Energy:    st.Energy, Checked: checked,
-		FillRetries:  st.Ctrl.FillRetries,
-		DroppedFills: st.DRAM.DroppedResps,
-		ParityScrubs: st.Ctrl.ParityScrubs,
-	}, nil
+	r.DSA, r.Workload, r.Kind, r.Checked = "GraphPulse", w.Name, dsa.KindAddr, ranksMatch(g, w, rank)
+	return r, nil
 }

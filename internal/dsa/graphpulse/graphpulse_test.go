@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"xcache/internal/core"
+	"xcache/internal/dsa"
+	"xcache/internal/energy"
 )
 
 func smallWork() Work {
@@ -107,6 +109,39 @@ func TestSSSPDifferentSources(t *testing.T) {
 		}
 		if !r.Checked {
 			t.Fatalf("src %d: distances wrong", src)
+		}
+	}
+}
+
+// TestSSSPResultPinned pins RunSSSP's whole measurement for two sources.
+// No golden figure covers SSSP, so this keeps its cycle, traffic, latency
+// and energy accounting from drifting.
+func TestSSSPResultPinned(t *testing.T) {
+	want := map[int]dsa.Result{
+		0: {DSA: "GraphPulse", Workload: "p2p-08/sssp", Kind: dsa.KindXCache,
+			Cycles: 1186, DRAMAccesses: 70, DRAMReadWords: 3113,
+			OnChipHits: 1304, OnChipMisses: 650, HitRate: 0.6673490276356192,
+			AvgLoadToUse: 9.009969325153374, HitLoadToUse: 9.009969325153374,
+			L2UP50: 7, L2UP99: 31, Occupancy: 321944,
+			Energy: energy.Breakdown{DataRAM: 29164.8, TagRAM: 26343.9, RoutineRAM: 2340,
+				Logic: 23.471999999999998, Registers: 1851.2},
+			Checked: true},
+		17: {DSA: "GraphPulse", Workload: "p2p-08/sssp", Kind: dsa.KindXCache,
+			Cycles: 1300, DRAMAccesses: 75, DRAMReadWords: 3227,
+			OnChipHits: 1267, OnChipMisses: 687, HitRate: 0.6484135107471852,
+			AvgLoadToUse: 9.47119179163378, HitLoadToUse: 9.47119179163378,
+			L2UP50: 7, L2UP99: 31, Occupancy: 338696,
+			Energy: energy.Breakdown{DataRAM: 29579.199999999997, TagRAM: 27542.7, RoutineRAM: 2473.2,
+				Logic: 22.805999999999997, Registers: 1956.576},
+			Checked: true},
+	}
+	for src, w := range want {
+		got, err := RunSSSP(smallWork(), smallOpts(), src)
+		if err != nil {
+			t.Fatalf("src %d: %v", src, err)
+		}
+		if got != w {
+			t.Errorf("src %d:\n got  %+v\n want %+v", src, got, w)
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"xcache/internal/ctrl"
 	"xcache/internal/dram"
 	"xcache/internal/dsa"
+	"xcache/internal/dsa/widx"
 	"xcache/internal/energy"
 	"xcache/internal/hier"
 	"xcache/internal/mem"
@@ -66,13 +67,15 @@ func P2PGnutella31(scale int) Work {
 // Options configure a run.
 type Options struct {
 	Cfg       core.Config // zero → core.SpArchConfig()/GammaConfig()
-	DRAM      dram.Config
 	MaxCycles int
-	Lanes     int // multiplier lanes (compute cycles = nnz products / lanes)
 	Lookahead int // SpArch decoupled-preload distance (rows)
 	// Check attaches the hardening harness to the X-Cache run.
 	Check *check.Config
 }
+
+// lanes is the multiplier lane count: a response costs products/lanes
+// cycles of datapath time.
+const lanes = 4
 
 func (o *Options) defaults(alg Algorithm) {
 	if o.Cfg.Sets == 0 {
@@ -83,14 +86,8 @@ func (o *Options) defaults(alg Algorithm) {
 			o.Cfg = core.GammaConfig()
 		}
 	}
-	if o.DRAM.Banks == 0 {
-		o.DRAM = dram.DefaultConfig()
-	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 200_000_000
-	}
-	if o.Lanes == 0 {
-		o.Lanes = 4
 	}
 	if o.Lookahead == 0 {
 		o.Lookahead = 8
@@ -192,8 +189,8 @@ func Spec() program.Spec {
 
 // newStreamer opens the MXS stream port (§6) that feeds matrix A: its
 // own DRAM channel over the same memory image, prefetched sequentially.
-func newStreamer(k *sim.Kernel, dcfg dram.Config, img *mem.Image, from, words uint64) *hier.Stream {
-	return hier.NewStream(k, dram.New(k, dcfg, img), from, words)
+func newStreamer(k *sim.Kernel, img *mem.Image, from, words uint64) *hier.Stream {
+	return hier.NewStream(k, dram.New(k, dram.DefaultConfig(), img), from, words)
 }
 
 // maxStreamTake returns the largest single stream consumption in the
@@ -271,7 +268,6 @@ type datapath struct {
 	stream    *hier.Stream
 	b         *sparse.CSR
 	sched     []rowRequest
-	lanes     int
 	lookahead int
 
 	issue    int
@@ -291,7 +287,7 @@ func (dp *datapath) Tick(cy sim.Cycle) {
 		dp.done++
 		dp.validate(resp, req)
 		// Multiply phase: products/lanes cycles of datapath occupancy.
-		cost := (req.products + dp.lanes - 1) / dp.lanes
+		cost := (req.products + lanes - 1) / lanes
 		if cost < 1 {
 			cost = 1
 		}
@@ -376,7 +372,7 @@ func runX(alg Algorithm, w Work, opt Options, hardwired bool) (dsa.Result, error
 	}
 	cfg.RespDataWords = 2*maxRow + 8
 
-	sys, err := core.NewSystem(cfg, opt.DRAM, Spec())
+	sys, err := core.NewSystem(cfg, dram.DefaultConfig(), Spec())
 	if err != nil {
 		return dsa.Result{}, err
 	}
@@ -386,38 +382,20 @@ func runX(alg Algorithm, w Work, opt Options, hardwired bool) (dsa.Result, error
 	sys.Cache.SetEnv(1, bl.CV)
 
 	sched := buildSchedule(alg, a, b)
-	str := newStreamer(sys.K, opt.DRAM, sys.Img, al.CV, uint64(2*a.NNZ()))
+	str := newStreamer(sys.K, sys.Img, al.CV, uint64(2*a.NNZ()))
 	str.SetBuffer(maxStreamTake(sched) + 8)
 	dp := &datapath{c: sys.Cache.Ctrl, stream: str, b: fetch, sched: sched,
-		lanes: opt.Lanes, lookahead: opt.Lookahead, ok: true}
+		lookahead: opt.Lookahead, ok: true}
 	sys.K.Add(dp)
-
-	h := check.Attach(sys.K, opt.Check)
-	if ok, rep := check.Run(h, sys.K, dp.finished, opt.MaxCycles); !ok {
-		return dsa.Result{}, fmt.Errorf("%s xcache: aborted at %d/%d rows: %w", alg, dp.done, len(sched), rep.Failure())
+	r, err := dsa.Run(sys.K, sys.Meter, opt.Check, dp.finished, opt.MaxCycles)
+	if err != nil {
+		return dsa.Result{}, fmt.Errorf("%s xcache: aborted at %d/%d rows: %w", alg, dp.done, len(sched), err)
 	}
-	if t := sys.Cache.Ctrl.Trap(); t != nil {
-		return dsa.Result{}, fmt.Errorf("%s xcache: %w", alg, t)
-	}
-	st := sys.Snapshot()
-	kind := dsa.KindXCache
+	r.DSA, r.Workload, r.Kind, r.Checked = string(alg), "p2p-31", dsa.KindXCache, dp.ok
 	if hardwired {
-		kind = dsa.KindBaseline
+		r.Kind = dsa.KindBaseline
 	}
-	return dsa.Result{
-		DSA: string(alg), Workload: "p2p-31", Kind: kind,
-		Cycles:        st.Cycles,
-		DRAMAccesses:  st.DRAM.Accesses() + str.DRAMStats().Accesses(),
-		DRAMReadWords: st.DRAM.WordsRead + str.DRAMStats().WordsRead,
-		OnChipHits:    st.Ctrl.Hits, OnChipMisses: st.Ctrl.Misses, HitRate: st.Ctrl.HitRate(),
-		AvgLoadToUse: st.Ctrl.AvgLoadToUse(), HitLoadToUse: st.Ctrl.AvgHitLoadToUse(),
-		L2UP50: st.Ctrl.L2UHist.Percentile(0.5), L2UP99: st.Ctrl.L2UHist.Percentile(0.99),
-		Occupancy: st.Ctrl.OccupancyByteCycles,
-		Energy:    st.Energy, Checked: dp.ok,
-		FillRetries:  st.Ctrl.FillRetries,
-		DroppedFills: st.DRAM.DroppedResps,
-		ParityScrubs: st.Ctrl.ParityScrubs,
-	}, nil
+	return r, nil
 }
 
 // RunXCache measures the algorithm over a programmed X-Cache.
@@ -499,14 +477,13 @@ func RunAddr(alg Algorithm, w Work, opt Options) (dsa.Result, error) {
 
 	k := sim.NewKernel()
 	img := mem.NewImage()
-	d := dram.New(k, opt.DRAM, img)
+	d := dram.New(k, dram.DefaultConfig(), img)
 	meter := &energy.Counters{}
-	geo := addrGeometry(opt.Cfg)
-	cache := addrcache.New(k, geo, d.Req, d.Resp, meter)
+	cache := addrcache.New(k, widx.AddrGeometry(opt.Cfg), d.Req, d.Resp, meter)
 	eng := addrcache.NewEngine(k, addrcache.EngineConfig{Contexts: opt.Cfg.NumActive}, cache)
 	bl := fetch.WriteTo(img)
 	al := a.WriteTo(img)
-	str := newStreamer(k, opt.DRAM, img, al.CV, uint64(2*a.NNZ()))
+	str := newStreamer(k, img, al.CV, uint64(2*a.NNZ()))
 	str.SetBuffer(maxStreamTake(sched) + 8)
 
 	var (
@@ -525,7 +502,7 @@ func RunAddr(alg Algorithm, w Work, opt Options) (dsa.Result, error) {
 			if resp.Result.Words != 2*fetch.RowNNZ(int(req.key)) {
 				okAll = false
 			}
-			cost := (req.products + opt.Lanes - 1) / opt.Lanes
+			cost := (req.products + lanes - 1) / lanes
 			if cost < 1 {
 				cost = 1
 			}
@@ -552,29 +529,10 @@ func RunAddr(alg Algorithm, w Work, opt Options) (dsa.Result, error) {
 	})
 	k.Add(pump)
 
-	if !k.RunUntil(func() bool { return done == len(sched) }, opt.MaxCycles) {
-		return dsa.Result{}, fmt.Errorf("%s addr: timeout at %d/%d rows", alg, done, len(sched))
+	r, err := dsa.Run(k, meter, nil, func() bool { return done == len(sched) }, opt.MaxCycles)
+	if err != nil {
+		return dsa.Result{}, fmt.Errorf("%s addr: aborted at %d/%d rows: %w", alg, done, len(sched), err)
 	}
-	dst := d.Stats()
-	return dsa.Result{
-		DSA: string(alg), Workload: "p2p-31", Kind: dsa.KindAddr,
-		Cycles:        uint64(k.Cycle()),
-		DRAMAccesses:  dst.Accesses() + str.DRAMStats().Accesses(),
-		DRAMReadWords: dst.WordsRead + str.DRAMStats().WordsRead,
-		OnChipHits:    cache.Stats().Hits, OnChipMisses: cache.Stats().Misses, HitRate: cache.Stats().HitRate(),
-		AvgLoadToUse: eng.Stats().AvgLoadToUse(),
-		Energy:       meter.Energy(energy.DefaultParams()), Checked: okAll,
-	}, nil
-}
-
-// addrGeometry mirrors widx.AddrGeometry without the import cycle risk:
-// same data capacity, 32-byte blocks, 8 ways.
-func addrGeometry(cfg core.Config) addrcache.Config {
-	blocks := cfg.Sets * cfg.Ways * cfg.WordsPerSector / 4
-	ways := 8
-	sets := 1
-	for sets*2 <= blocks/ways {
-		sets *= 2
-	}
-	return addrcache.Config{Sets: sets, Ways: ways, BlockWords: 4}
+	r.DSA, r.Workload, r.Kind, r.Checked = string(alg), "p2p-31", dsa.KindAddr, okAll
+	return r, nil
 }

@@ -56,12 +56,8 @@ func DefaultWork(p hashidx.Profile, scale int) Work {
 
 // Options configure a run.
 type Options struct {
-	Cfg              core.Config // zero value → core.WidxConfig()
-	DRAM             dram.Config
-	MaxCycles        int
-	IssueWidth       int // datapath probes issued per cycle
-	BaselineContexts int // hardware walkers in the original Widx
-	Mode             ctrl.ExecMode
+	Cfg       core.Config // zero value → core.WidxConfig()
+	MaxCycles int
 	// Check attaches the hardening harness (watchdog, invariant checkers,
 	// fault injection) to the X-Cache run; nil runs unsupervised.
 	Check *check.Config
@@ -70,23 +66,18 @@ type Options struct {
 	Trace ctrl.TraceSink
 }
 
+const (
+	issueWidth       = 2 // datapath probes issued per cycle
+	baselineContexts = 4 // hardware walkers in the original Widx
+)
+
 func (o *Options) defaults() {
 	if o.Cfg.Sets == 0 {
 		o.Cfg = core.WidxConfig()
 	}
-	if o.DRAM.Banks == 0 {
-		o.DRAM = dram.DefaultConfig()
-	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 50_000_000
 	}
-	if o.IssueWidth == 0 {
-		o.IssueWidth = 2
-	}
-	if o.BaselineContexts == 0 {
-		o.BaselineContexts = 4
-	}
-	o.Cfg.Mode = o.Mode
 }
 
 // Spec returns the Widx walker program (§5, Fig 10a): IDX (hash the key)
@@ -171,14 +162,12 @@ func BuildWorkload(w Work, img *mem.Image) (*hashidx.Index, []uint64) {
 
 // datapath drives meta probes against an X-Cache and validates RIDs.
 type datapath struct {
-	c       *ctrl.Controller
-	trace   []uint64
-	ix      *hashidx.Index
-	cursor  int
-	pending int
-	done    int
-	issueW  int
-	ok      bool
+	c      *ctrl.Controller
+	trace  []uint64
+	ix     *hashidx.Index
+	cursor int
+	done   int
+	ok     bool
 }
 
 func (dp *datapath) Tick(cy sim.Cycle) {
@@ -187,7 +176,6 @@ func (dp *datapath) Tick(cy sim.Cycle) {
 		if !popped {
 			break
 		}
-		dp.pending--
 		dp.done++
 		key := dp.trace[resp.ID]
 		rid, present := dp.ix.RIDs[key]
@@ -198,7 +186,7 @@ func (dp *datapath) Tick(cy sim.Cycle) {
 			dp.ok = false
 		}
 	}
-	for i := 0; i < dp.issueW && dp.cursor < len(dp.trace); i++ {
+	for i := 0; i < issueWidth && dp.cursor < len(dp.trace); i++ {
 		req := ctrl.MetaReq{
 			ID:     uint64(dp.cursor),
 			Op:     ctrl.MetaLoad,
@@ -209,7 +197,6 @@ func (dp *datapath) Tick(cy sim.Cycle) {
 			break
 		}
 		dp.cursor++
-		dp.pending++
 	}
 }
 
@@ -218,7 +205,7 @@ func RunXCache(w Work, opt Options) (dsa.Result, error) {
 	opt.defaults()
 	// Compile with a placeholder shift, then install the program compiled
 	// for the actual (power-of-two-rounded) bucket count.
-	sys, err := core.NewSystem(opt.Cfg, opt.DRAM, Spec(0))
+	sys, err := core.NewSystem(opt.Cfg, dram.DefaultConfig(), Spec(0))
 	if err != nil {
 		return dsa.Result{}, err
 	}
@@ -232,35 +219,14 @@ func RunXCache(w Work, opt Options) (dsa.Result, error) {
 		sys.Cache.Ctrl.SetTraceSink(opt.Trace)
 	}
 
-	dp := &datapath{c: sys.Cache.Ctrl, trace: trace, ix: ix, issueW: opt.IssueWidth, ok: true}
+	dp := &datapath{c: sys.Cache.Ctrl, trace: trace, ix: ix, ok: true}
 	sys.K.Add(dp)
-
-	h := check.Attach(sys.K, opt.Check)
-	if ok, rep := check.Run(h, sys.K, func() bool { return dp.done == len(trace) }, opt.MaxCycles); !ok {
-		return dsa.Result{}, fmt.Errorf("widx xcache: aborted at %d/%d probes: %w", dp.done, len(trace), rep.Failure())
+	r, err := dsa.Run(sys.K, sys.Meter, opt.Check, func() bool { return dp.done == len(trace) }, opt.MaxCycles)
+	if err != nil {
+		return dsa.Result{}, fmt.Errorf("widx xcache: aborted at %d/%d probes: %w", dp.done, len(trace), err)
 	}
-	if t := sys.Cache.Ctrl.Trap(); t != nil {
-		return dsa.Result{}, fmt.Errorf("widx xcache: %w", t)
-	}
-	st := sys.Snapshot()
-	return dsa.Result{
-		DSA: "Widx", Workload: w.Profile.Name, Kind: dsa.KindXCache,
-		Cycles:        st.Cycles,
-		DRAMAccesses:  st.DRAM.Accesses(),
-		DRAMReadWords: st.DRAM.WordsRead,
-		OnChipHits:    st.Ctrl.Hits,
-		OnChipMisses:  st.Ctrl.Misses,
-		HitRate:       st.Ctrl.HitRate(),
-		AvgLoadToUse:  st.Ctrl.AvgLoadToUse(),
-		HitLoadToUse:  st.Ctrl.AvgHitLoadToUse(),
-		L2UP50:        st.Ctrl.L2UHist.Percentile(0.5), L2UP99: st.Ctrl.L2UHist.Percentile(0.99),
-		Occupancy:    st.Ctrl.OccupancyByteCycles,
-		Energy:       st.Energy,
-		Checked:      dp.ok,
-		FillRetries:  st.Ctrl.FillRetries,
-		DroppedFills: st.DRAM.DroppedResps,
-		ParityScrubs: st.Ctrl.ParityScrubs,
-	}, nil
+	r.DSA, r.Workload, r.Kind, r.Checked = "Widx", w.Profile.Name, dsa.KindXCache, dp.ok
+	return r, nil
 }
 
 func mustProg(s program.Spec) *program.Program {
@@ -334,7 +300,7 @@ func runWalked(w Work, opt Options, kind dsa.Kind, hashCycles, contexts int) (ds
 	opt.defaults()
 	k := sim.NewKernel()
 	img := mem.NewImage()
-	d := dram.New(k, opt.DRAM, img)
+	d := dram.New(k, dram.DefaultConfig(), img)
 	meter := &energy.Counters{}
 	cache := addrcache.New(k, AddrGeometry(opt.Cfg), d.Req, d.Resp, meter)
 	eng := addrcache.NewEngine(k, addrcache.EngineConfig{Contexts: contexts}, cache)
@@ -369,22 +335,12 @@ func runWalked(w Work, opt Options, kind dsa.Kind, hashCycles, contexts int) (ds
 	})
 	k.Add(pump)
 
-	if !k.RunUntil(func() bool { return done == len(trace) }, opt.MaxCycles) {
-		return dsa.Result{}, fmt.Errorf("widx %s: timeout at %d/%d probes", kind, done, len(trace))
+	r, err := dsa.Run(k, meter, nil, func() bool { return done == len(trace) }, opt.MaxCycles)
+	if err != nil {
+		return dsa.Result{}, fmt.Errorf("widx %s: aborted at %d/%d probes: %w", kind, done, len(trace), err)
 	}
-	dst := d.Stats()
-	return dsa.Result{
-		DSA: "Widx", Workload: w.Profile.Name, Kind: kind,
-		Cycles:        uint64(k.Cycle()),
-		DRAMAccesses:  dst.Accesses(),
-		DRAMReadWords: dst.WordsRead,
-		OnChipHits:    cache.Stats().Hits,
-		OnChipMisses:  cache.Stats().Misses,
-		HitRate:       cache.Stats().HitRate(),
-		AvgLoadToUse:  eng.Stats().AvgLoadToUse(),
-		Energy:        meter.Energy(energy.DefaultParams()),
-		Checked:       okAll,
-	}, nil
+	r.DSA, r.Workload, r.Kind, r.Checked = "Widx", w.Profile.Name, kind, okAll
+	return r, nil
 }
 
 // RunAddr measures the address-tagged cache with an ideal walker.
@@ -396,6 +352,5 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 // RunBaseline measures the original Widx: hardwired walkers that hash on
 // every probe and walk through an address cache.
 func RunBaseline(w Work, opt Options) (dsa.Result, error) {
-	opt.defaults()
-	return runWalked(w, opt, dsa.KindBaseline, w.Profile.HashCycles, opt.BaselineContexts)
+	return runWalked(w, opt, dsa.KindBaseline, w.Profile.HashCycles, baselineContexts)
 }

@@ -198,3 +198,36 @@ func TestStatsRendering(t *testing.T) {
 		t.Errorf("detail %q missing run key", d)
 	}
 }
+
+// TestModeReachesEveryDSA pins that Spec.Mode is a shared config
+// override, not one DSA's option: in thread mode a walker holds its
+// registers across DRAM fills, so every DSA's controller occupancy must
+// differ from coroutine mode's (Fig 7's metric).
+func TestModeReachesEveryDSA(t *testing.T) {
+	for _, s := range []Spec{
+		{DSA: DSAWidx, Kind: dsa.KindXCache, Workload: "TPC-H-19", Scale: 100},
+		{DSA: DSADASX, Kind: dsa.KindXCache, Workload: "TPC-H-19", Scale: 100},
+		{DSA: DSASpArch, Kind: dsa.KindXCache, Workload: "p2p-31", Scale: 100},
+		{DSA: DSAGamma, Kind: dsa.KindXCache, Workload: "p2p-31", Scale: 100},
+		{DSA: DSAGraphPulse, Kind: dsa.KindXCache, Workload: "p2p-08", Scale: 100},
+		{DSA: DSABTreeIdx, Kind: dsa.KindXCache, Workload: "zipf", Scale: 100},
+	} {
+		thread := s
+		thread.Mode = ctrl.ModeThread
+		co, err := s.Execute()
+		if err != nil {
+			t.Fatalf("%s coroutine: %v", s.DSA, err)
+		}
+		th, err := thread.Execute()
+		if err != nil {
+			t.Fatalf("%s thread: %v", s.DSA, err)
+		}
+		if !co.Checked || !th.Checked {
+			t.Errorf("%s: validation failed (coroutine %t, thread %t)", s.DSA, co.Checked, th.Checked)
+		}
+		if co.Occupancy == th.Occupancy {
+			t.Errorf("%s: thread mode occupancy %d equals coroutine mode's: Spec.Mode never reached the controller",
+				s.DSA, th.Occupancy)
+		}
+	}
+}

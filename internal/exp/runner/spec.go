@@ -194,7 +194,6 @@ func (s Spec) execute(sink ctrl.TraceSink) (dsa.Result, error) {
 		w.WinStart, w.WinLen = s.WinStart, s.WinLen
 		opt := widx.Options{
 			Cfg:   core.WidxConfig().Scaled(CacheDiv(s.Scale) * s.divMul()),
-			Mode:  s.Mode,
 			Check: s.checkConfig(),
 			Trace: sink,
 		}
@@ -312,6 +311,7 @@ func (s Spec) execute(sink ctrl.TraceSink) (dsa.Result, error) {
 
 // applyCfg applies the config-level overrides shared by every DSA.
 func (s Spec) applyCfg(cfg *core.Config) {
+	cfg.Mode = s.Mode
 	cfg.Exec = s.Exec
 	cfg.Hardwired = s.Hardwired
 	if s.NumActive > 0 {
