@@ -19,9 +19,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Regenerate the golden snapshots after an intentional metric change,
-# then inspect the diff before committing.
+# then inspect the diff before committing: the exp figure snapshots and
+# the serve reports pinned by TestDeterminism and TestChaosSoak (every
+# serve test runs; only those two read -update).
 golden:
 	$(GO) test ./internal/exp -run TestGoldenOutputs -update
+	$(GO) test ./internal/serve -update
 
 # Tier-2: static analysis + race detector over the full suite.
 race: vet
@@ -40,11 +43,10 @@ soak:
 	XCACHE_SOAK=full $(GO) test -race -run TestFaultMatrixSoak -count=1 -v ./internal/exp/runner
 
 # Serve smoke: the multi-tenant service layer under the race detector.
-# The serve loop drives Parallelize'd controller shards over one shared
-# DRAM mux — the first genuinely concurrent shared-state path beyond the
-# sweep worker pool — so the race detector must gate it in ci. Covers
-# the unloaded smoke, the serial-vs-parallel determinism cross-check and
-# the full chaos soak (seeded faults, byte-stable stats).
+# One goroutine ticks every shard, the mux and the DRAM channels; -race
+# keeps any goroutine added to the serve path gated in ci. Covers the
+# unloaded smoke, the golden-pinned determinism check and the full chaos
+# soak (seeded faults, golden-pinned, byte-stable stats).
 servesmoke:
 	$(GO) test -race -count=1 -run 'TestSmoke|TestDeterminism|TestChaosSoak' ./internal/serve
 
@@ -54,8 +56,9 @@ servesmoke:
 # pressure lifts) plus the channel-outage acceptance proof (seeded
 # outage at 1.5x load: conservation holds, the mux quarantines and
 # re-steers, SLO attainment recovers to its pre-fault level within
-# bounded epochs, and the report is byte-stable serial vs 8 workers)
-# and the multi-channel knee shift.
+# bounded epochs, and the report is byte-stable across same-seed reruns)
+# and the multi-channel knee shift. Kept under -race for the same
+# reason as servesmoke.
 slosmoke:
 	$(GO) test -race -count=1 -run 'TestSLOGovernorThrottles|TestSLOSlackBudget|TestSLOGovernorRecovers|TestChannelOutageRecovery|TestMultiChannelKnee|TestMuxFailover' ./internal/serve
 

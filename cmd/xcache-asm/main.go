@@ -19,7 +19,7 @@
 // code so toolflow drivers can triage without parsing prose:
 //
 //	0  success
-//	1  usage / IO error
+//	1  usage / IO error (including a bad or unknown flag)
 //	2  assembly error (bad mnemonic, operand, label, immediate range)
 //	3  compile error (malformed spec, bad transition table)
 //	4  malformed or unencodable microcode binary
@@ -52,7 +52,13 @@ func main() {
 	verify := flag.Bool("verify", false, "statically verify the program (with -spec or -in)")
 	xregs := flag.Int("xregs", 0, "verifier: X-register file size (default 16)")
 	fillWords := flag.Int("fillwords", 0, "verifier: max words per fill (default 8)")
-	flag.Parse()
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		fail("usage", 1, err)
+	}
 
 	if *verify && *spec == "" && *in == "" {
 		fail("usage", 1, errors.New("-verify needs -spec or -in"))

@@ -21,7 +21,7 @@
 // overload:
 //
 //	0  clean: served within capacity
-//	1  usage / configuration error
+//	1  usage / configuration error (including a bad or unknown flag)
 //	2  stall (watchdog: no forward progress)
 //	3  invariant violation (including shared-state corruption and overflow)
 //	4  cycle budget exhausted
@@ -68,7 +68,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "run seed (same seed → byte-identical stats)")
 	overload := flag.Float64("overload", 1.0, "offered-load multiplier (2.0 = 2x overload experiment)")
 	sweep := flag.String("sweep", "", "comma-separated total tenant counts to sweep (e.g. 1,8,64,512)")
-	workers := flag.Int("workers", 0, "parallel shard-tick workers (<=1 serial; results identical)")
 	deadline := flag.Int("deadline", 8192, "per-request deadline in cycles")
 	timeout := flag.Int("timeout", 2048, "per-attempt timeout in cycles")
 	retries := flag.Int("retries", 2, "retry budget per request")
@@ -80,7 +79,13 @@ func main() {
 	flip := flag.Float64("flip", 0, "meta-tag bit-flip probability per cycle")
 	chaosChannel := flag.String("chaos-channel", "",
 		"channel fault episodes: CH:MODE:START+LEN[+EXTRA];... (mode outage|stall|burst)")
-	flag.Parse()
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(exitClean)
+		}
+		fail(err, "usage", exitUsage)
+	}
 
 	groups, err := serve.ParseTenantSpec(*tenants)
 	if err != nil {
@@ -112,7 +117,7 @@ func main() {
 		Shards: *shards, Channels: *channels, ChannelPolicy: policy,
 		Tenants: groups, Keys: *keys, Duration: *duration,
 		Seed: *seed, Overload: *overload, Deadline: *deadline, Timeout: *timeout,
-		Retries: *retries, Watchdog: *watchdog, TickWorkers: *workers, Faults: faults,
+		Retries: *retries, Watchdog: *watchdog, Faults: faults,
 	}
 
 	enc := json.NewEncoder(os.Stdout)

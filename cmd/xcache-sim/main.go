@@ -21,7 +21,7 @@
 // without parsing prose:
 //
 //	0  success
-//	1  usage / configuration error
+//	1  usage / configuration error (including a bad or unknown flag)
 //	2  stall (watchdog: no forward progress)
 //	3  invariant violation (including recovered queue overflow)
 //	4  cycle budget exhausted
@@ -69,7 +69,13 @@ func main() {
 	seed := flag.Uint64("seed", 1, "fault-injection seed (same seed → identical run)")
 	watchdog := flag.Int("watchdog", 50_000, "cycles without forward progress before declaring a stall")
 	hierMode := flag.String("hier", "", "mx2 → run the coherent 2-port hierarchy scenario instead of a DSA")
-	flag.Parse()
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		exit(err)
+	}
 
 	if *faults < 0 || *faults > 1 {
 		fmt.Fprintln(os.Stderr, "xcache-sim: -faults must be a probability in [0, 1]")

@@ -1,8 +1,6 @@
 package check
 
 import (
-	"sync/atomic"
-
 	"xcache/internal/dram"
 	"xcache/internal/metatag"
 	"xcache/internal/sim"
@@ -33,17 +31,15 @@ type Injector struct {
 	k    *sim.Kernel
 	tags []*metatag.Array
 
-	// Counters of injected faults (for logs and smoke tests). Clogs is
-	// updated atomically — clog hooks fire from CanPush, which parallel
-	// tick groups (sim.Parallelize) may call concurrently — so read it
-	// only after the run quiesces.
+	// Counters of injected faults (for logs and smoke tests). Clogs
+	// counts refused CanPush/Free calls, so one clogged queue-cycle may
+	// count more than once.
 	Drops  uint64
 	Delays uint64
 	Clogs  uint64
 	Flips  uint64
 	// ChanFaults counts channel-cycle fault applications (one per active
-	// episode per cycle). Channel disruptors fire from DRAM ticks, which
-	// run serially, so a plain counter suffices.
+	// episode per cycle).
 	ChanFaults uint64
 }
 
@@ -100,7 +96,7 @@ func (in *Injector) clog(q sim.Clogger) {
 	name := hashString(q.Name())
 	q.SetClog(func() bool {
 		if Roll(in.seed, streamClog, uint64(in.k.Cycle()), name) < in.cfg.ClogQueue {
-			atomic.AddUint64(&in.Clogs, 1)
+			in.Clogs++
 			return true
 		}
 		return false

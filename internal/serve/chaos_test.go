@@ -13,7 +13,7 @@ import (
 // delayed DRAM responses, clogged controller queues, meta-tag bit flips,
 // and a channel-outage cocktail (burst latency, a hard outage, and an
 // issue stall) all injected from the run seed.
-func chaosConfig(seed uint64, workers int) Config {
+func chaosConfig(seed uint64) Config {
 	return Config{
 		Shards:   4,
 		Channels: 2,
@@ -22,11 +22,10 @@ func chaosConfig(seed uint64, workers int) Config {
 			{Count: 8, Priority: 3, Rate: 0.015, BurstLen: 1500, BurstOn: 0.3},
 			{Count: 4, Priority: 7, Rate: 0.01, SLO: 6000},
 		},
-		Keys:        1 << 13,
-		Duration:    40_000,
-		Seed:        seed,
-		Overload:    1.5,
-		TickWorkers: workers,
+		Keys:     1 << 13,
+		Duration: 40_000,
+		Seed:     seed,
+		Overload: 1.5,
 		Faults: check.FaultConfig{
 			DropResp:  0.01,
 			DelayResp: 0.02,
@@ -46,11 +45,12 @@ func chaosConfig(seed uint64, workers int) Config {
 // faults under full load, and the service must stay live (no watchdog
 // bark, no overflow, no invariant violation — any of those fails Run),
 // keep the conservation ledger exact, actually exercise every fault
-// class, and produce a byte-identical stats JSON when re-run on the same
-// seed — including with parallel shard ticking.
+// class, match its golden, and produce a byte-identical stats JSON when
+// re-run on the same seed.
 func TestChaosSoak(t *testing.T) {
-	r := run(t, chaosConfig(42, 1))
+	r := run(t, chaosConfig(42))
 	checkLedger(t, r)
+	checkGolden(t, "chaos-42.golden.json", r)
 
 	if r.Faults == nil {
 		t.Fatal("no fault accounting in report")
@@ -98,28 +98,20 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	// Same seed, serial rerun: byte-identical.
-	b2, err := json.Marshal(run(t, chaosConfig(42, 1)))
+	// Same seed rerun: byte-identical.
+	b2, err := json.Marshal(run(t, chaosConfig(42)))
 	if err != nil {
 		t.Fatalf("marshal rerun: %v", err)
 	}
 	if string(b1) != string(b2) {
 		t.Error("same-seed chaos reruns produced different stats JSON")
 	}
-	// Same seed, 8 tick workers: still byte-identical.
-	b3, err := json.Marshal(run(t, chaosConfig(42, 8)))
-	if err != nil {
-		t.Fatalf("marshal parallel: %v", err)
-	}
-	if string(b1) != string(b3) {
-		t.Error("parallel chaos rerun produced different stats JSON")
-	}
 	// A different seed must not accidentally share the stream.
-	b4, err := json.Marshal(run(t, chaosConfig(43, 1)))
+	b3, err := json.Marshal(run(t, chaosConfig(43)))
 	if err != nil {
 		t.Fatalf("marshal seed 43: %v", err)
 	}
-	if string(b1) == string(b4) {
+	if string(b1) == string(b3) {
 		t.Error("different seeds produced identical runs")
 	}
 }
@@ -131,7 +123,7 @@ func TestChaosSeedSweep(t *testing.T) {
 		t.Skip("seed sweep skipped in -short")
 	}
 	for seed := uint64(100); seed < 105; seed++ {
-		cfg := chaosConfig(seed, 0)
+		cfg := chaosConfig(seed)
 		cfg.Duration = 15_000
 		r := run(t, cfg)
 		checkLedger(t, r)

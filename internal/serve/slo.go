@@ -25,7 +25,7 @@ import "xcache/internal/stats"
 // almost no traffic, and without this rule its factor could never
 // climb back.
 const (
-	sloEpochDefault  = 1024 // governor evaluation period, cycles
+	sloEpoch         = 1024 // governor evaluation period, cycles
 	sloMinSamples    = 8    // completions needed for a meaningful p99
 	sloFloor         = 1.0 / 64
 	sloDecrease      = 0.7
@@ -57,7 +57,7 @@ func (s *Service) recordSLO(t *tenantState, met bool) {
 // govern runs the SLO feedback controller. Called every cycle from the
 // serve tick; acts only on epoch boundaries.
 func (s *Service) govern(c uint64) {
-	if !s.sloAny || c == 0 || c%uint64(s.Cfg.SLOEpoch) != 0 {
+	if !s.sloAny || c == 0 || c%sloEpoch != 0 {
 		return
 	}
 

@@ -10,10 +10,7 @@
 // what lets a software model stand in for RTL simulation.
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Cycle is a point in simulated time, measured in controller clock cycles.
 type Cycle uint64
@@ -85,11 +82,10 @@ func (e *QueueFullError) Error() string {
 // Kernel owns simulated time. Components are ticked in registration order,
 // then all queues commit their staged pushes.
 type Kernel struct {
-	cycle       Cycle
-	comps       []Component
-	queues      []committer
-	observers   []Observer
-	tickWorkers int
+	cycle     Cycle
+	comps     []Component
+	queues    []committer
+	observers []Observer
 }
 
 // NewKernel returns an empty kernel at cycle 0.
@@ -101,111 +97,9 @@ func (k *Kernel) Add(c Component) { k.comps = append(k.comps, c) }
 // Observe registers an observer called after every step.
 func (k *Kernel) Observe(o Observer) { k.observers = append(k.observers, o) }
 
-// Components returns the registered components in tick order. Members of
-// a parallel tick group (see Parallelize) are expanded in place, so
-// discovery layers (internal/check) see the same flat component list
-// whether or not any grouping is in effect.
+// Components returns a copy of the registered components in tick order.
 func (k *Kernel) Components() []Component {
-	flat := make([]Component, 0, len(k.comps))
-	for _, c := range k.comps {
-		if g, ok := c.(*tickGroup); ok {
-			flat = append(flat, g.members...)
-			continue
-		}
-		flat = append(flat, c)
-	}
-	return flat
-}
-
-// SetTickWorkers bounds the goroutines a parallel tick group may fan out
-// to each cycle. Values ≤ 1 tick every group serially; the simulated
-// results are identical for every setting, only wall time changes.
-func (k *Kernel) SetTickWorkers(n int) { k.tickWorkers = n }
-
-// Parallelize collapses the given already-registered components into one
-// tick group that runs them concurrently within a cycle (bounded by
-// SetTickWorkers). The group occupies the position of its first member in
-// tick order, so Step still ticks everything exactly once per cycle.
-//
-// Grouped components must not share mutable state during a tick: the
-// queue discipline (staged pushes commit after all components ticked)
-// already guarantees this for components that only talk through
-// registered queues they own, which is what makes the grouping
-// result-invariant. Queue commits and observers stay serial.
-func (k *Kernel) Parallelize(members ...Component) error {
-	if len(members) == 0 {
-		return nil
-	}
-	pos := make(map[int]bool, len(members))
-	first := -1
-	for mi, m := range members {
-		found := -1
-		for i, c := range k.comps {
-			if c == m {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			return fmt.Errorf("sim: Parallelize: member %d not registered (or already grouped)", mi)
-		}
-		if pos[found] {
-			return fmt.Errorf("sim: Parallelize: member %d listed twice", mi)
-		}
-		pos[found] = true
-		if first < 0 || found < first {
-			first = found
-		}
-	}
-	g := &tickGroup{k: k, members: append([]Component(nil), members...)}
-	next := make([]Component, 0, len(k.comps)-len(members)+1)
-	for i, c := range k.comps {
-		if i == first {
-			next = append(next, g)
-		}
-		if pos[i] {
-			continue
-		}
-		next = append(next, c)
-	}
-	k.comps = next
-	return nil
-}
-
-// tickGroup runs its members concurrently within one cycle. Membership
-// order is preserved for the serial fallback so a group is byte-for-byte
-// equivalent to ungrouped registration.
-type tickGroup struct {
-	k       *Kernel
-	members []Component
-}
-
-// Tick implements Component: fan the members out over the kernel's tick
-// worker budget and wait for all of them before the cycle commits.
-func (g *tickGroup) Tick(c Cycle) {
-	workers := g.k.tickWorkers
-	if workers > len(g.members) {
-		workers = len(g.members)
-	}
-	if workers <= 1 {
-		for _, m := range g.members {
-			m.Tick(c)
-		}
-		return
-	}
-	chunk := (len(g.members) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(g.members); lo += chunk {
-		hi := min(lo+chunk, len(g.members))
-		wg.Add(1)
-		go func(ms []Component) {
-			defer wg.Done()
-			for _, m := range ms {
-				m.Tick(c)
-			}
-		}(g.members[lo:hi])
-	}
-	wg.Wait()
+	return append([]Component(nil), k.comps...)
 }
 
 // Queues returns the introspection view of every registered queue.
