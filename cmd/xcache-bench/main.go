@@ -4,7 +4,7 @@
 // Usage:
 //
 //	xcache-bench [-scale N] [-parallel N] [-v] [-fig all|none|4,7,14,15,16,17,18,19,20,t1,t2,t3,t4,btree,ablation]
-//	             [-approx] [-partial] [-checkpoint dir] [-retries N] [-backoff dur] [-spec-wall dur]
+//	             [-approx] [-partial] [-checkpoint dir] [-spec-wall dur]
 //	             [-hotloop] [-hotloop-exec both|interp|fast] [-bench-diff FILE]
 //
 // scale divides the published workload sizes (and cache capacities with
@@ -48,8 +48,7 @@
 //	-checkpoint dir   journal completed runs to dir and resume from it;
 //	                  an interrupted invocation re-run with the same flags
 //	                  produces byte-identical output to an uninterrupted one
-//	-retries N        retry transiently failing runs up to N times
-//	-backoff dur      base backoff before a retry (doubles per attempt)
+//	                  and executes only the runs that did not complete
 //	-spec-wall dur    per-run wall deadline; a runaway run becomes a typed
 //	                  error instead of hanging the pool
 //	-partial          don't abort on a failed cell: annotate it in the
@@ -136,8 +135,6 @@ func main() {
 	approxTier := flag.Bool("approx", false, "emit the approximate evaluation tier (tag replay + sampled intervals) with per-cell exact|tags|interval annotation and error bounds")
 	partial := flag.Bool("partial", false, "annotate failed cells instead of aborting the run")
 	checkpoint := flag.String("checkpoint", "", "journal completed runs to this directory and resume from it")
-	retries := flag.Int("retries", 0, "retry transiently failing runs up to N times (deterministic backoff)")
-	backoff := flag.Duration("backoff", 100*time.Millisecond, "base retry backoff (doubles per attempt)")
 	specWall := flag.Duration("spec-wall", 0, "per-run wall deadline (0 = none)")
 	jsonPath := flag.String("json", "", "write a machine-readable (and byte-reproducible) result baseline to this file")
 	hotloop := flag.Bool("hotloop", false, "append the controller hot-loop executor microbenchmark (figure id 'hotloop')")
@@ -173,7 +170,6 @@ func main() {
 	// simulated once and served from the content-addressed run cache.
 	run, err := runner.NewFrom(runner.Config{
 		Workers:       *parallel,
-		Retry:         runner.Retry{Max: *retries, Backoff: *backoff},
 		CheckpointDir: *checkpoint,
 		SpecWall:      *specWall,
 	})

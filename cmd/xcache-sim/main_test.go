@@ -21,6 +21,7 @@ func TestMain(m *testing.M) {
 
 // TestFlagErrorsExitUsage: a flag error exits 1 (usage), not the flag
 // package's default 2, which xcache-sim reserves for a stall; -h exits 0.
+// A hierarchy run whose watchdog fires does exit 2.
 func TestFlagErrorsExitUsage(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -29,6 +30,7 @@ func TestFlagErrorsExitUsage(t *testing.T) {
 		{[]string{"-bogus"}, 1},
 		{[]string{"-scale", "abc"}, 1},
 		{[]string{"-h"}, 0},
+		{[]string{"-hier", "mx2", "-watchdog", "5"}, 2},
 	} {
 		cmd := exec.Command(os.Args[0], tc.args...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")

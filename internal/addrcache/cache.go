@@ -31,36 +31,25 @@ type AccessResp struct {
 	Data      []uint64
 }
 
-// Config sets cache geometry and timing.
+// Config sets cache geometry.
 type Config struct {
 	Sets       int
 	Ways       int
 	BlockWords int // words per block (4 → 32-byte blocks)
-	HitLatency int
-	MSHRs      int
-	TagBytes   int // address tag bytes per way, charged per set probe
-	ReqDepth   int
-	RespDepth  int
 }
+
+// Timing and sizing every caller shares.
+const (
+	hitLatency = 3
+	numMSHRs   = 16
+	tagBytes   = 4 // address tag bytes per way, charged per set probe
+	reqDepth   = 32
+	respDepth  = 64
+)
 
 func (c *Config) defaults() {
 	if c.BlockWords == 0 {
 		c.BlockWords = 4
-	}
-	if c.HitLatency == 0 {
-		c.HitLatency = 3
-	}
-	if c.MSHRs == 0 {
-		c.MSHRs = 16
-	}
-	if c.TagBytes == 0 {
-		c.TagBytes = 4
-	}
-	if c.ReqDepth == 0 {
-		c.ReqDepth = 32
-	}
-	if c.RespDepth == 0 {
-		c.RespDepth = 64
 	}
 }
 
@@ -134,8 +123,8 @@ func New(k *sim.Kernel, cfg Config, memReq *sim.Queue[dram.Request],
 		MemReq:  memReq,
 		MemResp: memResp,
 		Meter:   meter,
-		ReqQ:    sim.NewQueue[Access](k, "ac.req", cfg.ReqDepth),
-		RespQ:   sim.NewQueue[AccessResp](k, "ac.resp", cfg.RespDepth),
+		ReqQ:    sim.NewQueue[Access](k, "ac.req", reqDepth),
+		RespQ:   sim.NewQueue[AccessResp](k, "ac.resp", respDepth),
 		mshrs:   map[uint64]*mshr{},
 	}
 	c.sets = make([][]line, cfg.Sets)
@@ -179,7 +168,7 @@ func (c *Cache) Tick(cy sim.Cycle) {
 	// Charge a set probe. CACTI serial (low-power) mode reads the tag
 	// array once and then a single data way — one way-sized tag access.
 	if c.Meter != nil {
-		c.Meter.TagBytes += uint64(c.Cfg.TagBytes)
+		c.Meter.TagBytes += tagBytes
 	}
 
 	if m, exists := c.mshrs[block]; exists {
@@ -211,7 +200,7 @@ func (c *Cache) Tick(cy sim.Cycle) {
 				c.Meter.DataBytes += c.BlockBytes()
 			}
 			c.pend = append(c.pend, pendingResp{
-				readyAt: cy + sim.Cycle(c.Cfg.HitLatency),
+				readyAt: cy + hitLatency,
 				resp:    AccessResp{ID: acc.ID, BlockBase: block, Data: append([]uint64(nil), ln.data...)},
 				access:  acc,
 			})
@@ -220,7 +209,7 @@ func (c *Cache) Tick(cy sim.Cycle) {
 	}
 
 	// Miss: need an MSHR and a memory-request slot.
-	if len(c.mshrs) >= c.Cfg.MSHRs || !c.MemReq.CanPush() {
+	if len(c.mshrs) >= numMSHRs || !c.MemReq.CanPush() {
 		return
 	}
 	c.ReqQ.Pop()
@@ -319,7 +308,7 @@ func (c *Cache) acceptFills(cy sim.Cycle) {
 				c.Meter.DataBytes += c.BlockBytes()
 			}
 			c.pend = append(c.pend, pendingResp{
-				readyAt: cy + sim.Cycle(c.Cfg.HitLatency),
+				readyAt: cy + hitLatency,
 				resp:    AccessResp{ID: acc.ID, BlockBase: m.block, Data: append([]uint64(nil), victim.data...)},
 				access:  acc,
 			})

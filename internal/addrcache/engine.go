@@ -41,10 +41,14 @@ type JobResp struct {
 
 // EngineConfig sets walk-engine parallelism.
 type EngineConfig struct {
-	Contexts  int // concurrent walks (matched to #Active for fairness)
-	JobDepth  int
-	RespDepth int
+	Contexts int // concurrent walks (matched to #Active for fairness)
 }
+
+// Queue capacities of the walk engine.
+const (
+	jobDepth     = 32
+	jobRespDepth = 64
+)
 
 type ctxState uint8
 
@@ -106,16 +110,10 @@ func NewEngine(k *sim.Kernel, cfg EngineConfig, cache *Cache) *Engine {
 	if cfg.Contexts == 0 {
 		cfg.Contexts = 8
 	}
-	if cfg.JobDepth == 0 {
-		cfg.JobDepth = 32
-	}
-	if cfg.RespDepth == 0 {
-		cfg.RespDepth = 64
-	}
 	e := &Engine{
 		Cfg:   cfg,
-		Jobs:  sim.NewQueue[Job](k, "walk.jobs", cfg.JobDepth),
-		Resp:  sim.NewQueue[JobResp](k, "walk.resp", cfg.RespDepth),
+		Jobs:  sim.NewQueue[Job](k, "walk.jobs", jobDepth),
+		Resp:  sim.NewQueue[JobResp](k, "walk.resp", jobRespDepth),
 		cache: cache,
 		ctxs:  make([]walkCtx, cfg.Contexts),
 	}

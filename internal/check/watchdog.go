@@ -104,8 +104,7 @@ type ComponentState struct {
 
 // FailureKind classifies why a supervised run aborted. It is the root
 // of the structured error taxonomy consumed by internal/exp/runner (which
-// folds it into transient-vs-permanent retry classes) and by
-// cmd/xcache-sim's exit codes.
+// lifts it into runner.FailKind) and by cmd/xcache-sim's exit codes.
 type FailureKind int
 
 // The supervised abort causes.

@@ -95,7 +95,6 @@ type Config struct {
 
 	MetaQueueDepth int
 	RespQueueDepth int
-	EvQueueDepth   int
 	HitLatency     int // dedicated hit-port load-to-use (default 3)
 	MaxFillWords   int // largest single DRAM fill a routine may request
 
@@ -109,10 +108,17 @@ type Config struct {
 
 	// Hardening knobs (internal/check wires these; both default off so
 	// benchmarks pay nothing).
-	FillTimeout    int  // cycles before an unanswered DRAM fill is reissued (0 = off)
-	MaxFillRetries int  // reissues before the fill is declared failed (default 8)
-	ParityCheck    bool // scrub probed sets for parity-corrupted meta-tags
+	FillTimeout int  // cycles before an unanswered DRAM fill is reissued (0 = off)
+	ParityCheck bool // scrub probed sets for parity-corrupted meta-tags
 }
+
+const (
+	// evQueueDepth bounds the controller's internal event queue.
+	evQueueDepth = 64
+	// maxFillRetries is how many times a timed-out fill is reissued
+	// before it is declared failed.
+	maxFillRetries = 8
+)
 
 func (c *Config) defaults() {
 	if c.NumActive == 0 {
@@ -130,9 +136,6 @@ func (c *Config) defaults() {
 	if c.RespQueueDepth == 0 {
 		c.RespQueueDepth = 64
 	}
-	if c.EvQueueDepth == 0 {
-		c.EvQueueDepth = 64
-	}
 	if c.HitLatency == 0 {
 		c.HitLatency = 3
 	}
@@ -147,9 +150,6 @@ func (c *Config) defaults() {
 	}
 	if c.MaxWaiters == 0 {
 		c.MaxWaiters = 8
-	}
-	if c.MaxFillRetries == 0 {
-		c.MaxFillRetries = 8
 	}
 }
 
@@ -296,7 +296,7 @@ type Controller struct {
 
 	// Hardening state.
 	fillTable   []fillRec // outstanding fills, tracked when FillTimeout > 0
-	fillFailure error     // a fill exhausted MaxFillRetries
+	fillFailure error     // a fill exhausted maxFillRetries
 	cycWakes    int       // walker wake-ups this cycle (invariant: ≤ #Exe)
 	cycActions  int       // actions executed this cycle (invariant: ≤ #Exe)
 
@@ -381,7 +381,7 @@ func New(k *sim.Kernel, cfg Config, prog *program.Program, tags *metatag.Array,
 		Meter:   meter,
 		ReqQ:    sim.NewQueue[MetaReq](k, "xc.req", cfg.MetaQueueDepth),
 		RespQ:   sim.NewQueue[MetaResp](k, "xc.resp", cfg.RespQueueDepth),
-		evq:     sim.NewQueue[message](k, "xc.evq", cfg.EvQueueDepth),
+		evq:     sim.NewQueue[message](k, "xc.evq", evQueueDepth),
 	}
 	c.walkers = make([]walker, cfg.NumActive)
 	for i := range c.walkers {
@@ -456,7 +456,7 @@ func (c *Controller) retryFills(cy sim.Cycle) {
 		if cy < r.issued+sim.Cycle(c.Cfg.FillTimeout) {
 			continue
 		}
-		if r.retries >= c.Cfg.MaxFillRetries {
+		if r.retries >= maxFillRetries {
 			if c.fillFailure == nil {
 				c.fillFailure = fmt.Errorf("ctrl: fill %#x (%d words) for walker %d failed after %d retries",
 					r.addr, r.words, r.walker, r.retries)

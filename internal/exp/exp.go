@@ -40,15 +40,14 @@ type Sweep struct {
 }
 
 // FailedCell is one sweep point that produced no result: the cell's
-// identity plus the runner's taxonomy classification (Fail/Class from
-// runner.RunError, or "validation"/"permanent" when the simulation
-// completed but did not match its reference model).
+// identity plus the runner's taxonomy kind (Fail from runner.RunError,
+// or "validation" when the simulation completed but did not match its
+// reference model).
 type FailedCell struct {
 	DSA      string
 	Workload string
 	Kind     dsa.Kind
 	Fail     string // taxonomy kind: stall, invariant, panic, deadline, validation, ...
-	Class    string // transient | permanent
 	Err      string
 }
 
@@ -57,7 +56,7 @@ type FailedCell struct {
 func (s *Sweep) FailureNotes() []string {
 	var notes []string
 	for _, f := range s.Failed {
-		notes = append(notes, fmt.Sprintf("FAILED %s/%s[%s]: %s (%s)", f.DSA, f.Workload, f.Kind, f.Fail, f.Class))
+		notes = append(notes, fmt.Sprintf("FAILED %s/%s[%s]: %s", f.DSA, f.Workload, f.Kind, f.Fail))
 	}
 	return notes
 }
@@ -163,13 +162,13 @@ func RunSweepPartial(ctx context.Context, r *runner.Runner, scale int) (*Sweep, 
 		case o.Err != nil:
 			sw.Failed = append(sw.Failed, FailedCell{
 				DSA: s.DSA, Workload: s.Workload, Kind: s.Kind,
-				Fail: o.Err.Kind.String(), Class: o.Err.Class.String(), Err: o.Err.Error(),
+				Fail: o.Err.Kind.String(), Err: o.Err.Error(),
 			})
 		case !o.Res.Checked:
 			sw.Failed = append(sw.Failed, FailedCell{
 				DSA: s.DSA, Workload: s.Workload, Kind: s.Kind,
-				Fail: "validation", Class: "permanent",
-				Err: "functional output did not match the reference model",
+				Fail: "validation",
+				Err:  "functional output did not match the reference model",
 			})
 		default:
 			sw.Results = append(sw.Results, o.Res)

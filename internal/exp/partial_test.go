@@ -72,7 +72,7 @@ func degradedSweep(t *testing.T) (*Sweep, dsa.Result) {
 	}
 	sw.Failed = append(sw.Failed, FailedCell{
 		DSA: dropped.DSA, Workload: dropped.Workload, Kind: dropped.Kind,
-		Fail: "stall", Class: "transient", Err: "scripted wedge",
+		Fail: "stall", Err: "scripted wedge",
 	})
 	return sw, dropped
 }
@@ -112,7 +112,7 @@ func TestFiguresSurviveFullyDegradedSweep(t *testing.T) {
 	for _, r := range sweep(t).Results {
 		sw.Failed = append(sw.Failed, FailedCell{
 			DSA: r.DSA, Workload: r.Workload, Kind: r.Kind,
-			Fail: "deadline", Class: "transient", Err: "scripted",
+			Fail: "deadline", Err: "scripted",
 		})
 	}
 	for _, out := range []*Out{Fig4(sw), Fig14(sw), Fig15(sw), Fig16(sw)} {

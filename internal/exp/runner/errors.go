@@ -10,28 +10,6 @@ import (
 	"xcache/internal/ctrl"
 )
 
-// Class splits the failure taxonomy into the two retry policies: a
-// transient failure may succeed on re-execution (host-dependent causes —
-// wall-deadline overruns, recovered panics — or injected-fault wedges the
-// soak suite deliberately provokes), a permanent one is a pure function
-// of the spec and will fail identically forever (malformed spec,
-// deterministic invariant violation).
-type Class int
-
-// The two retry classes.
-const (
-	Permanent Class = iota
-	Transient
-)
-
-// String names the class for logs and JSON output.
-func (c Class) String() string {
-	if c == Transient {
-		return "transient"
-	}
-	return "permanent"
-}
-
 // FailKind is the runner-level failure taxonomy. The first four lift
 // check.FailureKind out of a supervised simulation; the rest are failure
 // modes of the sweep engine itself.
@@ -77,30 +55,23 @@ func (k FailKind) String() string {
 }
 
 // RunError is the structured error every failing spec resolves to: the
-// spec's canonical key, the taxonomy kind and retry class, how many
-// executions were attempted (attempts > 1 means transient retries were
-// consumed), the StallReport when the simulation aborted under
-// supervision, and the underlying cause.
+// spec's canonical key, the taxonomy kind, the StallReport when the
+// simulation aborted under supervision, and the underlying cause.
 type RunError struct {
-	Key      string
-	Kind     FailKind
-	Class    Class
-	Attempts int
-	Report   *check.StallReport // non-nil for supervised aborts
-	Err      error
+	Key    string
+	Kind   FailKind
+	Report *check.StallReport // non-nil for supervised aborts
+	Err    error
 }
 
-// Error renders kind/class/attempts plus the cause; the spec key is left
-// to the caller (Runner.Run already prefixes it).
+// Error renders the kind plus the cause; the spec key is left to the
+// caller (Runner.Run already prefixes it).
 func (e *RunError) Error() string {
-	return fmt.Sprintf("%s (%s, %d attempt(s)): %v", e.Kind, e.Class, e.Attempts, e.Err)
+	return fmt.Sprintf("%s: %v", e.Kind, e.Err)
 }
 
 // Unwrap exposes the underlying cause to errors.Is/As.
 func (e *RunError) Unwrap() error { return e.Err }
-
-// Transient reports whether the bounded-retry policy applies.
-func (e *RunError) Transient() bool { return e.Class == Transient }
 
 // panicError is a recovered per-worker panic, isolated so one bad spec
 // cannot take down the whole sweep.
@@ -125,20 +96,14 @@ func (d *deadlineError) Error() string {
 	return fmt.Sprintf("spec wall deadline (%s) exceeded; simulation abandoned", d.limit)
 }
 
-// classify folds an execution error into the taxonomy.
-//
-// Supervised aborts keep their check kind. They are transient when the
-// spec injects faults — the wedge is provoked (an injected-fault fill
-// timeout surfaces as a stall or a fill-retry-exhaustion invariant), so
-// it gets the bounded-retry treatment and must never poison the memo
-// table — and permanent otherwise: the simulator is deterministic, so an
-// unprovoked stall, invariant violation, overflow or budget exhaustion
-// is a kernel bug that reproduces identically on every retry. Deadlines
-// and recovered panics are transient — both can be host-dependent.
-// Cancellation and malformed specs are permanent (never retried), but
-// every failure is evicted, so a resumed sweep re-executes them.
-func classify(s Spec, err error, attempts int) *RunError {
-	re := &RunError{Key: s.Key(), Attempts: attempts, Err: err, Class: Permanent}
+// classify folds an execution error into the taxonomy. Supervised
+// aborts keep their check kind whether or not the spec injects faults.
+// No kind is retried: a run is a pure function of its spec, fault rolls
+// included, so only a wall deadline or a cancellation could end
+// differently on re-execution, and the runner evicts every failure so a
+// later request executes the spec afresh.
+func classify(s Spec, err error) *RunError {
+	re := &RunError{Key: s.Key(), Err: err}
 
 	var cf *check.Failure
 	var trap *ctrl.Trap
@@ -157,12 +122,6 @@ func classify(s Spec, err error, attempts int) *RunError {
 		case check.FailTrap:
 			re.Kind = FailTrap
 		}
-		// A trap is a pure function of the loaded program — injected DRAM
-		// and queue faults never corrupt microcode — so unlike the other
-		// supervised kinds it is permanent even under fault injection.
-		if s.Faults.Any() && cf.Kind != check.FailTrap {
-			re.Class = Transient
-		}
 	case errors.As(err, &trap):
 		// An unsupervised run surfaced the controller's trap directly.
 		re.Kind = FailTrap
@@ -174,44 +133,11 @@ func classify(s Spec, err error, attempts int) *RunError {
 		switch {
 		case errors.As(err, &pe):
 			re.Kind = FailPanic
-			re.Class = Transient
 		case errors.As(err, &de):
 			re.Kind = FailDeadline
-			re.Class = Transient
 		default:
 			re.Kind = FailSpec
 		}
 	}
 	return re
-}
-
-// Retry bounds the deterministic backoff policy for transient failures.
-type Retry struct {
-	// Max is the number of additional attempts after the first (0
-	// disables retry). Only transient failures consume attempts.
-	Max int
-	// Backoff is the sleep before the first retry; attempt k sleeps
-	// Backoff << (k-1), capped at 30s. Backoff affects wall time only —
-	// results are a pure function of the spec — so any value preserves
-	// the determinism contract. 0 retries immediately.
-	Backoff time.Duration
-}
-
-// delay returns the deterministic backoff before retry attempt k (1-based).
-func (r Retry) delay(k int) time.Duration {
-	if r.Backoff <= 0 {
-		return 0
-	}
-	const cap = 30 * time.Second
-	d := r.Backoff
-	for i := 1; i < k; i++ {
-		d <<= 1
-		if d >= cap {
-			return cap
-		}
-	}
-	if d > cap {
-		return cap
-	}
-	return d
 }

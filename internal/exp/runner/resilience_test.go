@@ -21,8 +21,7 @@ func fakeResult(s Spec, cycles uint64) dsa.Result {
 	return dsa.Result{DSA: s.DSA, Workload: s.Workload, Kind: s.Kind, Cycles: cycles, Checked: true}
 }
 
-// faultedSpec is a spec whose injector is armed, so supervised aborts
-// classify as transient.
+// faultedSpec is a spec whose injector is armed.
 func faultedSpec() Spec {
 	s := tinySpec()
 	s.Check = true
@@ -43,138 +42,64 @@ func TestClassifyTaxonomy(t *testing.T) {
 		return fmt.Errorf("wrapped: %w", r.Failure())
 	}
 	cases := []struct {
-		name  string
-		spec  Spec
-		err   error
-		kind  FailKind
-		class Class
+		name string
+		spec Spec
+		err  error
+		kind FailKind
 	}{
-		{"faulted stall", faulted, rep(check.FailStall), FailStall, Transient},
-		{"faulted budget", faulted, rep(check.FailBudget), FailBudget, Transient},
-		{"faulted invariant", faulted, rep(check.FailInvariant), FailInvariant, Transient},
-		{"faulted overflow", faulted, rep(check.FailOverflow), FailOverflow, Transient},
-		{"clean stall", clean, rep(check.FailStall), FailStall, Permanent},
-		{"clean invariant", clean, rep(check.FailInvariant), FailInvariant, Permanent},
-		{"clean budget", clean, rep(check.FailBudget), FailBudget, Permanent},
-		{"canceled", clean, context.Canceled, FailCanceled, Permanent},
-		{"ctx deadline", clean, context.DeadlineExceeded, FailCanceled, Permanent},
-		{"panic", clean, &panicError{val: "boom"}, FailPanic, Transient},
-		{"wall deadline", clean, &deadlineError{limit: time.Second}, FailDeadline, Transient},
-		{"malformed spec", clean, errors.New("unknown DSA"), FailSpec, Permanent},
+		{"faulted stall", faulted, rep(check.FailStall), FailStall},
+		{"faulted budget", faulted, rep(check.FailBudget), FailBudget},
+		{"faulted invariant", faulted, rep(check.FailInvariant), FailInvariant},
+		{"faulted overflow", faulted, rep(check.FailOverflow), FailOverflow},
+		{"clean stall", clean, rep(check.FailStall), FailStall},
+		{"clean invariant", clean, rep(check.FailInvariant), FailInvariant},
+		{"clean budget", clean, rep(check.FailBudget), FailBudget},
+		{"canceled", clean, context.Canceled, FailCanceled},
+		{"ctx deadline", clean, context.DeadlineExceeded, FailCanceled},
+		{"panic", clean, &panicError{val: "boom"}, FailPanic},
+		{"wall deadline", clean, &deadlineError{limit: time.Second}, FailDeadline},
+		{"malformed spec", clean, errors.New("unknown DSA"), FailSpec},
 	}
 	for _, c := range cases {
-		re := classify(c.spec, c.err, 3)
-		if re.Kind != c.kind || re.Class != c.class {
-			t.Errorf("%s: classified %s/%s, want %s/%s", c.name, re.Kind, re.Class, c.kind, c.class)
+		re := classify(c.spec, c.err)
+		if re.Kind != c.kind {
+			t.Errorf("%s: classified %s, want %s", c.name, re.Kind, c.kind)
 		}
-		if re.Attempts != 3 || re.Key != c.spec.Key() {
-			t.Errorf("%s: attempts/key not threaded: %+v", c.name, re)
+		if re.Key != c.spec.Key() {
+			t.Errorf("%s: key not threaded: %+v", c.name, re)
 		}
 		if !errors.Is(re, c.err) && re.Err != c.err {
 			t.Errorf("%s: cause not unwrappable", c.name)
 		}
 	}
 	// Supervised aborts carry their report through to the RunError.
-	re := classify(faulted, rep(check.FailStall), 1)
+	re := classify(faulted, rep(check.FailStall))
 	if re.Report == nil || re.Report.Cycle != 7 {
 		t.Errorf("stall report not attached: %+v", re.Report)
 	}
 }
 
-func TestRetryDelayDeterministic(t *testing.T) {
-	r := Retry{Max: 10, Backoff: 100 * time.Millisecond}
-	want := []time.Duration{100, 200, 400, 800, 1600}
-	for i, w := range want {
-		if d := r.delay(i + 1); d != w*time.Millisecond {
-			t.Errorf("delay(%d) = %v, want %v", i+1, d, w*time.Millisecond)
-		}
-	}
-	if d := (Retry{Max: 99, Backoff: time.Second}).delay(40); d != 30*time.Second {
-		t.Errorf("uncapped backoff: %v", d)
-	}
-	if d := (Retry{Max: 3}).delay(2); d != 0 {
-		t.Errorf("zero backoff should retry immediately, got %v", d)
-	}
-}
-
-func TestTransientFailureRetriedToSuccess(t *testing.T) {
-	r, err := NewFrom(Config{Workers: 1, Retry: Retry{Max: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestPermanentFailureNotRetried: a fault-injected spec that wedges
+// executes exactly once. Its fault rolls are a pure function of the
+// spec, so a second execution could only fail the same way.
+func TestPermanentFailureNotRetried(t *testing.T) {
+	r := New(1)
 	calls := 0
+	inner := r.exec
 	r.exec = func(s Spec) (dsa.Result, error) {
 		calls++
-		if calls <= 2 {
-			return dsa.Result{}, stallFailure()
-		}
-		return fakeResult(s, 100), nil
+		return inner(s)
 	}
-	res, err := r.One(faultedSpec())
-	if err != nil {
-		t.Fatalf("retry did not recover: %v", err)
-	}
-	if calls != 3 || res.Cycles != 100 {
-		t.Fatalf("calls=%d res=%+v", calls, res)
+	s := faultedSpec()
+	s.Faults.DropResp = 1 // every fill dropped: the fill-retry budget runs out
+	_, err := r.One(s)
+	var re *RunError
+	if !errors.As(err, &re) || re.Report == nil {
+		t.Fatalf("want a supervised abort, got %v", err)
 	}
 	st := r.Stats()
-	if st.Launched != 1 || st.Retried != 2 || st.Failed != 0 || st.Evicted != 0 {
-		t.Fatalf("stats %+v, want 1 launched / 2 retried / 0 failed", st)
-	}
-	if len(st.Runs) != 3 {
-		t.Fatalf("%d attempt records, want 3 (one per execution)", len(st.Runs))
-	}
-	if st.Runs[0].Err != "stall" || st.Runs[1].Err != "stall" || st.Runs[2].Err != "" {
-		t.Fatalf("attempt annotations wrong: %+v", st.Runs)
-	}
-}
-
-func TestRetryBudgetExhausts(t *testing.T) {
-	r, err := NewFrom(Config{Workers: 1, Retry: Retry{Max: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	r.exec = func(Spec) (dsa.Result, error) {
-		calls++
-		return dsa.Result{}, stallFailure()
-	}
-	_, err = r.One(faultedSpec())
-	var re *RunError
-	if !errors.As(err, &re) {
-		t.Fatalf("error is not a *RunError: %v", err)
-	}
-	if calls != 3 { // 1 first try + 2 retries
-		t.Fatalf("calls=%d, want 3", calls)
-	}
-	if re.Kind != FailStall || re.Attempts != 3 || !re.Transient() {
-		t.Fatalf("terminal error %+v", re)
-	}
-	st := r.Stats()
-	if st.Failed != 1 || st.Evicted != 1 || st.Retried != 2 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
-func TestPermanentFailureNotRetried(t *testing.T) {
-	r, err := NewFrom(Config{Workers: 1, Retry: Retry{Max: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	r.exec = func(Spec) (dsa.Result, error) {
-		calls++
-		return dsa.Result{}, stallFailure()
-	}
-	// Same wedge, but the spec injects no faults: a deterministic
-	// simulator reproduces it on every retry, so none are spent.
-	_, err = r.One(tinySpec())
-	var re *RunError
-	if !errors.As(err, &re) || re.Kind != FailStall || re.Transient() {
-		t.Fatalf("unexpected classification: %v", err)
-	}
-	if calls != 1 || r.Stats().Retried != 0 {
-		t.Fatalf("permanent failure consumed retries: calls=%d stats=%+v", calls, r.Stats())
+	if calls != 1 || st.Launched != 1 || st.Failed != 1 || len(st.Runs) != 1 {
+		t.Fatalf("failing spec executed %d time(s), stats %+v; want exactly 1", calls, st)
 	}
 }
 
@@ -192,8 +117,8 @@ func TestPanicIsolatedToSpec(t *testing.T) {
 	if outs[0].Err != nil || outs[2].Err != nil {
 		t.Fatalf("panic leaked into healthy specs: %+v", outs)
 	}
-	if outs[1].Err == nil || outs[1].Err.Kind != FailPanic || !outs[1].Err.Transient() {
-		t.Fatalf("panic outcome %+v, want transient FailPanic", outs[1].Err)
+	if outs[1].Err == nil || outs[1].Err.Kind != FailPanic {
+		t.Fatalf("panic outcome %+v, want FailPanic", outs[1].Err)
 	}
 	if !errors.Is(outs[1].Err, outs[1].Err.Err) {
 		t.Fatal("panic cause not unwrappable")
@@ -236,7 +161,7 @@ func TestSpecWallDeadline(t *testing.T) {
 	_, err = r.One(tinySpec())
 	close(release)
 	var re *RunError
-	if !errors.As(err, &re) || re.Kind != FailDeadline || !re.Transient() {
+	if !errors.As(err, &re) || re.Kind != FailDeadline {
 		t.Fatalf("deadline outcome: %v", err)
 	}
 	if since := time.Since(start); since > 5*time.Second {
@@ -258,7 +183,7 @@ func TestContextCancelFailsFast(t *testing.T) {
 	cancel()
 	outs := r.RunAll(ctx, []Spec{tinySpec(), faultedSpec()})
 	for i, o := range outs {
-		if o.Err == nil || o.Err.Kind != FailCanceled || o.Err.Transient() {
+		if o.Err == nil || o.Err.Kind != FailCanceled {
 			t.Fatalf("outcome %d under canceled ctx: %+v", i, o.Err)
 		}
 	}
@@ -276,33 +201,25 @@ func TestContextCancelFailsFast(t *testing.T) {
 
 // TestStatsConsistencyUnderFailure pins the counter contract documented
 // on Stats: every resolve request increments exactly one of Launched,
-// Cached or Resumed; Failed == Evicted; Retried counts extra attempts;
-// Runs has one record per execution attempt.
+// Cached or Resumed; each launch executes once, so Runs has one record
+// per launch; no failed entry survives in the memo table.
 func TestStatsConsistencyUnderFailure(t *testing.T) {
 	dir := t.TempDir()
 	mk := func() (*Runner, *int, *sync.Mutex) {
-		r, err := NewFrom(Config{Workers: 4, Retry: Retry{Max: 1}, CheckpointDir: dir})
+		r, err := NewFrom(Config{Workers: 4, CheckpointDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var mu sync.Mutex
-		calls := map[string]int{}
 		total := 0
 		r.exec = func(s Spec) (dsa.Result, error) {
 			mu.Lock()
-			calls[s.Key()]++
-			k := calls[s.Key()]
 			total++
 			mu.Unlock()
 			switch s.Workload {
-			case "TPC-H-19": // permanent: malformed-spec style failure
-				return dsa.Result{}, errors.New("scripted permanent failure")
-			case "TPC-H-20": // transient, recovers on the retry
-				if k == 1 {
-					return dsa.Result{}, stallFailure()
-				}
-				return fakeResult(s, 10), nil
-			case "wedge": // transient, never recovers
+			case "TPC-H-19": // malformed-spec style failure
+				return dsa.Result{}, errors.New("scripted malformed-spec failure")
+			case "wedge": // injected-fault wedge
 				return dsa.Result{}, stallFailure()
 			default:
 				return fakeResult(s, 10), nil
@@ -322,9 +239,9 @@ func TestStatsConsistencyUnderFailure(t *testing.T) {
 	}
 	specs := []Spec{
 		spec("TPC-H-22", false), // success
-		spec("TPC-H-19", false), // permanent failure
-		spec("TPC-H-20", true),  // transient, recovers after 1 retry
-		spec("wedge", true),     // transient, exhausts Retry.Max=1
+		spec("TPC-H-19", false), // malformed-spec failure
+		spec("TPC-H-20", true),  // faulted success
+		spec("wedge", true),     // faulted failure
 		spec("TPC-H-22", false), // duplicate → cache hit or shared entry
 	}
 
@@ -336,14 +253,8 @@ func TestStatsConsistencyUnderFailure(t *testing.T) {
 	if got := st.Launched + st.Cached + st.Resumed; got != requests {
 		t.Fatalf("Launched+Cached+Resumed = %d, want %d (every request increments exactly one)", got, requests)
 	}
-	if st.Failed != st.Evicted {
-		t.Fatalf("Failed=%d Evicted=%d: a failed entry survived (or a success was evicted)", st.Failed, st.Evicted)
-	}
-	if st.Failed != 2 { // permanent + exhausted wedge
+	if st.Failed != 2 { // malformed spec + wedge
 		t.Fatalf("Failed=%d, want 2", st.Failed)
-	}
-	if st.Retried != 2 { // one for TPC-H-20, one for the wedge
-		t.Fatalf("Retried=%d, want 2", st.Retried)
 	}
 	mu.Lock()
 	executions := *total
@@ -351,17 +262,14 @@ func TestStatsConsistencyUnderFailure(t *testing.T) {
 	if len(st.Runs) != executions {
 		t.Fatalf("%d Runs records, want one per execution (%d)", len(st.Runs), executions)
 	}
-	if st.Launched+st.Retried != executions {
-		t.Fatalf("Launched+Retried=%d, want executions=%d", st.Launched+st.Retried, executions)
+	if st.Launched != executions {
+		t.Fatalf("Launched=%d, want executions=%d (each launch executes once)", st.Launched, executions)
 	}
 	if outs[0].Err != nil || outs[2].Err != nil || outs[4].Err != nil {
 		t.Fatalf("healthy cells failed: %+v", outs)
 	}
 	if outs[1].Err == nil || outs[3].Err == nil {
 		t.Fatal("scripted failures did not surface")
-	}
-	if outs[3].Err.Attempts != 2 {
-		t.Fatalf("wedge attempts = %d, want 2", outs[3].Err.Attempts)
 	}
 	if st.Checkpointed != 2 { // the two distinct successes; failures never journal
 		t.Fatalf("Checkpointed=%d, want 2", st.Checkpointed)
@@ -370,8 +278,9 @@ func TestStatsConsistencyUnderFailure(t *testing.T) {
 		t.Fatalf("%d failed entries survive in the cache", n)
 	}
 
-	// Second runner over the same journal: successes resume, failures
-	// (never journaled) re-execute — and the counters stay consistent.
+	// Second runner over the same journal, as a re-invocation with the
+	// same -checkpoint directory: successes resume, failures (never
+	// journaled) re-execute — and the counters stay consistent.
 	r2, _, _ := mk()
 	r2.RunAll(context.Background(), specs)
 	st2 := r2.Stats()
@@ -381,8 +290,8 @@ func TestStatsConsistencyUnderFailure(t *testing.T) {
 	if st2.Resumed != 2 {
 		t.Fatalf("resumed run: Resumed=%d, want 2 (both journaled successes)", st2.Resumed)
 	}
-	if st2.Failed != st2.Evicted || st2.Failed != 2 {
-		t.Fatalf("resumed run: Failed=%d Evicted=%d, want 2/2", st2.Failed, st2.Evicted)
+	if st2.Launched != 2 || st2.Failed != 2 {
+		t.Fatalf("resumed run: Launched=%d Failed=%d, want 2/2 (exactly the failed cells re-execute)", st2.Launched, st2.Failed)
 	}
 	if st2.Checkpointed != 0 {
 		t.Fatalf("resumed run re-journaled resumed results: %+v", st2)
@@ -554,56 +463,5 @@ func TestInterruptedSweepResumesByteIdentical(t *testing.T) {
 	}
 	if len(files) != len(specs) {
 		t.Fatalf("%d journal files, want %d", len(files), len(specs))
-	}
-}
-
-// TestFaultedRetriedSweepByteIdentical is the other half of the
-// determinism-under-resilience acceptance: a sweep that suffers injected
-// transient faults and recovers through retry produces byte-identical
-// output to a clean run of the same specs.
-func TestFaultedRetriedSweepByteIdentical(t *testing.T) {
-	specs := []Spec{}
-	for _, q := range []string{"TPC-H-19", "TPC-H-20", "TPC-H-22"} {
-		s := faultedSpec()
-		s.Workload = q
-		specs = append(specs, s)
-	}
-
-	clean, err := New(1).Run(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, _ := json.Marshal(clean)
-
-	// Every spec wedges once (scripted) before its real execution: the
-	// retry layer absorbs the transient and the result is untouched.
-	r, err := NewFrom(Config{Workers: 3, Retry: Retry{Max: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	wedged := map[string]bool{}
-	inner := r.exec
-	r.exec = func(s Spec) (dsa.Result, error) {
-		mu.Lock()
-		first := !wedged[s.Key()]
-		wedged[s.Key()] = true
-		mu.Unlock()
-		if first {
-			return dsa.Result{}, stallFailure()
-		}
-		return inner(s)
-	}
-	faulty, err := r.Run(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, _ := json.Marshal(faulty)
-	if string(gotJSON) != string(wantJSON) {
-		t.Fatal("retried sweep output is not byte-identical to the clean run")
-	}
-	st := r.Stats()
-	if st.Retried != len(specs) || st.Failed != 0 {
-		t.Fatalf("stats %+v, want %d retried / 0 failed", st, len(specs))
 	}
 }

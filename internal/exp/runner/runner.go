@@ -17,14 +17,13 @@ import (
 // Fig 14 and Fig 15) simulates exactly once per process.
 //
 // Determinism contract: Run returns results in spec order, each result
-// a pure function of its Spec. Worker count, completion order, retries
-// and checkpoint resume affect only wall time and Stats — never the
+// a pure function of its Spec. Worker count, completion order and
+// checkpoint resume affect only wall time and Stats — never the
 // returned values. Errors are reported for the lowest-indexed failing
 // spec, again independent of scheduling.
 //
-// Resilience: every failure resolves to a structured *RunError
-// (classified transient vs permanent), worker panics are isolated to
-// their spec, transient failures are retried with deterministic backoff,
+// Resilience: each spec executes once, and its failure resolves to a
+// structured *RunError. Worker panics are isolated to their spec,
 // failed entries are evicted instead of poisoning the memo table, a
 // per-spec wall deadline degrades a runaway run to a typed error instead
 // of hanging the pool, and completed results can be journaled to a
@@ -47,15 +46,13 @@ type Runner struct {
 type Config struct {
 	// Workers is the pool size; <= 0 uses GOMAXPROCS.
 	Workers int
-	// Retry bounds re-execution of transiently failing specs.
-	Retry Retry
 	// CheckpointDir, when non-empty, journals every completed result to a
 	// content-addressed on-disk store and consults it before executing,
 	// so an interrupted sweep resumes instead of recomputing.
 	CheckpointDir string
 	// SpecWall is the per-spec wall-clock deadline; 0 disables it. A spec
-	// exceeding it fails with FailDeadline (transient) and its simulation
-	// goroutine is abandoned, freeing the worker slot.
+	// exceeding it fails with FailDeadline and its simulation goroutine
+	// is abandoned, freeing the worker slot.
 	SpecWall time.Duration
 }
 
@@ -85,9 +82,6 @@ func New(workers int) *Runner {
 func NewFrom(cfg Config) (*Runner, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Retry.Max < 0 {
-		cfg.Retry.Max = 0
 	}
 	r := &Runner{cfg: cfg, cache: map[string]*entry{}, exec: Spec.Execute}
 	if cfg.CheckpointDir != "" {
@@ -122,17 +116,9 @@ type Outcome struct {
 // Run executes every spec, at most Workers concurrently, and returns
 // the results in spec order. If any spec fails, the error of the
 // lowest-indexed failing spec is returned (the remaining specs still
-// run to completion so the cache stays warm for retries).
+// run to completion so the cache stays warm for later requests).
 func (r *Runner) Run(specs []Spec) ([]dsa.Result, error) {
-	return r.RunCtx(context.Background(), specs)
-}
-
-// RunCtx is Run under a context: cancelling it makes unstarted specs
-// fail fast with FailCanceled and abandons in-flight simulations, so a
-// sweep can be interrupted (and later resumed from a checkpoint) without
-// waiting for the full matrix.
-func (r *Runner) RunCtx(ctx context.Context, specs []Spec) ([]dsa.Result, error) {
-	outs := r.RunAll(ctx, specs)
+	outs := r.RunAll(context.Background(), specs)
 	results := make([]dsa.Result, len(outs))
 	for i, o := range outs {
 		if o.Err != nil {
@@ -146,7 +132,10 @@ func (r *Runner) RunCtx(ctx context.Context, specs []Spec) ([]dsa.Result, error)
 // RunAll is the graceful-degradation entry point: every spec runs to a
 // terminal Outcome — result or classified *RunError — and no failure
 // aborts the batch. Outcomes are in spec order; successful cells obey
-// the same determinism contract as Run.
+// the same determinism contract as Run. Cancelling ctx makes unstarted
+// specs fail fast with FailCanceled and abandons in-flight simulations,
+// so a sweep can be interrupted (and later resumed from a checkpoint)
+// without waiting for the full matrix.
 func (r *Runner) RunAll(ctx context.Context, specs []Spec) []Outcome {
 	n := len(specs)
 	outs := make([]Outcome, n)
@@ -188,8 +177,8 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) []Outcome {
 	return outs
 }
 
-// resolve returns the result for s, executing it (with retry, panic
-// isolation and deadline supervision) if no other request has, or
+// resolve returns the result for s, executing it (with panic isolation
+// and deadline supervision) if no other request has, or
 // waiting on / reusing the cached run otherwise.
 func (r *Runner) resolve(ctx context.Context, s Spec) (dsa.Result, *RunError) {
 	key := s.Hash()
@@ -203,7 +192,7 @@ func (r *Runner) resolve(ctx context.Context, s Spec) (dsa.Result, *RunError) {
 		case <-ctx.Done():
 			// The in-flight run keeps going (its own resolve owns it);
 			// this requester gives up waiting.
-			return dsa.Result{}, classify(s, ctx.Err(), 0)
+			return dsa.Result{}, classify(s, ctx.Err())
 		}
 	}
 	e := &entry{done: make(chan struct{})}
@@ -229,18 +218,30 @@ func (r *Runner) resolve(ctx context.Context, s Spec) (dsa.Result, *RunError) {
 	}
 	r.mu.Unlock()
 
-	res, rerr := r.attempt(ctx, s)
+	start := time.Now()
+	res, err := r.execOne(ctx, s)
+	run := RunStat{Key: s.Key(), Wall: time.Since(start)}
+	var rerr *RunError
+	if err != nil {
+		rerr = classify(s, err)
+		res = dsa.Result{}
+		run.Err = rerr.Kind.String()
+	} else {
+		run.Cycles = res.Cycles
+	}
 
 	e.res, e.err = res, rerr
 	close(e.done)
 
 	r.mu.Lock()
 	r.running--
+	r.stats.Wall += run.Wall
+	r.stats.Runs = append(r.stats.Runs, run)
 	if rerr != nil {
-		// Evict: a failed simulation must never be memoised, or one
-		// transient fault poisons every later figure sharing the spec.
+		// Evict: a failed simulation is never memoised, so a later
+		// request re-executes it (a cancellation or wall-deadline overrun
+		// is not a function of the spec).
 		r.stats.Failed++
-		r.stats.Evicted++
 		delete(r.cache, key)
 	} else {
 		r.stats.SimCycles += res.Cycles
@@ -259,56 +260,7 @@ func (r *Runner) resolve(ctx context.Context, s Spec) (dsa.Result, *RunError) {
 			r.mu.Unlock()
 		}
 	}
-	if rerr != nil {
-		return dsa.Result{}, rerr
-	}
-	return res, nil
-}
-
-// attempt runs s under the bounded-retry policy: transient failures are
-// re-executed up to Retry.Max extra times with deterministic backoff;
-// permanent failures and exhausted budgets surface immediately. Because
-// a successful execution is a pure function of the spec, a retried
-// success is bit-identical to a first-try success — retries change only
-// wall time and Stats.
-func (r *Runner) attempt(ctx context.Context, s Spec) (dsa.Result, *RunError) {
-	for attempts := 1; ; attempts++ {
-		start := time.Now()
-		res, err := r.execOne(ctx, s)
-		wall := time.Since(start)
-		if err == nil {
-			r.note(s, res.Cycles, wall, "")
-			return res, nil
-		}
-		rerr := classify(s, err, attempts)
-		r.note(s, 0, wall, rerr.Kind.String())
-		if !rerr.Transient() || attempts > r.cfg.Retry.Max || ctx.Err() != nil {
-			return dsa.Result{}, rerr
-		}
-		r.mu.Lock()
-		r.stats.Retried++
-		r.mu.Unlock()
-		if d := r.cfg.Retry.delay(attempts); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				return dsa.Result{}, classify(s, ctx.Err(), attempts)
-			}
-		}
-	}
-}
-
-// note records one execution attempt in the per-run stats.
-func (r *Runner) note(s Spec, cycles uint64, wall time.Duration, fail string) {
-	r.mu.Lock()
-	r.stats.Wall += wall
-	r.stats.Runs = append(r.stats.Runs, RunStat{
-		Key:    s.Key(),
-		Cycles: cycles,
-		Wall:   wall,
-		Err:    fail,
-	})
-	r.mu.Unlock()
+	return res, rerr
 }
 
 // execOne performs a single supervised execution: panic-shielded, and —

@@ -75,11 +75,13 @@ func soakMatrix(full bool) []soakPoint {
 }
 
 // TestFaultMatrixSoak drives real simulations through the full
-// resilience stack — fault injection, watchdog, retry, eviction, partial
+// resilience stack — fault injection, watchdog, eviction, partial
 // results — and asserts the acceptance properties: every failure is a
-// classified *RunError, the pool drains without deadlock, and no failed
-// entry survives in the cache. `make soak` runs the widened matrix under
-// -race via XCACHE_SOAK=full.
+// classified *RunError, the pool drains without deadlock, no failed
+// entry survives in the cache, and a replay fails every failing spec
+// with the same error text, stall report included. The replay is why
+// the runner executes each spec once. `make soak` runs the widened
+// matrix under -race via XCACHE_SOAK=full.
 func TestFaultMatrixSoak(t *testing.T) {
 	full := os.Getenv("XCACHE_SOAK") == "full"
 	pts := soakMatrix(full)
@@ -88,10 +90,7 @@ func TestFaultMatrixSoak(t *testing.T) {
 		specs[i] = p.spec
 	}
 
-	r, err := NewFrom(Config{Workers: 4, Retry: Retry{Max: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New(4)
 
 	// The pool must drain on its own; a generous watchdog turns a wedged
 	// pool into a test failure instead of a hung CI job.
@@ -119,10 +118,10 @@ func TestFaultMatrixSoak(t *testing.T) {
 		if p.expect == "ok" {
 			t.Errorf("%s (%s): expected recovery, got %v", key, p.name, o.Err)
 		}
-		// Every failure must be fully classified: a known taxonomy kind,
-		// a retry class, an attempt count, and (for supervised aborts) a
-		// stall report naming the wedge. Outcome.Err is typed *RunError;
-		// also pin that the underlying check.Failure stays unwrappable.
+		// Every failure must be fully classified: a known taxonomy kind
+		// and (for supervised aborts) a stall report naming the wedge.
+		// Outcome.Err is typed *RunError; also pin that the underlying
+		// check.Failure stays unwrappable.
 		re := o.Err
 		var cf *check.Failure
 		if re.Report != nil && !errors.As(error(re), &cf) {
@@ -131,43 +130,23 @@ func TestFaultMatrixSoak(t *testing.T) {
 		if re.Kind == FailUnknown {
 			t.Errorf("%s: unclassified failure: %v", key, re)
 		}
-		if re.Attempts < 1 {
-			t.Errorf("%s: attempts=%d", key, re.Attempts)
-		}
 		switch re.Kind {
 		case FailStall, FailInvariant, FailOverflow, FailBudget:
 			if re.Report == nil {
 				t.Errorf("%s: supervised abort without a stall report", key)
 			}
-			// All soak failures come from fault-injecting specs, so they
-			// classify transient and the bounded retry policy must have
-			// run dry (Max=1 → exactly 2 attempts).
-			if !re.Transient() {
-				t.Errorf("%s: injected-fault %s classified permanent", key, re.Kind)
-			}
-			if re.Attempts != 2 {
-				t.Errorf("%s: transient %s made %d attempts, want 2", key, re.Kind, re.Attempts)
-			}
 		}
 	}
 
-	st := r.Stats()
-	if st.Failed != st.Evicted {
-		t.Errorf("Failed=%d Evicted=%d: eviction contract broken", st.Failed, st.Evicted)
-	}
 	if n := r.cachedFailures(); n != 0 {
 		t.Errorf("%d failed entries survive in the cache after the soak", n)
 	}
 
 	// Determinism under resilience: replaying the whole matrix on a fresh
 	// runner (different worker count, different completion order)
-	// reproduces every outcome — successes bit-identical, failures
-	// classified identically.
-	r2, err := NewFrom(Config{Workers: 2, Retry: Retry{Max: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs2 := r2.RunAll(context.Background(), specs)
+	// reproduces every outcome — successes bit-identical, failures with
+	// the same error text, stall report included.
+	outs2 := New(2).RunAll(context.Background(), specs)
 	for i := range outs {
 		a, b := outs[i], outs2[i]
 		key := pts[i].spec.Key()
@@ -177,9 +156,8 @@ func TestFaultMatrixSoak(t *testing.T) {
 				t.Errorf("%s: replay diverged:\n  %+v\n  %+v", key, a.Res, b.Res)
 			}
 		case a.Err != nil && b.Err != nil:
-			if a.Err.Kind != b.Err.Kind || a.Err.Class != b.Err.Class {
-				t.Errorf("%s: replay classification diverged: %s/%s vs %s/%s",
-					key, a.Err.Kind, a.Err.Class, b.Err.Kind, b.Err.Class)
+			if a.Err.Error() != b.Err.Error() {
+				t.Errorf("%s: replay failure diverged:\n%v\n--- vs ---\n%v", key, a.Err, b.Err)
 			}
 		default:
 			t.Errorf("%s: replay flipped success/failure: %v vs %v", key, a.Err, b.Err)

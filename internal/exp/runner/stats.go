@@ -9,27 +9,24 @@ import (
 
 // Stats summarises what a Runner did: how many simulations were
 // launched vs served from the content-addressed cache or resumed from
-// the on-disk checkpoint, how many failed after the retry policy ran
-// out, the retry/eviction/journal activity, the total simulated cycles
-// and cumulative simulation wall time (sum over attempts — larger than
-// elapsed time when workers overlap), and the peak number of
-// concurrently executing simulations.
+// the on-disk checkpoint, how many failed, the journal activity, the
+// total simulated cycles and cumulative simulation wall time (sum over
+// executions — larger than elapsed time when workers overlap), and the
+// peak number of concurrently executing simulations.
 //
 // Counter contract (pinned by TestStatsConsistencyUnderFailure): every
-// resolve request increments exactly one of Launched, Cached or Resumed.
-// Retried counts extra execution attempts beyond each first one. Failed
-// and Evicted count terminal failures (after retries), and stay equal —
-// no failed entry survives in the memo table. Checkpointed counts
-// successful journal writes; CheckpointErrs successful runs whose
-// journal write failed (the in-memory result is still served).
+// resolve request increments exactly one of Launched, Cached or Resumed,
+// and each launch executes its spec exactly once, so Runs has one record
+// per launch. Failed counts launches that failed; each failed entry is
+// evicted from the memo table. Checkpointed counts successful journal
+// writes; CheckpointErrs successful runs whose journal write failed (the
+// in-memory result is still served).
 type Stats struct {
 	Workers     int
 	Launched    int
 	Cached      int
 	Resumed     int
 	Failed      int
-	Retried     int
-	Evicted     int
 	PeakWorkers int
 
 	Checkpointed   int
@@ -40,8 +37,8 @@ type Stats struct {
 	Runs      []RunStat
 }
 
-// RunStat records one execution attempt (non-cached). Err is empty on
-// success and the taxonomy kind ("stall", "panic", ...) on failure.
+// RunStat records one execution (non-cached). Err is empty on success
+// and the taxonomy kind ("stall", "panic", ...) on failure.
 type RunStat struct {
 	Key    string
 	Cycles uint64
@@ -66,9 +63,9 @@ func (s Stats) String() string {
 		s.Workers, s.PeakWorkers, s.Launched, s.Cached, 100*s.HitRate(), s.Failed)
 	fmt.Fprintf(&b, "runner: %d simulated cycles, %.2fs cumulative simulation time\n",
 		s.SimCycles, s.Wall.Seconds())
-	if s.Retried > 0 || s.Evicted > 0 || s.Resumed > 0 || s.Checkpointed > 0 || s.CheckpointErrs > 0 {
-		fmt.Fprintf(&b, "runner: %d retried, %d evicted, %d resumed from checkpoint, %d checkpointed",
-			s.Retried, s.Evicted, s.Resumed, s.Checkpointed)
+	if s.Resumed > 0 || s.Checkpointed > 0 || s.CheckpointErrs > 0 {
+		fmt.Fprintf(&b, "runner: %d resumed from checkpoint, %d checkpointed",
+			s.Resumed, s.Checkpointed)
 		if s.CheckpointErrs > 0 {
 			fmt.Fprintf(&b, " (%d journal write failures)", s.CheckpointErrs)
 		}
@@ -77,8 +74,8 @@ func (s Stats) String() string {
 	return b.String()
 }
 
-// Detail renders the per-attempt table, slowest first (ties broken by
-// key so the rendering is stable for equal durations). Failed attempts
+// Detail renders the per-execution table, slowest first (ties broken by
+// key so the rendering is stable for equal durations). Failed executions
 // carry their taxonomy kind.
 func (s Stats) Detail() string {
 	runs := append([]RunStat(nil), s.Runs...)

@@ -156,6 +156,32 @@ func TestCohFaultLiveness(t *testing.T) {
 	}
 }
 
+// TestCohSupervisedAbort: under a harness, a blown cycle budget and a
+// watchdog stall abort RunScripts with a typed *check.Failure carrying
+// the stall report, as check.Run does for the DSAs.
+func TestCohSupervisedAbort(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		cfg       *check.Config
+		maxCycles int
+		want      check.FailureKind
+	}{
+		{"budget", check.Default(), 5, check.FailBudget},
+		{"stall", &check.Config{Watchdog: 5, Invariants: true}, 200_000, check.FailStall},
+	} {
+		s, err := NewCohSystem(CohConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := check.Attach(s.K, tc.cfg)
+		_, err = RunScripts(s, h, [][]ScriptOp{{Ld(0), St(0, 60)}, {Ld(0)}}, tc.maxCycles)
+		var cf *check.Failure
+		if !errors.As(err, &cf) || cf.Kind != tc.want || cf.Report == nil {
+			t.Errorf("%s: error %v, want a *check.Failure of kind %s with a report", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestCohSnapshotShape: the snapshot is sorted, sized to the port count,
 // and reflects resident states.
 func TestCohSnapshotShape(t *testing.T) {

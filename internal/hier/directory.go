@@ -687,11 +687,10 @@ func (b *memBridge) overlaps(req dram.Request) bool {
 
 // CohConfig sizes a coherent hierarchy.
 type CohConfig struct {
-	Ports    int
-	L1       L1Config
-	L2Sets   int
-	L2Ways   int
-	L2Active int
+	Ports  int
+	L1     L1Config
+	L2Sets int
+	L2Ways int
 
 	SnoopTimeout    int // 0 → 64
 	MaxSnoopRetries int // 0 → 8
@@ -700,6 +699,9 @@ type CohConfig struct {
 	NumKeys int // size of the backing element array (0 → 256)
 	Faults  CohFaults
 }
+
+// l2Active is the shared L2's walker count (#Active).
+const l2Active = 8
 
 func (c *CohConfig) defaults() {
 	if c.Ports == 0 {
@@ -715,9 +717,6 @@ func (c *CohConfig) defaults() {
 	}
 	if c.L2Ways == 0 {
 		c.L2Ways = 4
-	}
-	if c.L2Active == 0 {
-		c.L2Active = 8
 	}
 	if c.SnoopTimeout == 0 {
 		c.SnoopTimeout = 64
@@ -798,7 +797,7 @@ func NewCohSystem(cfg CohConfig) (*CohSystem, error) {
 	l2Req := sim.NewQueue[dram.Request](k, "cohbridge.req", 32)
 	l2Resp := sim.NewQueue[dram.Response](k, "cohbridge.resp", 64)
 	l2, err := core.Build(k, core.Config{Name: "CohL2", Sets: cfg.L2Sets, Ways: cfg.L2Ways,
-		KeyWords: 1, WordsPerSector: 1, NumActive: cfg.L2Active, NumExe: 2, RespDataWords: 1},
+		KeyWords: 1, WordsPerSector: 1, NumActive: l2Active, NumExe: 2, RespDataWords: 1},
 		cohArraySpec(), l2Req, l2Resp, meter)
 	if err != nil {
 		return nil, err

@@ -41,7 +41,9 @@ type scriptPort struct {
 // tail), under the harness's supervision when h is non-nil. It returns
 // each port's response values in script order; a poll records only its
 // final, matching value. Any latched coherence violation, invariant
-// failure, or L2 trap aborts with an error.
+// failure, or L2 trap aborts with an error. Under a harness, a watchdog
+// stall, a queue overflow and a blown cycle budget abort with a
+// *check.Failure of kind FailStall, FailOverflow and FailBudget.
 func RunScripts(s *CohSystem, h *check.Harness, scripts [][]ScriptOp, maxCycles int) ([][]uint64, error) {
 	if len(scripts) > len(s.Ports) {
 		return nil, fmt.Errorf("hier: %d scripts for %d ports", len(scripts), len(s.Ports))
@@ -100,7 +102,7 @@ func RunScripts(s *CohSystem, h *check.Harness, scripts [][]ScriptOp, maxCycles 
 		}
 		if h != nil {
 			if err := h.Step(); err != nil {
-				return fail(fmt.Errorf("hier: queue overflow: %w", err))
+				return fail(h.Report(check.FailOverflow, fmt.Sprintf("queue overflow: %v", err)).Failure())
 			}
 			if err := h.Err(); err != nil {
 				return fail(err)
@@ -114,6 +116,12 @@ func RunScripts(s *CohSystem, h *check.Harness, scripts [][]ScriptOp, maxCycles 
 		if t := s.L2.Ctrl.Trap(); t != nil {
 			return fail(fmt.Errorf("hier: L2 trapped: %w", t))
 		}
+		if h.Stalled(s.K.Cycle()) {
+			return fail(h.Report(check.FailStall, fmt.Sprintf("no forward progress for %d cycles", h.Cfg.Watchdog)).Failure())
+		}
+	}
+	if h != nil {
+		return fail(h.Report(check.FailBudget, fmt.Sprintf("cycle budget (%d) exhausted", maxCycles)).Failure())
 	}
 	return fail(fmt.Errorf("hier: scripts did not complete within %d cycles", maxCycles))
 }

@@ -3,8 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-
-	"xcache/internal/check"
 )
 
 // ErrOverload is the sentinel all admission-control rejections unwrap to:
@@ -85,17 +83,3 @@ func (e *DegradedError) Error() string {
 
 // Unwrap ties the typed error to the ErrDegraded sentinel.
 func (e *DegradedError) Unwrap() error { return ErrDegraded }
-
-// transientKind folds the check.FailureKind taxonomy into the retry
-// decision: a stalled attempt (timeout — the request may simply be stuck
-// behind a transient: a dropped fill, a clogged queue) is worth retrying;
-// a trap casualty is a structural program fault and deterministic, so
-// retrying would only burn budget.
-func transientKind(k check.FailureKind) bool {
-	switch k {
-	case check.FailStall, check.FailBudget:
-		return true
-	default:
-		return false
-	}
-}

@@ -9,8 +9,8 @@
 //     beyond priority-scaled depth thresholds),
 //   - admission control: per-tenant token buckets plus queue-depth load
 //     shedding, every rejection a typed *OverloadError (ErrOverload),
-//   - per-request deadlines with budgeted timeout/retry/backoff mapped
-//     onto the check.FailureKind transient/permanent taxonomy,
+//   - per-request deadlines with budgeted timeout/retry/backoff: a
+//     timed-out attempt retries, a trap casualty does not,
 //   - a per-shard circuit breaker that trips on sustained trap/timeout
 //     rates and drains through the existing ctrl.Trap quiesce path,
 //   - graceful degradation: the lowest-priority tenants shed first, and
@@ -588,8 +588,8 @@ func (s *Service) resolve(c sim.Cycle, st *reqState, sh *shardState, r ctrl.Meta
 		}
 	} else if _, present := s.Cfg.Expect(st.key); present {
 		// NotFound for a key the oracle holds: the walker was quiesced by
-		// a trap mid-flight. Permanent in the FailureKind taxonomy
-		// (FailTrap) — deterministic, so no retry.
+		// a trap mid-flight. A trap is a structural program fault and
+		// deterministic, so no retry.
 		t.failedTrap++
 		s.recordSLO(t, false)
 		s.failed++
@@ -729,7 +729,7 @@ func (s *Service) forward(c sim.Cycle) {
 					break
 				}
 				sh.ingress.Pop()
-				s.fail(c, st, check.FailStall)
+				s.fail(c, st)
 			}
 			continue
 		}
@@ -745,7 +745,7 @@ func (s *Service) forward(c sim.Cycle) {
 			}
 			if c > st.deadline {
 				sh.ingress.Pop()
-				s.fail(c, st, check.FailStall)
+				s.fail(c, st)
 				continue
 			}
 			if !sh.cache.Ctrl.ReqQ.CanPush() {
@@ -773,7 +773,7 @@ func (s *Service) fireRetries(c sim.Cycle) {
 			continue // resolved (or superseded) while waiting
 		}
 		if c > st.deadline {
-			s.fail(c, st, check.FailStall)
+			s.fail(c, st)
 			continue
 		}
 		sh := s.shards[st.shard]
@@ -805,10 +805,9 @@ func (s *Service) scanTimeouts(c sim.Cycle) {
 			if st.probe {
 				sh.br.probeFail(c)
 			}
-			// Timeouts are FailStall in the taxonomy: transient, so retry
-			// — within the attempt budget and the request deadline.
-			kind := check.FailStall
-			if transientKind(kind) && int(st.attempt) < s.Cfg.Retries {
+			// A timed-out attempt retries within the attempt budget and
+			// the request deadline.
+			if int(st.attempt) < s.Cfg.Retries {
 				st.attempt++
 				due := c + retryBackoff<<(st.attempt-1)
 				if due <= st.deadline {
@@ -816,7 +815,7 @@ func (s *Service) scanTimeouts(c sim.Cycle) {
 					continue
 				}
 			}
-			s.fail(c, st, kind)
+			s.fail(c, st)
 		}
 		// Compact the lazily-scanned prefix so a long run stays O(live).
 		if sh.head > 4096 && sh.head*2 > len(sh.inflight) {
@@ -826,15 +825,11 @@ func (s *Service) scanTimeouts(c sim.Cycle) {
 	}
 }
 
-// fail retires a request unsuccessfully: deadline/retry-budget exhaustion
-// (FailStall → failedDeadline) or a permanent fault.
-func (s *Service) fail(c sim.Cycle, st *reqState, kind check.FailureKind) {
+// fail retires a request whose deadline or retry budget ran out
+// (failedDeadline); a trap casualty is retired where its response lands.
+func (s *Service) fail(c sim.Cycle, st *reqState) {
 	t := &s.tenants[st.tenant]
-	if kind == check.FailTrap {
-		t.failedTrap++
-	} else {
-		t.failedDeadline++
-	}
+	t.failedDeadline++
 	s.recordSLO(t, false)
 	s.failed++
 	if st.probe {
