@@ -81,9 +81,11 @@ approx-check:
 # FuzzIntervalPlan/FuzzReplayTags pin the approx tier's
 # reject-degenerate-plans-with-typed-errors contract; FuzzCoherence pins
 # the coherent hierarchy against its flat single-port oracle (including
-# the committed regression input for the grant/back-inval race).
+# the committed regression input for the grant/back-inval race);
+# FuzzDRAMSched pins the per-bank DRAM scheduler against its window-scan
+# reference in lockstep.
 fuzz-smoke:
-	$(GO) test -run Fuzz -count=1 ./internal/isa ./internal/ctrl ./internal/serve ./internal/approx ./internal/hier
+	$(GO) test -run Fuzz -count=1 ./internal/isa ./internal/ctrl ./internal/serve ./internal/approx ./internal/hier ./internal/dram
 
 # Open-ended fuzzing (not part of ci): 30s per target, promote anything
 # interesting from the build cache into testdata/fuzz/ before committing.
@@ -96,6 +98,7 @@ fuzz:
 	$(GO) test -fuzz FuzzIntervalPlan -fuzztime 30s ./internal/approx
 	$(GO) test -fuzz FuzzReplayTags -fuzztime 30s ./internal/approx
 	$(GO) test -fuzz FuzzCoherence -fuzztime 30s ./internal/hier
+	$(GO) test -fuzz FuzzDRAMSched -fuzztime 30s ./internal/dram
 
 # Coherence litmus + protocol suite, race-gated: the golden-pinned litmus
 # outcomes (store buffering, message passing, load buffering, write

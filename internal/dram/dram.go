@@ -4,6 +4,17 @@
 // tRCD/tCAS/tRP plus a per-word burst time on a shared data bus. Responses
 // carry real data served from the mem.Image, so cache walkers consume
 // genuine pointer chains and matrix rows.
+//
+// Scheduling (FR-FCFS-lite). A request's bank and row are decoded once,
+// when it enters the scheduler window, and it joins its bank's list of
+// not-yet-issued requests in arrival order. Each cycle the banks are
+// visited in index order 0…Banks−1; every idle bank issues its oldest
+// request whose row is open, else its oldest request. The order matters:
+// each issue moves the shared data bus's free cycle, which the next
+// bank's burst waits behind. Completion cycles therefore strictly
+// increase in issue order, so at most one request normally completes per
+// cycle. After a frozen outage several can be due on the same cycle; they
+// finish in arrival order.
 package dram
 
 import (
@@ -111,9 +122,13 @@ type bank struct {
 	preValid  bool      // lastPre holds a real precharge (not cold-start zero)
 }
 
+// pending is one admitted request. Records are recycled through the
+// channel's free list once the request finishes.
 type pending struct {
 	req      Request
 	arrived  sim.Cycle
+	bank     int   // decoded at admission
+	row      int64 // decoded at admission
 	started  bool
 	complete sim.Cycle
 }
@@ -160,7 +175,10 @@ type DRAM struct {
 
 	img        *mem.Image
 	banks      []bank
-	window     []*pending
+	window     []*pending   // admitted, not yet finished, in arrival order
+	queued     [][]*pending // per bank: window entries not yet issued, in arrival order
+	free       []*pending   // finished records for reuse
+	nextDone   sim.Cycle    // completion cycle of the earliest issued request; 0 when none
 	busFree    sim.Cycle
 	stats      Stats
 	respHold   []Response    // completed but response queue was full
@@ -181,11 +199,12 @@ func New(k *sim.Kernel, cfg Config, img *mem.Image) *DRAM {
 		name = "dram"
 	}
 	d := &DRAM{
-		Cfg:   cfg,
-		Req:   sim.NewQueue[Request](k, name+".req", cfg.QueueDepth),
-		Resp:  sim.NewQueue[Response](k, name+".resp", cfg.RespDepth),
-		img:   img,
-		banks: make([]bank, cfg.Banks),
+		Cfg:    cfg,
+		Req:    sim.NewQueue[Request](k, name+".req", cfg.QueueDepth),
+		Resp:   sim.NewQueue[Response](k, name+".resp", cfg.RespDepth),
+		img:    img,
+		banks:  make([]bank, cfg.Banks),
+		queued: make([][]*pending, cfg.Banks),
 	}
 	for i := range d.banks {
 		d.banks[i].openRow = -1
@@ -322,7 +341,11 @@ func (d *DRAM) Tick(c sim.Cycle) {
 		if !ok {
 			break
 		}
-		d.window = append(d.window, &pending{req: req, arrived: c})
+		p := d.newPending()
+		*p = pending{req: req, arrived: c}
+		p.bank, p.row = d.mapAddr(req.Addr)
+		d.window = append(d.window, p)
+		d.queued[p.bank] = append(d.queued[p.bank], p)
 	}
 	if p := d.Pending(); p > d.stats.PeakPending {
 		d.stats.PeakPending = p
@@ -335,49 +358,58 @@ func (d *DRAM) Tick(c sim.Cycle) {
 		d.issue(c)
 	}
 
-	// Complete.
+	// Complete, in arrival order. Nothing completes before nextDone.
+	if d.nextDone == 0 || d.nextDone > c {
+		return
+	}
 	remaining := d.window[:0]
+	next := sim.Cycle(0)
 	for _, p := range d.window {
 		if !p.started || p.complete > c {
 			remaining = append(remaining, p)
+			if p.started && (next == 0 || p.complete < next) {
+				next = p.complete
+			}
 			continue
 		}
 		d.finish(p, c)
+		*p = pending{} // drop the write payload
+		d.free = append(d.free, p)
 	}
 	d.window = remaining
+	d.nextDone = next
 }
 
-// issue picks, for each idle bank, the oldest pending request targeting
-// it, preferring row hits (FR-FCFS-lite), and schedules it on the shared
-// data bus.
+// newPending returns a recycled record, or a new one when none is free.
+func (d *DRAM) newPending() *pending {
+	if n := len(d.free); n > 0 {
+		p := d.free[n-1]
+		d.free = d.free[:n-1]
+		return p
+	}
+	return new(pending)
+}
+
+// issue picks, for each idle bank in index order, its oldest queued
+// request whose row is open, else its oldest queued request
+// (FR-FCFS-lite), and schedules it on the shared data bus.
 func (d *DRAM) issue(c sim.Cycle) {
 	for bi := range d.banks {
 		b := &d.banks[bi]
-		if b.busyUntil > c {
+		q := d.queued[bi]
+		if b.busyUntil > c || len(q) == 0 {
 			continue
 		}
-		var pick *pending
-		for _, p := range d.window {
-			if p.started {
-				continue
-			}
-			pb, prow := d.mapAddr(p.req.Addr)
-			if pb != bi {
-				continue
-			}
-			if pick == nil {
-				pick = p
-				continue
-			}
-			_, pickRow := d.mapAddr(pick.req.Addr)
-			if prow == b.openRow && pickRow != b.openRow {
-				pick = p
+		at := 0
+		for i, p := range q {
+			if p.row == b.openRow {
+				at = i
+				break
 			}
 		}
-		if pick == nil {
-			continue
-		}
-		_, row := d.mapAddr(pick.req.Addr)
+		pick := q[at]
+		d.queued[bi] = append(q[:at], q[at+1:]...)
+		row := pick.row
 		lat := d.Cfg.ChannelFixed + d.Cfg.TCAS
 		issue := c + sim.Cycle(d.Cfg.ChannelFixed)
 		switch {
@@ -422,6 +454,9 @@ func (d *DRAM) issue(c sim.Cycle) {
 		pick.started = true
 		pick.complete = d.busFree
 		b.busyUntil = d.busFree
+		if d.nextDone == 0 {
+			d.nextDone = pick.complete
+		}
 	}
 }
 

@@ -347,3 +347,37 @@ func TestDiagnoseDescribesBanksAndWindow(t *testing.T) {
 		t.Fatalf("diagnose too short: %v", lines)
 	}
 }
+
+// allocsPerRequest counts the allocations of one request, from its push
+// to its response being popped, on a channel and image past warm-up.
+func allocsPerRequest(req Request) float64 {
+	k, img, d := setup(DefaultConfig())
+	img.AllocWords(1024)
+	img.W64(req.Addr, 1) // the request's page exists
+	return testing.AllocsPerRun(200, func() {
+		d.Req.MustPush(req)
+		for {
+			k.Step()
+			if _, ok := d.Resp.Pop(); ok {
+				return
+			}
+		}
+	})
+}
+
+// Allocation gate: a write allocates nothing per request.
+func TestWriteAllocatesNothing(t *testing.T) {
+	req := Request{ID: 1, Addr: 0x1040, Words: 4, Write: true, Data: []uint64{1, 2, 3, 4}}
+	if got := allocsPerRequest(req); got != 0 {
+		t.Fatalf("write: %v allocations per request, want 0", got)
+	}
+}
+
+// Allocation gate: a read allocates exactly its payload, which the
+// consumer owns.
+func TestReadAllocatesOnlyPayload(t *testing.T) {
+	req := Request{ID: 1, Addr: 0x1040, Words: 4}
+	if got := allocsPerRequest(req); got != 1 {
+		t.Fatalf("read: %v allocations per request, want 1 (the payload)", got)
+	}
+}

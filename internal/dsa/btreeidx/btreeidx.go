@@ -312,11 +312,9 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 				okAll = false
 			}
 		}
-		for cursor < len(trace) {
-			job := addrcache.Job{ID: uint64(cursor), W: &treeWalk{t: t, key: trace[cursor]}, Issued: cy}
-			if !eng.Jobs.Push(job) {
-				break
-			}
+		// Build a walk only once the job queue has room for it.
+		for cursor < len(trace) && eng.Jobs.CanPush() {
+			eng.Jobs.MustPush(addrcache.Job{ID: uint64(cursor), W: &treeWalk{t: t, key: trace[cursor]}, Issued: cy})
 			cursor++
 		}
 	})

@@ -258,12 +258,13 @@ func RunBaseline(w widx.Work, opt Options) (dsa.Result, error) {
 		}
 		// Refill phase: issue this round's objects.
 		for issued < roundEnd {
-			hash := w.Profile.HashCycles
-			job := addrcache.Job{ID: uint64(issued),
-				W: widx.NewProbeWalk(ix, trace[issued], hash), Issued: cy}
-			if !eng.Jobs.Push(job) {
+			// Build a walk only once the job queue has room for it.
+			if !eng.Jobs.CanPush() {
 				return
 			}
+			hash := w.Profile.HashCycles
+			eng.Jobs.MustPush(addrcache.Job{ID: uint64(issued),
+				W: widx.NewProbeWalk(ix, trace[issued], hash), Issued: cy})
 			meter.AddOps += uint64(hash)
 			issued++
 			inflight++

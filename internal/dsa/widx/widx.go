@@ -306,41 +306,52 @@ func runWalked(w Work, opt Options, kind dsa.Kind, hashCycles, contexts int) (ds
 	eng := addrcache.NewEngine(k, addrcache.EngineConfig{Contexts: contexts}, cache)
 	ix, trace := BuildWorkload(w, img)
 
-	cursor, done := 0, 0
-	okAll := true
-	pump := sim.ComponentFunc(func(cy sim.Cycle) {
-		for {
-			resp, popped := eng.Resp.Pop()
-			if !popped {
-				break
-			}
-			done++
-			key := trace[resp.ID]
-			rid, present := ix.RIDs[key]
-			if present != resp.Result.Found || (present && rid != resp.Result.Value) {
-				okAll = false
-			}
-		}
-		for cursor < len(trace) {
-			job := addrcache.Job{ID: uint64(cursor),
-				W:      &probeWalk{ix: ix, key: trace[cursor], hash: hashCycles},
-				Issued: cy}
-			if !eng.Jobs.Push(job) {
-				break
-			}
-			// Hashing energy: one ALU op per hash cycle on the datapath.
-			meter.AddOps += uint64(hashCycles)
-			cursor++
-		}
-	})
+	pump := &probePump{eng: eng, meter: meter, ix: ix, trace: trace, hash: hashCycles, ok: true}
 	k.Add(pump)
 
-	r, err := dsa.Run(k, meter, nil, func() bool { return done == len(trace) }, opt.MaxCycles)
+	r, err := dsa.Run(k, meter, nil, func() bool { return pump.done == len(trace) }, opt.MaxCycles)
 	if err != nil {
-		return dsa.Result{}, fmt.Errorf("widx %s: aborted at %d/%d probes: %w", kind, done, len(trace), err)
+		return dsa.Result{}, fmt.Errorf("widx %s: aborted at %d/%d probes: %w", kind, pump.done, len(trace), err)
 	}
-	r.DSA, r.Workload, r.Kind, r.Checked = "Widx", w.Profile.Name, kind, okAll
+	r.DSA, r.Workload, r.Kind, r.Checked = "Widx", w.Profile.Name, kind, pump.ok
 	return r, nil
+}
+
+// probePump feeds the walk engine one probe walk per trace key and checks
+// every result against the index. It builds a walk only once the job
+// queue has room for it, so a cycle with a full queue allocates nothing.
+type probePump struct {
+	eng          *addrcache.Engine
+	meter        *energy.Counters
+	ix           *hashidx.Index
+	trace        []uint64
+	hash         int // hash cycles charged per probe
+	cursor, done int
+	ok           bool
+}
+
+// Tick implements sim.Component.
+func (p *probePump) Tick(cy sim.Cycle) {
+	for {
+		resp, popped := p.eng.Resp.Pop()
+		if !popped {
+			break
+		}
+		p.done++
+		key := p.trace[resp.ID]
+		rid, present := p.ix.RIDs[key]
+		if present != resp.Result.Found || (present && rid != resp.Result.Value) {
+			p.ok = false
+		}
+	}
+	for p.cursor < len(p.trace) && p.eng.Jobs.CanPush() {
+		p.eng.Jobs.MustPush(addrcache.Job{ID: uint64(p.cursor),
+			W:      &probeWalk{ix: p.ix, key: p.trace[p.cursor], hash: p.hash},
+			Issued: cy})
+		// Hashing energy: one ALU op per hash cycle on the datapath.
+		p.meter.AddOps += uint64(p.hash)
+		p.cursor++
+	}
 }
 
 // RunAddr measures the address-tagged cache with an ideal walker.

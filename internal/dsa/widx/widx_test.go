@@ -3,9 +3,14 @@ package widx
 import (
 	"testing"
 
+	"xcache/internal/addrcache"
 	"xcache/internal/core"
+	"xcache/internal/dram"
 	"xcache/internal/dsa"
+	"xcache/internal/energy"
 	"xcache/internal/hashidx"
+	"xcache/internal/mem"
+	"xcache/internal/sim"
 )
 
 func smallWork(p hashidx.Profile) Work {
@@ -84,5 +89,31 @@ func TestSpecCompiles(t *testing.T) {
 		if _, err := Spec(shift).Compile(); err != nil {
 			t.Fatalf("shift %d: %v", shift, err)
 		}
+	}
+}
+
+// A pump cycle on which the engine's job queue is full must allocate
+// nothing: the probe walk is built only once its push will succeed.
+func TestFullJobQueueCycleAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	img := mem.NewImage()
+	d := dram.New(k, dram.DefaultConfig(), img)
+	meter := &energy.Counters{}
+	cache := addrcache.New(k, AddrGeometry(smallOpts().Cfg), d.Req, d.Resp, meter)
+	eng := addrcache.NewEngine(k, addrcache.EngineConfig{}, cache)
+	ix, trace := BuildWorkload(smallWork(hashidx.TPCH()[2]), img)
+	pump := &probePump{eng: eng, meter: meter, ix: ix, trace: trace, ok: true}
+
+	pump.Tick(0) // fills the job queue
+	if eng.Jobs.CanPush() || pump.cursor == 0 {
+		t.Fatalf("job queue not full after the first tick (cursor %d)", pump.cursor)
+	}
+	issued := pump.cursor
+	allocs := testing.AllocsPerRun(100, func() { pump.Tick(0) })
+	if allocs != 0 {
+		t.Fatalf("a tick with a full job queue made %v allocations, want 0", allocs)
+	}
+	if pump.cursor != issued {
+		t.Fatalf("cursor moved from %d to %d with a full job queue", issued, pump.cursor)
 	}
 }

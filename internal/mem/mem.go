@@ -7,6 +7,14 @@
 // The image is word (8-byte) granular: the controller datapaths in this
 // repository operate on 64-bit words, matching the paper's #Word-wide data
 // sectors.
+//
+// Layout: a page table of 4 KiB pages (512 words), indexed by
+// addr >> 12, covers the bump-allocated range [0, brk). Each page is
+// allocated on the first non-zero write to it, so unwritten and all-zero
+// regions cost one nil pointer per page. Words beyond the page table
+// (written above the allocator's break) live in a fallback map, which
+// holds only non-zero words; an Alloc that extends the table over such a
+// word moves it into its page.
 package mem
 
 import "fmt"
@@ -14,17 +22,26 @@ import "fmt"
 // WordBytes is the size of the machine word used throughout the simulator.
 const WordBytes = 8
 
+const (
+	pageShift = 12
+	pageBytes = 1 << pageShift
+	pageWords = pageBytes / WordBytes
+)
+
+type page [pageWords]uint64
+
 // Image is a sparse simulated physical address space plus a bump allocator.
 // The zero address is reserved (used as a null pointer by walkers), so
 // allocation starts at a non-zero base.
 type Image struct {
-	words map[uint64]uint64
+	pages []*page           // covers [0, len(pages)*pageBytes) ⊇ [0, brk)
+	far   map[uint64]uint64 // non-zero words beyond the page table
 	brk   uint64
 }
 
 // NewImage returns an empty image whose allocator starts at base 0x1000.
 func NewImage() *Image {
-	return &Image{words: make(map[uint64]uint64), brk: 0x1000}
+	return &Image{brk: 0x1000}
 }
 
 // Alloc reserves n bytes aligned to align (which must be a power of two and
@@ -35,22 +52,53 @@ func (im *Image) Alloc(n, align uint64) uint64 {
 	}
 	base := (im.brk + align - 1) &^ (align - 1)
 	im.brk = base + n
+	im.growPages()
 	return base
 }
 
-// Footprint returns the number of distinct words ever written.
-func (im *Image) Footprint() int { return len(im.words) }
+// growPages extends the page table to cover [0, brk) and moves every word
+// the fallback map holds in the newly covered range into its page.
+func (im *Image) growPages() {
+	need := (im.brk + pageBytes - 1) >> pageShift
+	if need <= uint64(len(im.pages)) {
+		return
+	}
+	for uint64(len(im.pages)) < need {
+		im.pages = append(im.pages, nil)
+	}
+	for addr, v := range im.far {
+		if addr>>pageShift < need {
+			delete(im.far, addr)
+			im.W64(addr, v)
+		}
+	}
+}
 
 // W64 writes a 64-bit word. addr must be word-aligned.
 func (im *Image) W64(addr, v uint64) {
 	if addr%WordBytes != 0 {
 		panic(fmt.Sprintf("mem: unaligned write at %#x", addr))
 	}
-	if v == 0 {
-		delete(im.words, addr)
+	if pi := addr >> pageShift; pi < uint64(len(im.pages)) {
+		pg := im.pages[pi]
+		if pg == nil {
+			if v == 0 {
+				return
+			}
+			pg = new(page)
+			im.pages[pi] = pg
+		}
+		pg[(addr&(pageBytes-1))/WordBytes] = v
 		return
 	}
-	im.words[addr] = v
+	if v == 0 {
+		delete(im.far, addr)
+		return
+	}
+	if im.far == nil {
+		im.far = make(map[uint64]uint64)
+	}
+	im.far[addr] = v
 }
 
 // R64 reads a 64-bit word; unwritten memory reads as zero.
@@ -58,7 +106,13 @@ func (im *Image) R64(addr uint64) uint64 {
 	if addr%WordBytes != 0 {
 		panic(fmt.Sprintf("mem: unaligned read at %#x", addr))
 	}
-	return im.words[addr]
+	if pi := addr >> pageShift; pi < uint64(len(im.pages)) {
+		if pg := im.pages[pi]; pg != nil {
+			return pg[(addr&(pageBytes-1))/WordBytes]
+		}
+		return 0
+	}
+	return im.far[addr]
 }
 
 // WriteWords writes a slice of words starting at addr.
