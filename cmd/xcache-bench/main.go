@@ -4,7 +4,7 @@
 // Usage:
 //
 //	xcache-bench [-scale N] [-parallel N] [-v] [-fig all|none|4,7,14,15,16,17,18,19,20,t1,t2,t3,t4,btree,ablation]
-//	             [-approx] [-partial] [-checkpoint dir] [-spec-wall dur]
+//	             [-approx] [-partial] [-checkpoint dir]
 //	             [-hotloop] [-hotloop-exec both|interp|fast] [-bench-diff FILE]
 //
 // scale divides the published workload sizes (and cache capacities with
@@ -49,8 +49,6 @@
 //	                  an interrupted invocation re-run with the same flags
 //	                  produces byte-identical output to an uninterrupted one
 //	                  and executes only the runs that did not complete
-//	-spec-wall dur    per-run wall deadline; a runaway run becomes a typed
-//	                  error instead of hanging the pool
 //	-partial          don't abort on a failed cell: annotate it in the
 //	                  affected tables/notes, keep going, and report the
 //	                  failure summary on stderr (exit code stays 0 — the
@@ -58,7 +56,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -135,7 +132,6 @@ func main() {
 	approxTier := flag.Bool("approx", false, "emit the approximate evaluation tier (tag replay + sampled intervals) with per-cell exact|tags|interval annotation and error bounds")
 	partial := flag.Bool("partial", false, "annotate failed cells instead of aborting the run")
 	checkpoint := flag.String("checkpoint", "", "journal completed runs to this directory and resume from it")
-	specWall := flag.Duration("spec-wall", 0, "per-run wall deadline (0 = none)")
 	jsonPath := flag.String("json", "", "write a machine-readable (and byte-reproducible) result baseline to this file")
 	hotloop := flag.Bool("hotloop", false, "append the controller hot-loop executor microbenchmark (figure id 'hotloop')")
 	hotloopExec := flag.String("hotloop-exec", "both", "hotloop executor selection: both|interp|fast")
@@ -171,7 +167,6 @@ func main() {
 	run, err := runner.NewFrom(runner.Config{
 		Workers:       *parallel,
 		CheckpointDir: *checkpoint,
-		SpecWall:      *specWall,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xcache-bench:", err)
@@ -219,7 +214,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "running full DSA sweep at scale %d (%d workers)...\n", *scale, run.Workers())
 		var err error
 		if *partial {
-			sw, err = exp.RunSweepPartial(context.Background(), run, *scale)
+			sw, err = exp.RunSweepPartial(run, *scale)
 		} else {
 			sw, err = exp.RunSweep(run, *scale)
 		}

@@ -22,8 +22,9 @@ func TestMain(m *testing.M) {
 }
 
 // TestFlagErrorsExitUsage: a bad -fig id or an unknown flag exits 2
-// (usage); -fig none and -h exit 0. The runner executes each spec once,
-// so it takes no retry flags.
+// (usage); -fig none and -h exit 0. The runner executes each spec once
+// and a run's outcome depends only on its spec, so it takes no retry
+// flags and no wall deadline.
 func TestFlagErrorsExitUsage(t *testing.T) {
 	for _, tc := range []struct {
 		args   []string
@@ -35,6 +36,7 @@ func TestFlagErrorsExitUsage(t *testing.T) {
 		{[]string{"-fig", "bogus"}, 2, `unknown -fig id "bogus"`},
 		{[]string{"-fig", "none", "-retries", "2"}, 2, "flag provided but not defined: -retries"},
 		{[]string{"-fig", "none", "-backoff", "1s"}, 2, "flag provided but not defined: -backoff"},
+		{[]string{"-fig", "none", "-spec-wall", "5m"}, 2, "flag provided but not defined: -spec-wall"},
 	} {
 		cmd := exec.Command(os.Args[0], tc.args...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")

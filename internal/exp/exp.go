@@ -11,7 +11,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -47,7 +46,7 @@ type FailedCell struct {
 	DSA      string
 	Workload string
 	Kind     dsa.Kind
-	Fail     string // taxonomy kind: stall, invariant, panic, deadline, validation, ...
+	Fail     string // taxonomy kind: stall, invariant, panic, spec, validation, ...
 	Err      string
 }
 
@@ -131,17 +130,20 @@ func SweepSpecs(scale int) []runner.Spec {
 // RunSweep executes every (DSA, workload, idiom) combination of Fig 14
 // on the given runner. Results are ordered and validated identically to
 // the historical serial path regardless of the runner's worker count.
+// It is RunSweepPartial under a strict policy: the first failed cell in
+// spec order is the error.
 func RunSweep(r *runner.Runner, scale int) (*Sweep, error) {
-	results, err := r.Run(SweepSpecs(scale))
+	return strict(RunSweepPartial(r, scale))
+}
+
+// strict applies RunSweep's policy to a folded sweep and its error.
+func strict(sw *Sweep, err error) (*Sweep, error) {
+	if err == nil && len(sw.Failed) > 0 {
+		f := sw.Failed[0]
+		err = fmt.Errorf("exp: sweep cell %s/%s[%s] failed: %s", f.DSA, f.Workload, f.Kind, f.Err)
+	}
 	if err != nil {
 		return nil, err
-	}
-	sw := &Sweep{Scale: scale}
-	for _, res := range results {
-		if !res.Checked {
-			return nil, fmt.Errorf("exp: %s/%s[%s] failed functional validation", res.DSA, res.Workload, res.Kind)
-		}
-		sw.Results = append(sw.Results, res)
 	}
 	return sw, nil
 }
@@ -152,9 +154,15 @@ func RunSweep(r *runner.Runner, scale int) (*Sweep, error) {
 // instead of aborting the batch. Successful cells keep the strict
 // sweep's order and values (a clean partial sweep is byte-identical to
 // RunSweep's). It errors only when not a single cell survived.
-func RunSweepPartial(ctx context.Context, r *runner.Runner, scale int) (*Sweep, error) {
+func RunSweepPartial(r *runner.Runner, scale int) (*Sweep, error) {
 	specs := SweepSpecs(scale)
-	outs := r.RunAll(ctx, specs)
+	return foldSweep(scale, specs, r.RunAll(specs))
+}
+
+// foldSweep files outs[i], the outcome of specs[i], into a Sweep: a
+// result that matched its reference model joins Results, and a runner
+// failure or a validation mismatch joins Failed, both in spec order.
+func foldSweep(scale int, specs []runner.Spec, outs []runner.Outcome) (*Sweep, error) {
 	sw := &Sweep{Scale: scale}
 	for i, o := range outs {
 		s := specs[i]

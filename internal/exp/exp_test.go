@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -182,15 +183,34 @@ func TestStaticTables(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsBrokenRuns: a cell that completed but did not match
+// its reference model (Checked false) is kept out of Results, filed as a
+// validation failure, and fails the strict sweep naming the cell.
 func TestSweepRejectsBrokenRuns(t *testing.T) {
-	r := dsa.Result{DSA: "X", Workload: "w", Kind: dsa.KindXCache, Checked: false}
-	sw := &Sweep{}
-	// Emulate the add-path contract: unchecked results must not enter.
-	if r.Checked {
-		sw.Results = append(sw.Results, r)
+	specs := SweepSpecs(testScale)[:3]
+	outs := make([]runner.Outcome, len(specs))
+	for i, s := range specs {
+		outs[i].Res = dsa.Result{DSA: s.DSA, Workload: s.Workload, Kind: s.Kind, Cycles: 100, Checked: i != 1}
 	}
-	if len(sw.Results) != 0 {
+	broken := specs[1]
+	sw, err := foldSweep(testScale, specs, outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sw.Results) != 2 {
+		t.Fatalf("%d results admitted, want the 2 checked ones", len(sw.Results))
+	}
+	if _, ok := sw.Get(broken.DSA, broken.Workload, broken.Kind); ok {
 		t.Fatal("unchecked result admitted")
+	}
+	if len(sw.Failed) != 1 || sw.Failed[0].Fail != "validation" ||
+		sw.Failed[0].DSA != broken.DSA || sw.Failed[0].Workload != broken.Workload || sw.Failed[0].Kind != broken.Kind {
+		t.Fatalf("broken cell not filed as a validation failure: %+v", sw.Failed)
+	}
+	_, err = strict(foldSweep(testScale, specs, outs))
+	cell := fmt.Sprintf("%s/%s[%s]", broken.DSA, broken.Workload, broken.Kind)
+	if err == nil || !strings.Contains(err.Error(), cell) {
+		t.Fatalf("strict sweep error %v does not name the broken cell %s", err, cell)
 	}
 }
 

@@ -1,8 +1,9 @@
 package exp
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 // annotation rows or notes), so the golden snapshots cover both paths.
 func TestPartialSweepCleanMatchesStrict(t *testing.T) {
 	strict := sweep(t)
-	partial, err := RunSweepPartial(context.Background(), testRunner, testScale)
+	partial, err := RunSweepPartial(testRunner, testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,20 +40,27 @@ func TestPartialSweepCleanMatchesStrict(t *testing.T) {
 	}
 }
 
-// TestPartialSweepAllCellsFailed: when not a single cell survives (here:
-// the context is already canceled), the partial sweep errors instead of
-// returning an empty, plausible-looking result set.
+// TestPartialSweepAllCellsFailed: when not a single cell survives, the
+// partial sweep errors instead of returning an empty, plausible-looking
+// result set. Runner failures and validation mismatches both count.
 func TestPartialSweepAllCellsFailed(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	// A fresh runner: no warm cache entries, so every cell fails fast
-	// with FailCanceled and no simulation actually runs.
-	_, err := RunSweepPartial(ctx, runner.New(1), testScale)
+	specs := SweepSpecs(testScale)
+	outs := make([]runner.Outcome, len(specs))
+	for i, s := range specs {
+		if i%2 == 0 {
+			outs[i].Err = &runner.RunError{Key: s.Key(), Kind: runner.FailStall, Err: errors.New("scripted wedge")}
+		} else {
+			outs[i].Res = dsa.Result{DSA: s.DSA, Workload: s.Workload, Kind: s.Kind, Checked: false}
+		}
+	}
+	_, err := foldSweep(testScale, specs, outs)
 	if err == nil {
 		t.Fatal("fully failed sweep returned no error")
 	}
-	if !strings.Contains(err.Error(), "all") || !strings.Contains(err.Error(), "canceled") {
-		t.Errorf("error does not describe the total failure: %v", err)
+	for _, want := range []string{fmt.Sprintf("all %d sweep cells failed", len(specs)), specs[0].DSA, "stall"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
 	}
 }
 
@@ -112,7 +120,7 @@ func TestFiguresSurviveFullyDegradedSweep(t *testing.T) {
 	for _, r := range sweep(t).Results {
 		sw.Failed = append(sw.Failed, FailedCell{
 			DSA: r.DSA, Workload: r.Workload, Kind: r.Kind,
-			Fail: "deadline", Err: "scripted",
+			Fail: "budget", Err: "scripted",
 		})
 	}
 	for _, out := range []*Out{Fig4(sw), Fig14(sw), Fig15(sw), Fig16(sw)} {

@@ -1,10 +1,8 @@
 package runner
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"xcache/internal/check"
 	"xcache/internal/ctrl"
@@ -23,8 +21,6 @@ const (
 	FailOverflow           // recovered queue-overflow panic (check.FailOverflow)
 	FailBudget             // simulation cycle budget exhausted (check.FailBudget)
 	FailPanic              // per-worker panic recovered by the pool
-	FailDeadline           // per-spec wall deadline exceeded
-	FailCanceled           // context canceled before/while the spec ran
 	FailSpec               // malformed spec: unknown DSA, workload, or kind
 	FailTrap               // structural microcode trap (check.FailTrap / ctrl.Trap)
 )
@@ -42,10 +38,6 @@ func (k FailKind) String() string {
 		return "budget"
 	case FailPanic:
 		return "panic"
-	case FailDeadline:
-		return "deadline"
-	case FailCanceled:
-		return "canceled"
 	case FailSpec:
 		return "spec"
 	case FailTrap:
@@ -84,29 +76,16 @@ func (p *panicError) Error() string {
 	return fmt.Sprintf("recovered panic: %v\n%s", p.val, p.stack)
 }
 
-// deadlineError marks a spec that overran its per-spec wall deadline.
-// The simulation goroutine keeps running detached (a cycle-level kernel
-// cannot be preempted) but the worker slot is released, so a runaway run
-// degrades to a typed error instead of hanging the pool.
-type deadlineError struct {
-	limit time.Duration
-}
-
-func (d *deadlineError) Error() string {
-	return fmt.Sprintf("spec wall deadline (%s) exceeded; simulation abandoned", d.limit)
-}
-
 // classify folds an execution error into the taxonomy. Supervised
 // aborts keep their check kind whether or not the spec injects faults.
 // No kind is retried: a run is a pure function of its spec, fault rolls
-// included, so only a wall deadline or a cancellation could end
-// differently on re-execution, and the runner evicts every failure so a
-// later request executes the spec afresh.
+// included, so every failure would recur on re-execution.
 func classify(s Spec, err error) *RunError {
 	re := &RunError{Key: s.Key(), Err: err}
 
 	var cf *check.Failure
 	var trap *ctrl.Trap
+	var pe *panicError
 	switch {
 	case errors.As(err, &cf):
 		re.Report = cf.Report
@@ -125,19 +104,10 @@ func classify(s Spec, err error) *RunError {
 	case errors.As(err, &trap):
 		// An unsupervised run surfaced the controller's trap directly.
 		re.Kind = FailTrap
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		re.Kind = FailCanceled
+	case errors.As(err, &pe):
+		re.Kind = FailPanic
 	default:
-		var pe *panicError
-		var de *deadlineError
-		switch {
-		case errors.As(err, &pe):
-			re.Kind = FailPanic
-		case errors.As(err, &de):
-			re.Kind = FailDeadline
-		default:
-			re.Kind = FailSpec
-		}
+		re.Kind = FailSpec
 	}
 	return re
 }

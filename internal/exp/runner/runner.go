@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -23,11 +22,11 @@ import (
 // spec, again independent of scheduling.
 //
 // Resilience: each spec executes once, and its failure resolves to a
-// structured *RunError. Worker panics are isolated to their spec,
-// failed entries are evicted instead of poisoning the memo table, a
-// per-spec wall deadline degrades a runaway run to a typed error instead
-// of hanging the pool, and completed results can be journaled to a
-// crash-safe on-disk checkpoint for resume.
+// structured *RunError. A failure is a pure function of its spec, so it
+// is memoised like a result: a failing point shared by several figures
+// also executes once. Worker panics are isolated to their spec, and
+// completed results can be journaled to a crash-safe on-disk checkpoint
+// for resume.
 type Runner struct {
 	cfg  Config
 	ckpt *Checkpoint
@@ -50,10 +49,6 @@ type Config struct {
 	// content-addressed on-disk store and consults it before executing,
 	// so an interrupted sweep resumes instead of recomputing.
 	CheckpointDir string
-	// SpecWall is the per-spec wall-clock deadline; 0 disables it. A spec
-	// exceeding it fails with FailDeadline and its simulation goroutine
-	// is abandoned, freeing the worker slot.
-	SpecWall time.Duration
 }
 
 // entry is one content-addressed cache slot. done closes when the
@@ -99,7 +94,7 @@ func (r *Runner) Workers() int { return r.cfg.Workers }
 
 // One executes a single spec (through the cache).
 func (r *Runner) One(s Spec) (dsa.Result, error) {
-	res, rerr := r.resolve(context.Background(), s)
+	res, rerr := r.resolve(s)
 	if rerr != nil {
 		return dsa.Result{}, rerr
 	}
@@ -118,7 +113,7 @@ type Outcome struct {
 // lowest-indexed failing spec is returned (the remaining specs still
 // run to completion so the cache stays warm for later requests).
 func (r *Runner) Run(specs []Spec) ([]dsa.Result, error) {
-	outs := r.RunAll(context.Background(), specs)
+	outs := r.RunAll(specs)
 	results := make([]dsa.Result, len(outs))
 	for i, o := range outs {
 		if o.Err != nil {
@@ -132,15 +127,12 @@ func (r *Runner) Run(specs []Spec) ([]dsa.Result, error) {
 // RunAll is the graceful-degradation entry point: every spec runs to a
 // terminal Outcome — result or classified *RunError — and no failure
 // aborts the batch. Outcomes are in spec order; successful cells obey
-// the same determinism contract as Run. Cancelling ctx makes unstarted
-// specs fail fast with FailCanceled and abandons in-flight simulations,
-// so a sweep can be interrupted (and later resumed from a checkpoint)
-// without waiting for the full matrix.
-func (r *Runner) RunAll(ctx context.Context, specs []Spec) []Outcome {
+// the same determinism contract as Run.
+func (r *Runner) RunAll(specs []Spec) []Outcome {
 	n := len(specs)
 	outs := make([]Outcome, n)
 	do := func(i int) {
-		res, rerr := r.resolve(ctx, specs[i])
+		res, rerr := r.resolve(specs[i])
 		if rerr != nil {
 			outs[i] = Outcome{Err: rerr}
 		} else {
@@ -177,23 +169,17 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) []Outcome {
 	return outs
 }
 
-// resolve returns the result for s, executing it (with panic isolation
-// and deadline supervision) if no other request has, or
-// waiting on / reusing the cached run otherwise.
-func (r *Runner) resolve(ctx context.Context, s Spec) (dsa.Result, *RunError) {
+// resolve returns the outcome for s, executing it (with panic isolation)
+// if no other request has, or waiting on / reusing the cached run
+// otherwise.
+func (r *Runner) resolve(s Spec) (dsa.Result, *RunError) {
 	key := s.Hash()
 	r.mu.Lock()
 	if e, ok := r.cache[key]; ok {
 		r.stats.Cached++
 		r.mu.Unlock()
-		select {
-		case <-e.done:
-			return e.res, e.err
-		case <-ctx.Done():
-			// The in-flight run keeps going (its own resolve owns it);
-			// this requester gives up waiting.
-			return dsa.Result{}, classify(s, ctx.Err())
-		}
+		<-e.done
+		return e.res, e.err
 	}
 	e := &entry{done: make(chan struct{})}
 	r.cache[key] = e
@@ -219,7 +205,7 @@ func (r *Runner) resolve(ctx context.Context, s Spec) (dsa.Result, *RunError) {
 	r.mu.Unlock()
 
 	start := time.Now()
-	res, err := r.execOne(ctx, s)
+	res, err := r.execShielded(s)
 	run := RunStat{Key: s.Key(), Wall: time.Since(start)}
 	var rerr *RunError
 	if err != nil {
@@ -238,11 +224,7 @@ func (r *Runner) resolve(ctx context.Context, s Spec) (dsa.Result, *RunError) {
 	r.stats.Wall += run.Wall
 	r.stats.Runs = append(r.stats.Runs, run)
 	if rerr != nil {
-		// Evict: a failed simulation is never memoised, so a later
-		// request re-executes it (a cancellation or wall-deadline overrun
-		// is not a function of the spec).
 		r.stats.Failed++
-		delete(r.cache, key)
 	} else {
 		r.stats.SimCycles += res.Cycles
 	}
@@ -263,44 +245,6 @@ func (r *Runner) resolve(ctx context.Context, s Spec) (dsa.Result, *RunError) {
 	return res, rerr
 }
 
-// execOne performs a single supervised execution: panic-shielded, and —
-// when a deadline or cancellable context applies — raced against the
-// per-spec wall timer and ctx. On timeout or cancellation the simulation
-// goroutine is abandoned (a cycle-level kernel cannot be preempted); it
-// finishes on its own and its result is discarded, but the worker slot
-// is released immediately, so the pool never hangs on a runaway run.
-func (r *Runner) execOne(ctx context.Context, s Spec) (dsa.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return dsa.Result{}, err
-	}
-	if r.cfg.SpecWall <= 0 && ctx.Done() == nil {
-		return r.execShielded(s)
-	}
-	type outT struct {
-		res dsa.Result
-		err error
-	}
-	ch := make(chan outT, 1)
-	go func() {
-		res, err := r.execShielded(s)
-		ch <- outT{res, err}
-	}()
-	var timeout <-chan time.Time
-	if r.cfg.SpecWall > 0 {
-		t := time.NewTimer(r.cfg.SpecWall)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-timeout:
-		return dsa.Result{}, &deadlineError{limit: r.cfg.SpecWall}
-	case <-ctx.Done():
-		return dsa.Result{}, ctx.Err()
-	}
-}
-
 // execShielded isolates a per-spec panic to that spec.
 func (r *Runner) execShielded(s Spec) (res dsa.Result, err error) {
 	defer func() {
@@ -319,23 +263,4 @@ func (r *Runner) Stats() Stats {
 	s.Runs = append([]RunStat(nil), r.stats.Runs...)
 	s.Workers = r.cfg.Workers
 	return s
-}
-
-// cachedFailures counts failed entries still resident in the memo table.
-// The taxonomy's eviction contract keeps this at zero once all in-flight
-// runs settle; the fault-matrix soak asserts it.
-func (r *Runner) cachedFailures() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, e := range r.cache {
-		select {
-		case <-e.done:
-			if e.err != nil {
-				n++
-			}
-		default:
-		}
-	}
-	return n
 }

@@ -64,7 +64,10 @@ func TestOneExecutesAndCaches(t *testing.T) {
 	}
 }
 
-func TestFailedEntriesEvictedNotMemoised(t *testing.T) {
+// TestFailedEntriesMemoised: a failure is a pure function of its spec,
+// so a failing spec requested twice executes once and the second request
+// is served the memoised error.
+func TestFailedEntriesMemoised(t *testing.T) {
 	r := New(2)
 	_, err1 := r.One(badSpec())
 	_, err2 := r.One(badSpec())
@@ -72,16 +75,11 @@ func TestFailedEntriesEvictedNotMemoised(t *testing.T) {
 		t.Fatal("bad spec did not error")
 	}
 	if err1.Error() != err2.Error() {
-		t.Fatalf("deterministic failure diverged: %v vs %v", err1, err2)
+		t.Fatalf("memoised failure diverged: %v vs %v", err1, err2)
 	}
-	// The failure must have been evicted, so the second request
-	// re-executes instead of being served the memoised error.
 	st := r.Stats()
-	if st.Launched != 2 || st.Cached != 0 || st.Failed != 2 {
-		t.Fatalf("stats %+v, want 2 launched / 0 cached / 2 failed", st)
-	}
-	if n := r.cachedFailures(); n != 0 {
-		t.Fatalf("%d failed entries survive in the cache", n)
+	if st.Launched != 1 || st.Cached != 1 || st.Failed != 1 || len(st.Runs) != 1 {
+		t.Fatalf("stats %+v, want 1 launched / 1 cached / 1 failed", st)
 	}
 }
 

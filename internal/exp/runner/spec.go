@@ -2,8 +2,9 @@
 // internal/exp: every table/figure entry point decomposes into
 // independent Specs (DSA × workload × idiom × scale × overrides), the
 // Runner executes them across a worker pool with per-run isolated
-// sim.Kernel/dram/check instances, memoises results in a
-// content-addressed cache keyed by the canonical spec hash, and merges
+// sim.Kernel/dram/check instances, memoises outcomes (results and
+// failures) in a content-addressed cache keyed by the canonical spec
+// hash, and merges
 // results deterministically by spec order — output is byte-identical to
 // serial execution regardless of worker count or completion order.
 package runner

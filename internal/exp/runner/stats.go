@@ -17,10 +17,11 @@ import (
 // Counter contract (pinned by TestStatsConsistencyUnderFailure): every
 // resolve request increments exactly one of Launched, Cached or Resumed,
 // and each launch executes its spec exactly once, so Runs has one record
-// per launch. Failed counts launches that failed; each failed entry is
-// evicted from the memo table. Checkpointed counts successful journal
-// writes; CheckpointErrs successful runs whose journal write failed (the
-// in-memory result is still served).
+// per launch. Failed counts launches that failed; a failure is memoised
+// like a result, so a repeated request for a failed spec counts as
+// Cached. Checkpointed counts successful journal writes; CheckpointErrs
+// successful runs whose journal write failed (the in-memory result is
+// still served).
 type Stats struct {
 	Workers     int
 	Launched    int

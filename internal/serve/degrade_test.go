@@ -136,13 +136,10 @@ func TestChannelOutageRecovery(t *testing.T) {
 	}
 }
 
-// TestDegradedErrorType: the typed error wraps ErrDegraded and carries
-// the channel context.
+// TestDegradedErrorType: the typed error carries the channel context,
+// and its text is what the report's degraded.errors strings hold.
 func TestDegradedErrorType(t *testing.T) {
 	err := error(&DegradedError{Channel: 1, Cycle: 20512, Reason: "no progress for 512 cycles"})
-	if !errors.Is(err, ErrDegraded) {
-		t.Fatal("DegradedError does not unwrap to ErrDegraded")
-	}
 	var de *DegradedError
 	if !errors.As(err, &de) || de.Channel != 1 || de.Cycle != 20512 {
 		t.Fatalf("errors.As lost fields: %+v", de)
@@ -221,8 +218,8 @@ func TestMuxFailover(t *testing.T) {
 	if !ok && lost > stuck {
 		t.Fatalf("%d requests missing but only %d stuck in the dead channel", lost, stuck)
 	}
-	if m.degraded() == nil {
-		t.Fatal("mux.degraded() nil with a quarantined channel")
+	if !m.degraded() {
+		t.Fatal("mux.degraded() false with a quarantined channel")
 	}
 }
 

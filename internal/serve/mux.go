@@ -343,20 +343,14 @@ func (m *dramMux) Tick(c sim.Cycle) {
 	}
 }
 
-// degraded reports whether any channel is currently not healthy, with
-// the first still-standing quarantine's typed error.
-func (m *dramMux) degraded() *DegradedError {
-	for ci, ch := range m.chans {
+// degraded reports whether any channel is currently not healthy.
+func (m *dramMux) degraded() bool {
+	for _, ch := range m.chans {
 		if ch.health != chanHealthy {
-			for _, e := range m.errs {
-				if e.Channel == ci {
-					return e
-				}
-			}
-			return &DegradedError{Channel: ci, Cycle: uint64(ch.quarantinedAt), Reason: "quarantined"}
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // DiagnoseName implements check.Diagnoser.

@@ -182,7 +182,7 @@ type ChannelReport struct {
 
 // DegradedReport summarises channel failover activity (present only
 // when at least one channel was quarantined during the run). Errors
-// holds the typed ErrDegraded records, in quarantine order.
+// holds the text of the *DegradedError records, in quarantine order.
 type DegradedReport struct {
 	DegradedCycles uint64   `json:"degraded_cycles"` // cycles with ≥1 unhealthy channel
 	Resteered      uint64   `json:"resteered"`
@@ -353,7 +353,7 @@ func (s *Service) report() *Report {
 	if quarantines > 0 {
 		dr := &DegradedReport{
 			DegradedCycles: s.mux.degradedCycles, Resteered: s.mux.resteered,
-			Quarantines: quarantines, EndedDegraded: s.mux.degraded() != nil,
+			Quarantines: quarantines, EndedDegraded: s.mux.degraded(),
 		}
 		for _, e := range s.mux.errs {
 			dr.Errors = append(dr.Errors, e.Error())

@@ -8,7 +8,8 @@
 //     (forwarding stops on a full controller queue; admission sheds
 //     beyond priority-scaled depth thresholds),
 //   - admission control: per-tenant token buckets plus queue-depth load
-//     shedding, every rejection a typed *OverloadError (ErrOverload),
+//     shedding, every rejection counted per tenant by its reason
+//     (breaker, SLO, rate or queue),
 //   - per-request deadlines with budgeted timeout/retry/backoff: a
 //     timed-out attempt retries, a trap casualty does not,
 //   - a per-shard circuit breaker that trips on sustained trap/timeout
@@ -661,53 +662,36 @@ func (s *Service) accept(c sim.Cycle, ti int, key uint64) {
 	shard := s.shardOf(key)
 	sh := s.shards[shard]
 
-	probe := false
-	if err := func() *OverloadError {
-		ok, pr := sh.br.admit()
-		if !ok {
-			return &OverloadError{Tenant: ti, Shard: shard, Reason: ShedBreaker}
-		}
-		probe = pr
-		if t.tokens < 1 {
-			// An empty bucket under a throttled factor is the governor's
-			// doing: the tenant is being shed to protect its latency
-			// budget, not because it exceeded its contracted rate.
-			if t.slo > 0 && t.sloFactor < 1 {
-				return &OverloadError{Tenant: ti, Shard: shard, Reason: ShedSLO}
-			}
-			return &OverloadError{Tenant: ti, Shard: shard, Reason: ShedRate}
-		}
+	// A shed is counted under the first check that refuses it: breaker,
+	// then bucket (SLO or rate), then queue depth.
+	ok, probe := sh.br.admit()
+	switch {
+	case !ok:
+		t.shedBreaker++
+	case t.tokens < 1 && t.slo > 0 && t.sloFactor < 1:
+		// An empty bucket under a throttled factor is the governor's
+		// doing: the tenant is being shed to protect its latency
+		// budget, not because it exceeded its contracted rate.
+		t.shedSLO++
+	case t.tokens < 1:
+		t.shedRate++
+	case sh.ingress.Len()+sh.ingress.StagedLen() >= t.depthLimit(s.Cfg.IngressDepth) || !sh.ingress.CanPush():
 		// Priority-scaled depth threshold (shrunk further by the SLO
 		// factor): lower priorities shed first as the queue grows.
-		if sh.ingress.Len()+sh.ingress.StagedLen() >= t.depthLimit(s.Cfg.IngressDepth) || !sh.ingress.CanPush() {
-			return &OverloadError{Tenant: ti, Shard: shard, Reason: ShedQueue}
+		t.shedQueue++
+	default:
+		t.tokens--
+		id := s.nextID
+		s.nextID++
+		s.reqs[id] = &reqState{
+			id: id, tenant: int32(ti), shard: int32(shard), probe: probe,
+			key: key, gen: c, deadline: c + sim.Cycle(s.Cfg.Deadline),
 		}
-		return nil
-	}(); err != nil {
-		switch err.Reason {
-		case ShedBreaker:
-			t.shedBreaker++
-		case ShedRate:
-			t.shedRate++
-		case ShedQueue:
-			t.shedQueue++
-		case ShedSLO:
-			t.shedSLO++
-		}
-		s.shed++
+		s.pending++
+		sh.ingress.MustPush(id) // admission just verified CanPush
 		return
 	}
-
-	t.tokens--
-	id := s.nextID
-	s.nextID++
-	st := &reqState{
-		id: id, tenant: int32(ti), shard: int32(shard), probe: probe,
-		key: key, gen: c, deadline: c + sim.Cycle(s.Cfg.Deadline),
-	}
-	s.reqs[id] = st
-	s.pending++
-	sh.ingress.MustPush(id) // admission just verified CanPush
+	s.shed++
 }
 
 func (s *Service) forward(c sim.Cycle) {
@@ -875,17 +859,6 @@ func (s *Service) Diagnose() []string {
 			sh.idx, sh.br.state, sh.br.trips, sh.ingress.Len(), len(sh.inflight)-sh.head, sh.timeouts))
 	}
 	return out
-}
-
-// Degraded returns the typed *DegradedError for the first channel still
-// quarantined or probing, or nil when every channel is healthy. It
-// unwraps to ErrDegraded. Degradation is survivable by design, so it is
-// surfaced here (and in the report) rather than failing Run.
-func (s *Service) Degraded() error {
-	if e := s.mux.degraded(); e != nil {
-		return e
-	}
-	return nil
 }
 
 // done: the arrival window has closed and every accepted request has

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -219,23 +218,6 @@ func TestBackpressure(t *testing.T) {
 	sh := r.Shards[0]
 	if sh.BPCycles == 0 && r.Totals.Shed == 0 {
 		t.Error("expected backpressure or shedding with a depth-8 ingress at high load")
-	}
-}
-
-// TestOverloadErrorType: the typed error wraps ErrOverload and carries
-// the shed context.
-func TestOverloadErrorType(t *testing.T) {
-	err := error(&OverloadError{Tenant: 3, Shard: 1, Reason: ShedQueue})
-	if !errors.Is(err, ErrOverload) {
-		t.Fatal("OverloadError does not unwrap to ErrOverload")
-	}
-	var oe *OverloadError
-	if !errors.As(err, &oe) || oe.Tenant != 3 || oe.Shard != 1 || oe.Reason != ShedQueue {
-		t.Fatalf("errors.As lost fields: %+v", oe)
-	}
-	want := "serve: overload: tenant 3 shed at shard 1 (queue)"
-	if err.Error() != want {
-		t.Fatalf("Error() = %q, want %q", err.Error(), want)
 	}
 }
 

@@ -157,11 +157,16 @@ func (k *Kernel) RunUntil(done func() bool, max int) bool {
 // cycle. Capacity counts committed plus staged entries, so producers see
 // back-pressure immediately.
 type Queue[T any] struct {
-	name   string
-	cap    int
-	k      *Kernel
-	items  []T
-	staged []T
+	name string
+	cap  int
+	k    *Kernel
+	// ring holds the n committed entries from slot head on, followed by
+	// the staged ones. It has cap slots and is allocated on the first
+	// push, so an idle queue holds no backing array.
+	ring   []T
+	head   int
+	n      int
+	staged int
 	clog   func() bool // fault hook: true → report full this cycle
 
 	// Stats.
@@ -188,14 +193,14 @@ func (q *Queue[T]) Name() string { return q.name }
 func (q *Queue[T]) Cap() int { return q.cap }
 
 // Len returns the number of committed (poppable) entries.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.n }
 
 // CanPush reports whether a push this cycle would be accepted.
 func (q *Queue[T]) CanPush() bool {
 	if q.clog != nil && q.clog() {
 		return false
 	}
-	return len(q.items)+len(q.staged) < q.cap
+	return q.n+q.staged < q.cap
 }
 
 // Free returns how many pushes would currently be accepted.
@@ -203,7 +208,7 @@ func (q *Queue[T]) Free() int {
 	if q.clog != nil && q.clog() {
 		return 0
 	}
-	return q.cap - len(q.items) - len(q.staged)
+	return q.cap - q.n - q.staged
 }
 
 // SetClog installs a fault hook: while f reports true the queue refuses
@@ -217,12 +222,17 @@ func (q *Queue[T]) Push(v T) bool {
 	if !q.CanPush() {
 		return false
 	}
-	q.staged = append(q.staged, v)
+	if q.ring == nil {
+		q.ring = make([]T, q.cap)
+	}
+	q.ring[q.slot(q.n+q.staged)] = v
+	q.staged++
 	q.pushes++
 	// The high-water mark tracks peak occupancy including staged entries:
 	// this is the occupancy producers see through CanPush, so a queue that
-	// fills and drains within one cycle still records the pressure.
-	if occ := len(q.items) + len(q.staged); occ > q.maxLen {
+	// fills and drains within one cycle still records the pressure. It
+	// also bounds every committed length, so commit need not track it.
+	if occ := q.n + q.staged; occ > q.maxLen {
 		q.maxLen = occ
 	}
 	return true
@@ -236,43 +246,41 @@ func (q *Queue[T]) MustPush(v T) {
 	if !q.Push(v) {
 		panic(&QueueFullError{
 			Queue: q.name, Cycle: q.k.cycle,
-			Occupancy: len(q.items), Staged: len(q.staged),
+			Occupancy: q.n, Staged: q.staged,
 			Cap: q.cap, MaxLen: q.maxLen,
 		})
 	}
 }
 
-// Peek returns the head without consuming it. ok is false when empty.
-func (q *Queue[T]) Peek() (v T, ok bool) {
-	if len(q.items) == 0 {
-		return v, false
+// slot maps the i-th entry from the head (i < cap) to its ring index.
+func (q *Queue[T]) slot(i int) int {
+	if i += q.head; i >= q.cap {
+		i -= q.cap
 	}
-	return q.items[0], true
+	return i
 }
 
-// shrinkCap is the backing-array size above which a drained queue
-// re-allocates a smaller array (bounds memory on million-cycle runs).
-const shrinkCap = 32
+// Peek returns the head without consuming it. ok is false when empty.
+func (q *Queue[T]) Peek() (v T, ok bool) {
+	if q.n == 0 {
+		return v, false
+	}
+	return q.ring[q.head], true
+}
 
 // Pop consumes and returns the head. ok is false when empty.
 func (q *Queue[T]) Pop() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return v, false
 	}
-	v = q.items[0]
-	// Shift rather than re-slice so the backing array does not grow
-	// without bound over long simulations, and zero the vacated slot so
-	// element payloads (e.g. fill data slices) become collectable.
-	copy(q.items, q.items[1:])
+	v = q.ring[q.head]
+	// Zero the vacated slot so element payloads (e.g. fill data slices)
+	// become collectable.
 	var zero T
-	q.items[len(q.items)-1] = zero
-	q.items = q.items[:len(q.items)-1]
+	q.ring[q.head] = zero
+	q.head = q.slot(1)
+	q.n--
 	q.pops++
-	if cap(q.items) >= shrinkCap && len(q.items) <= cap(q.items)/4 {
-		shrunk := make([]T, len(q.items), 2*len(q.items)+1)
-		copy(shrunk, q.items)
-		q.items = shrunk
-	}
 	return v, true
 }
 
@@ -287,15 +295,9 @@ func (q *Queue[T]) Pops() uint64 { return q.pops }
 func (q *Queue[T]) MaxLen() int { return q.maxLen }
 
 // StagedLen returns the number of staged (uncommitted) entries.
-func (q *Queue[T]) StagedLen() int { return len(q.staged) }
+func (q *Queue[T]) StagedLen() int { return q.staged }
 
 func (q *Queue[T]) commit() {
-	if len(q.staged) > 0 {
-		q.items = append(q.items, q.staged...)
-		clear(q.staged) // release element payload references
-		q.staged = q.staged[:0]
-	}
-	if len(q.items) > q.maxLen {
-		q.maxLen = len(q.items)
-	}
+	q.n += q.staged
+	q.staged = 0
 }

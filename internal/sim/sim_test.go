@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -324,24 +325,93 @@ func TestMaxLenCountsStagedOccupancy(t *testing.T) {
 	}
 }
 
-func TestPopShrinksBackingArray(t *testing.T) {
+// TestQueueFillDrainAllocatesNothing gates the queue's steady state: once
+// the ring exists, pushing, committing and popping allocate nothing.
+func TestQueueFillDrainAllocatesNothing(t *testing.T) {
 	k := NewKernel()
-	q := NewQueue[int](k, "q", 4096)
-	for i := 0; i < 2048; i++ {
-		q.MustPush(i)
-	}
-	k.Step()
-	for i := 0; i < 2040; i++ {
-		if _, ok := q.Pop(); !ok {
-			t.Fatalf("pop %d failed", i)
+	q := NewQueue[int](k, "q", 64)
+	round := func() {
+		for i := 0; i < 40; i++ {
+			q.MustPush(i)
+		}
+		k.Step()
+		for i := 0; i < 40; i++ {
+			if _, ok := q.Pop(); !ok {
+				t.Fatalf("pop %d of 40 failed", i)
+			}
 		}
 	}
-	if c := cap(q.items); c > 64 {
-		t.Fatalf("backing array cap=%d after drain to len=%d; shrink did not engage", c, q.Len())
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("fill-and-drain round allocates %v times, want 0", n)
 	}
-	// The queue still works after shrinking.
-	if v, ok := q.Pop(); !ok || v != 2040 {
-		t.Fatalf("post-shrink pop: got (%d,%v), want (2040,true)", v, ok)
+}
+
+// TestQueueMatchesSliceModel drives seeded random Push/Pop/Peek/Step
+// sequences against a plain-slice model of the registered FIFO and
+// compares every observable after every call. Phases alternate between
+// filling and draining, so the ring wraps and the queue runs full.
+func TestQueueMatchesSliceModel(t *testing.T) {
+	for _, capacity := range []int{1, 3, 8} {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		k := NewKernel()
+		q := NewQueue[int](k, "q", capacity)
+		var committed, staged []int
+		var pushes, pops uint64
+		maxLen, refused, next := 0, 0, 0
+		check := func(op string) {
+			t.Helper()
+			if q.Len() != len(committed) || q.StagedLen() != len(staged) ||
+				q.Free() != capacity-len(committed)-len(staged) ||
+				q.CanPush() != (len(committed)+len(staged) < capacity) ||
+				q.Pushes() != pushes || q.Pops() != pops || q.MaxLen() != maxLen {
+				t.Fatalf("cap %d after %s: queue len %d staged %d free %d pushes %d pops %d maxLen %d; model %v staged %v pushes %d pops %d maxLen %d",
+					capacity, op, q.Len(), q.StagedLen(), q.Free(), q.Pushes(), q.Pops(), q.MaxLen(),
+					committed, staged, pushes, pops, maxLen)
+			}
+		}
+		for i := 0; i < 4000; i++ {
+			fill := (i/50)%2 == 0
+			switch r := rng.Intn(10); {
+			case r < 4 && fill || r < 2:
+				ok := q.Push(next)
+				if want := len(committed)+len(staged) < capacity; ok != want {
+					t.Fatalf("cap %d: Push(%d) = %v, model says %v", capacity, next, ok, want)
+				}
+				if ok {
+					staged = append(staged, next)
+					pushes++
+					maxLen = max(maxLen, len(committed)+len(staged))
+				} else {
+					refused++
+				}
+				next++
+				check("Push")
+			case r < 7:
+				v, ok := q.Pop()
+				if ok != (len(committed) > 0) || ok && v != committed[0] {
+					t.Fatalf("cap %d: Pop = (%d, %v), model head %v", capacity, v, ok, committed)
+				}
+				if ok {
+					committed = committed[1:]
+					pops++
+				}
+				check("Pop")
+			case r < 8:
+				v, ok := q.Peek()
+				if ok != (len(committed) > 0) || ok && v != committed[0] {
+					t.Fatalf("cap %d: Peek = (%d, %v), model head %v", capacity, v, ok, committed)
+				}
+				check("Peek")
+			default:
+				k.Step()
+				committed = append(committed, staged...)
+				staged = nil
+				check("Step")
+			}
+		}
+		if pops <= uint64(capacity) || refused == 0 {
+			t.Fatalf("cap %d: %d pops and %d refused pushes: the sequence never wrapped or never ran full", capacity, pops, refused)
+		}
 	}
 }
 
