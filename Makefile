@@ -83,9 +83,10 @@ approx-check:
 # the coherent hierarchy against its flat single-port oracle (including
 # the committed regression input for the grant/back-inval race);
 # FuzzDRAMSched pins the per-bank DRAM scheduler against its window-scan
-# reference in lockstep.
+# reference in lockstep; FuzzAddrCache pins the address cache and walk
+# engine against their map-MSHR, scanning reference in lockstep.
 fuzz-smoke:
-	$(GO) test -run Fuzz -count=1 ./internal/isa ./internal/ctrl ./internal/serve ./internal/approx ./internal/hier ./internal/dram
+	$(GO) test -run Fuzz -count=1 ./internal/isa ./internal/ctrl ./internal/serve ./internal/approx ./internal/hier ./internal/dram ./internal/addrcache
 
 # Open-ended fuzzing (not part of ci): 30s per target, promote anything
 # interesting from the build cache into testdata/fuzz/ before committing.
@@ -99,6 +100,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReplayTags -fuzztime 30s ./internal/approx
 	$(GO) test -fuzz FuzzCoherence -fuzztime 30s ./internal/hier
 	$(GO) test -fuzz FuzzDRAMSched -fuzztime 30s ./internal/dram
+	$(GO) test -fuzz FuzzAddrCache -fuzztime 30s ./internal/addrcache
 
 # Coherence litmus + protocol suite, race-gated: the golden-pinned litmus
 # outcomes (store buffering, message passing, load buffering, write

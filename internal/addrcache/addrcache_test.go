@@ -109,23 +109,23 @@ type chainWalk struct {
 	state  int
 }
 
-func (w *chainWalk) Next(blockBase uint64, data []uint64) (Step, *Result) {
+func (w *chainWalk) Next(blockBase uint64, data []uint64) (Step, Result, bool) {
 	switch w.state {
 	case 0: // issue head load, after optional hash compute
 		w.state = 1
 		w.cur = w.head
-		return Step{Addr: w.head, ComputeCycles: w.hash}, nil
+		return Step{Addr: w.head, ComputeCycles: w.hash}, Result{}, false
 	default:
 		off := (w.cur - blockBase) / 8
 		next, val := data[off], data[off+1]
 		if val == w.target {
-			return Step{}, &Result{Found: true, Value: val, Words: 1}
+			return Step{}, Result{Found: true, Value: val, Words: 1}, true
 		}
 		if next == 0 {
-			return Step{}, &Result{Found: false}
+			return Step{}, Result{Found: false}, true
 		}
 		w.cur = next
-		return Step{Addr: next}, nil
+		return Step{Addr: next}, Result{}, false
 	}
 }
 
@@ -298,5 +298,34 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	c.ReqQ.MustPush(Access{ID: 2, Addr: base, Issued: 0})
 	if r := await(t, k, c, 1)[0]; r.Data[0] != 42 {
 		t.Fatalf("readback after writeback: %d", r.Data[0])
+	}
+}
+
+func TestRefusedWritebackKeepsDirtyLine(t *testing.T) {
+	// 1 set, 1 way: B's fill evicts dirty A, while memory refuses every
+	// push. The fill must wait for the writeback instead of dropping A.
+	k, img, d, c := setup(t, Config{Sets: 1, Ways: 1})
+	base := img.AllocWords(16)
+	img.W64(base, 1)
+	c.ReqQ.MustPush(Access{ID: 0, Addr: base, Write: true, Data: 42})
+	await(t, k, c, 1)
+
+	c.ReqQ.MustPush(Access{ID: 1, Addr: base + 64})
+	if !k.RunUntil(func() bool { return c.Stats().Misses == 2 }, 100) {
+		t.Fatal("miss on B never issued")
+	}
+	clogged := true
+	d.Req.SetClog(func() bool { return clogged })
+	k.Run(500) // B's fill arrives and finds memory refusing A's writeback
+	if n := c.RespQ.Len(); n != 0 || c.Stats().Fills != 1 {
+		t.Fatalf("B answered (%d responses, %d fills) while A's writeback was refused", n, c.Stats().Fills)
+	}
+	clogged = false
+	if r := await(t, k, c, 1)[0]; r.ID != 1 {
+		t.Fatalf("response %d, want B's", r.ID)
+	}
+	c.ReqQ.MustPush(Access{ID: 2, Addr: base})
+	if r := await(t, k, c, 1)[0]; r.Data[0] != 42 || c.Stats().Writebacks != 1 {
+		t.Fatalf("A reads %d with %d writebacks, want 42 with 1", r.Data[0], c.Stats().Writebacks)
 	}
 }

@@ -20,24 +20,51 @@ type Result struct {
 }
 
 // Walk is a stateful data-structure traversal. Next receives the block
-// data of the previous step (nil on the first call, with the block base
-// address) and returns either the next step or a final result.
+// of the previous step (nil on the first call) with its base address,
+// and returns either the next step or, with done set, the walk's result.
+// data is a slice of an engine-owned buffer, valid only for the call:
+// the engine overwrites it before the next one.
 type Walk interface {
-	Next(blockBase uint64, data []uint64) (Step, *Result)
+	Next(blockBase uint64, data []uint64) (step Step, res Result, done bool)
 }
 
-// Job submits a walk to the engine.
+// Job submits a walk to the engine. The engine owns W from the push
+// until the job's JobResp is popped; the issuer must not touch W in
+// between.
 type Job struct {
 	ID     uint64
 	W      Walk
 	Issued sim.Cycle
 }
 
-// JobResp completes a Job.
+// JobResp completes a Job and hands its finished walk back: from the pop
+// on, W belongs to the popper again, which may reset it for a later job
+// (WalkPool).
 type JobResp struct {
 	ID     uint64
 	Result Result
+	W      Walk
 }
+
+// WalkPool recycles walks of one concrete type: a pump that Puts each
+// finished walk it pops from JobResp.W (asserted back to *T) and Gets
+// the next job's walk allocates only while its count of walks in flight
+// grows.
+type WalkPool[T any] struct{ free []*T }
+
+// Get returns a spare walk, or a new one when none is spare. A spare
+// walk holds its previous job's state; the caller overwrites it.
+func (p *WalkPool[T]) Get() *T {
+	if n := len(p.free); n > 0 {
+		w := p.free[n-1]
+		p.free = p.free[:n-1]
+		return w
+	}
+	return new(T)
+}
+
+// Put takes back a finished walk.
+func (p *WalkPool[T]) Put(w *T) { p.free = append(p.free, w) }
 
 // EngineConfig sets walk-engine parallelism.
 type EngineConfig struct {
@@ -59,11 +86,15 @@ const (
 )
 
 type walkCtx struct {
+	id      uint64 // index in Engine.ctxs: the ID of its cache accesses
 	state   ctxState
 	job     Job
 	readyAt sim.Cycle // compute completion
-	step    Step
+	addr    uint64    // the address of the step to issue
 }
+
+// never is the due cycle of an engine with no computing context.
+const never = ^sim.Cycle(0)
 
 // EngineStats counts engine activity.
 type EngineStats struct {
@@ -93,6 +124,9 @@ type Engine struct {
 	Resp  *sim.Queue[JobResp]
 	cache *Cache
 	ctxs  []walkCtx
+	idle  int       // contexts in ctxIdle
+	due   sim.Cycle // earliest readyAt of a context in ctxCompute, or never
+	blk   [MaxBlockWords]uint64
 	stats EngineStats
 }
 
@@ -116,6 +150,11 @@ func NewEngine(k *sim.Kernel, cfg EngineConfig, cache *Cache) *Engine {
 		Resp:  sim.NewQueue[JobResp](k, "walk.resp", jobRespDepth),
 		cache: cache,
 		ctxs:  make([]walkCtx, cfg.Contexts),
+		idle:  cfg.Contexts,
+		due:   never,
+	}
+	for i := range e.ctxs {
+		e.ctxs[i].id = uint64(i)
 	}
 	k.Add(e)
 	return e
@@ -126,33 +165,29 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 
 // Idle reports whether all contexts are idle and no jobs are queued.
 func (e *Engine) Idle() bool {
-	if e.Jobs.Len() > 0 {
-		return false
-	}
-	for i := range e.ctxs {
-		if e.ctxs[i].state != ctxIdle {
-			return false
-		}
-	}
-	return true
+	return e.Jobs.Len() == 0 && e.idle == len(e.ctxs)
 }
 
 // Tick implements sim.Component.
 func (e *Engine) Tick(cy sim.Cycle) {
 	// Route cache responses back to waiting contexts.
-	for {
-		resp, ok := e.cache.RespQ.Peek()
-		if !ok {
-			break
-		}
+	for e.cache.RespQ.Len() > 0 {
+		resp, _ := e.cache.RespQ.Pop()
 		ctx := &e.ctxs[resp.ID]
 		if ctx.state != ctxWaitMem {
 			panic("addrcache: response for non-waiting context")
 		}
-		e.cache.RespQ.Pop()
-		e.advance(cy, ctx, resp.BlockBase, resp.Data)
+		n := copy(e.blk[:], resp.Data[:resp.Words])
+		e.advance(cy, ctx, resp.BlockBase, e.blk[:n])
 	}
 
+	// Visit the contexts in index order, but only when one of them has
+	// work: an idle context can take a queued job, or a computing one is
+	// due.
+	if (e.idle == 0 || e.Jobs.Len() == 0) && e.due > cy {
+		return
+	}
+	e.due = never
 	for i := range e.ctxs {
 		ctx := &e.ctxs[i]
 		switch ctx.state {
@@ -162,11 +197,14 @@ func (e *Engine) Tick(cy sim.Cycle) {
 				continue
 			}
 			ctx.job = job
+			e.idle--
 			e.stats.Jobs++
 			e.advance(cy, ctx, 0, nil)
 		case ctxCompute:
 			if ctx.readyAt <= cy {
 				e.issue(cy, ctx)
+			} else {
+				e.due = min(e.due, ctx.readyAt)
 			}
 		}
 	}
@@ -174,8 +212,8 @@ func (e *Engine) Tick(cy sim.Cycle) {
 
 // advance feeds data to the walk and handles its next step or result.
 func (e *Engine) advance(cy sim.Cycle, ctx *walkCtx, blockBase uint64, data []uint64) {
-	step, res := ctx.job.W.Next(blockBase, data)
-	if res != nil {
+	step, res, done := ctx.job.W.Next(blockBase, data)
+	if done {
 		e.resultBuffered(res.Words)
 		lat := uint64(cy - ctx.job.Issued)
 		e.stats.L2USum += lat
@@ -183,33 +221,33 @@ func (e *Engine) advance(cy sim.Cycle, ctx *walkCtx, blockBase uint64, data []ui
 		if lat > e.stats.L2UMax {
 			e.stats.L2UMax = lat
 		}
-		e.Resp.MustPush(JobResp{ID: ctx.job.ID, Result: *res})
+		e.Resp.MustPush(JobResp{ID: ctx.job.ID, Result: res, W: ctx.job.W})
+		ctx.job = Job{}
 		ctx.state = ctxIdle
+		e.idle++
 		return
 	}
-	ctx.step = step
+	ctx.addr = step.Addr
 	e.stats.Steps++
 	if step.ComputeCycles > 0 {
 		e.stats.ComputeCycles += uint64(step.ComputeCycles)
-		ctx.state = ctxCompute
-		ctx.readyAt = cy + sim.Cycle(step.ComputeCycles)
+		e.computeUntil(ctx, cy+sim.Cycle(step.ComputeCycles))
 		return
 	}
 	e.issue(cy, ctx)
 }
 
+// computeUntil parks ctx in ctxCompute until cycle at.
+func (e *Engine) computeUntil(ctx *walkCtx, at sim.Cycle) {
+	ctx.state = ctxCompute
+	ctx.readyAt = at
+	e.due = min(e.due, at)
+}
+
 func (e *Engine) issue(cy sim.Cycle, ctx *walkCtx) {
-	idx := uint64(0)
-	for i := range e.ctxs {
-		if &e.ctxs[i] == ctx {
-			idx = uint64(i)
-			break
-		}
-	}
-	if !e.cache.ReqQ.Push(Access{ID: idx, Addr: ctx.step.Addr, Issued: cy}) {
+	if !e.cache.ReqQ.Push(Access{ID: ctx.id, Addr: ctx.addr, Issued: cy}) {
 		// Port busy: stay in compute state and retry next cycle.
-		ctx.state = ctxCompute
-		ctx.readyAt = cy + 1
+		e.computeUntil(ctx, cy+1)
 		return
 	}
 	ctx.state = ctxWaitMem

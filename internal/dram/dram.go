@@ -19,6 +19,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"xcache/internal/mem"
 	"xcache/internal/sim"
@@ -177,6 +178,8 @@ type DRAM struct {
 	banks      []bank
 	window     []*pending   // admitted, not yet finished, in arrival order
 	queued     [][]*pending // per bank: window entries not yet issued, in arrival order
+	queuedMask []uint64     // bit b set iff queued[b] is non-empty
+	issueAt    sim.Cycle    // earliest busyUntil of a bank with queued requests; noIssue when none
 	free       []*pending   // finished records for reuse
 	nextDone   sim.Cycle    // completion cycle of the earliest issued request; 0 when none
 	busFree    sim.Cycle
@@ -199,12 +202,14 @@ func New(k *sim.Kernel, cfg Config, img *mem.Image) *DRAM {
 		name = "dram"
 	}
 	d := &DRAM{
-		Cfg:    cfg,
-		Req:    sim.NewQueue[Request](k, name+".req", cfg.QueueDepth),
-		Resp:   sim.NewQueue[Response](k, name+".resp", cfg.RespDepth),
-		img:    img,
-		banks:  make([]bank, cfg.Banks),
-		queued: make([][]*pending, cfg.Banks),
+		Cfg:        cfg,
+		Req:        sim.NewQueue[Request](k, name+".req", cfg.QueueDepth),
+		Resp:       sim.NewQueue[Response](k, name+".resp", cfg.RespDepth),
+		img:        img,
+		banks:      make([]bank, cfg.Banks),
+		queued:     make([][]*pending, cfg.Banks),
+		queuedMask: make([]uint64, (cfg.Banks+63)/64),
+		issueAt:    noIssue,
 	}
 	for i := range d.banks {
 		d.banks[i].openRow = -1
@@ -346,6 +351,8 @@ func (d *DRAM) Tick(c sim.Cycle) {
 		p.bank, p.row = d.mapAddr(req.Addr)
 		d.window = append(d.window, p)
 		d.queued[p.bank] = append(d.queued[p.bank], p)
+		d.queuedMask[p.bank/64] |= 1 << (p.bank % 64)
+		d.issueAt = min(d.issueAt, d.banks[p.bank].busyUntil)
 	}
 	if p := d.Pending(); p > d.stats.PeakPending {
 		d.stats.PeakPending = p
@@ -390,73 +397,96 @@ func (d *DRAM) newPending() *pending {
 	return new(pending)
 }
 
+// noIssue is issueAt while no request is queued.
+const noIssue = ^sim.Cycle(0)
+
 // issue picks, for each idle bank in index order, its oldest queued
 // request whose row is open, else its oldest queued request
-// (FR-FCFS-lite), and schedules it on the shared data bus.
+// (FR-FCFS-lite), and schedules it on the shared data bus. Only banks
+// with queued requests are visited, and only once one of them is idle.
 func (d *DRAM) issue(c sim.Cycle) {
-	for bi := range d.banks {
-		b := &d.banks[bi]
-		q := d.queued[bi]
-		if b.busyUntil > c || len(q) == 0 {
-			continue
-		}
-		at := 0
-		for i, p := range q {
-			if p.row == b.openRow {
-				at = i
-				break
+	if c < d.issueAt {
+		return
+	}
+	d.issueAt = noIssue
+	for w, m := range d.queuedMask {
+		for ; m != 0; m &= m - 1 {
+			bi := w*64 + bits.TrailingZeros64(m)
+			d.issueBank(c, bi)
+			if len(d.queued[bi]) > 0 {
+				d.issueAt = min(d.issueAt, d.banks[bi].busyUntil)
 			}
 		}
-		pick := q[at]
-		d.queued[bi] = append(q[:at], q[at+1:]...)
-		row := pick.row
-		lat := d.Cfg.ChannelFixed + d.Cfg.TCAS
-		issue := c + sim.Cycle(d.Cfg.ChannelFixed)
-		switch {
-		case b.openRow == row:
-			d.stats.RowHits++
-			if d.strict && b.openRow >= 0 && issue < b.lastAct+sim.Cycle(d.Cfg.TRCD) {
-				d.violate("CAS to bank %d at %d before tRCD elapses (ACT at %d, tRCD %d)",
-					bi, issue, b.lastAct, d.Cfg.TRCD)
-			}
-		case b.openRow == -1:
-			d.stats.RowMisses++
-			lat += d.Cfg.TRCD
-			// A never-precharged bank (cold start) has no tRP window.
-			if d.strict && b.preValid && issue < b.lastPre+sim.Cycle(d.Cfg.TRP) {
-				d.violate("ACT to bank %d at %d before tRP elapses (PRE at %d, tRP %d)",
-					bi, issue, b.lastPre, d.Cfg.TRP)
-			}
-			b.lastAct = issue
-		default:
-			// Row conflict: precharge at issue, activate tRP later.
-			d.stats.RowMisses++
-			lat += d.Cfg.TRP + d.Cfg.TRCD
-			b.lastPre = issue
-			b.preValid = true
-			b.lastAct = issue + sim.Cycle(d.Cfg.TRP)
+	}
+}
+
+// issueBank issues bank bi's pick if the bank is idle; bi has queued
+// requests.
+func (d *DRAM) issueBank(c sim.Cycle, bi int) {
+	b := &d.banks[bi]
+	if b.busyUntil > c {
+		return
+	}
+	q := d.queued[bi]
+	at := 0
+	for i, p := range q {
+		if p.row == b.openRow {
+			at = i
+			break
 		}
-		if d.strict && b.busyUntil > c {
-			d.violate("issue to busy bank %d at cycle %d (busy until %d)", bi, c, b.busyUntil)
+	}
+	pick := q[at]
+	d.queued[bi] = append(q[:at], q[at+1:]...)
+	if len(q) == 1 {
+		d.queuedMask[bi/64] &^= 1 << (bi % 64)
+	}
+	row := pick.row
+	lat := d.Cfg.ChannelFixed + d.Cfg.TCAS
+	issue := c + sim.Cycle(d.Cfg.ChannelFixed)
+	switch {
+	case b.openRow == row:
+		d.stats.RowHits++
+		if d.strict && b.openRow >= 0 && issue < b.lastAct+sim.Cycle(d.Cfg.TRCD) {
+			d.violate("CAS to bank %d at %d before tRCD elapses (ACT at %d, tRCD %d)",
+				bi, issue, b.lastAct, d.Cfg.TRCD)
 		}
-		b.openRow = row
-		burst := pick.req.Words * d.Cfg.TBusPerWord
-		if burst < 1 {
-			burst = 1
+	case b.openRow == -1:
+		d.stats.RowMisses++
+		lat += d.Cfg.TRCD
+		// A never-precharged bank (cold start) has no tRP window.
+		if d.strict && b.preValid && issue < b.lastPre+sim.Cycle(d.Cfg.TRP) {
+			d.violate("ACT to bank %d at %d before tRP elapses (PRE at %d, tRP %d)",
+				bi, issue, b.lastPre, d.Cfg.TRP)
 		}
-		// Serialize bursts on the shared data bus.
-		dataStart := c + sim.Cycle(lat)
-		if d.busFree > dataStart {
-			dataStart = d.busFree
-		}
-		d.busFree = dataStart + sim.Cycle(burst)
-		d.stats.BusBusy += uint64(burst)
-		pick.started = true
-		pick.complete = d.busFree
-		b.busyUntil = d.busFree
-		if d.nextDone == 0 {
-			d.nextDone = pick.complete
-		}
+		b.lastAct = issue
+	default:
+		// Row conflict: precharge at issue, activate tRP later.
+		d.stats.RowMisses++
+		lat += d.Cfg.TRP + d.Cfg.TRCD
+		b.lastPre = issue
+		b.preValid = true
+		b.lastAct = issue + sim.Cycle(d.Cfg.TRP)
+	}
+	if d.strict && b.busyUntil > c {
+		d.violate("issue to busy bank %d at cycle %d (busy until %d)", bi, c, b.busyUntil)
+	}
+	b.openRow = row
+	burst := pick.req.Words * d.Cfg.TBusPerWord
+	if burst < 1 {
+		burst = 1
+	}
+	// Serialize bursts on the shared data bus.
+	dataStart := c + sim.Cycle(lat)
+	if d.busFree > dataStart {
+		dataStart = d.busFree
+	}
+	d.busFree = dataStart + sim.Cycle(burst)
+	d.stats.BusBusy += uint64(burst)
+	pick.started = true
+	pick.complete = d.busFree
+	b.busyUntil = d.busFree
+	if d.nextDone == 0 {
+		d.nextDone = pick.complete
 	}
 }
 

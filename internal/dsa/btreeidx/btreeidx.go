@@ -255,20 +255,20 @@ type treeWalk struct {
 	begun bool
 }
 
-func (tw *treeWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, *addrcache.Result) {
+func (tw *treeWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, addrcache.Result, bool) {
 	if !tw.begun {
 		tw.begun = true
 		tw.cur = tw.t.Root
-		return addrcache.Step{Addr: tw.cur}, nil
+		return addrcache.Step{Addr: tw.cur}, addrcache.Result{}, false
 	}
 	node := data[(tw.cur-blockBase)/8:]
 	if node[7] == 1 { // leaf
 		for j := 0; j < 3; j++ {
 			if node[j] == tw.key {
-				return addrcache.Step{}, &addrcache.Result{Found: true, Value: node[3+j], Words: 1}
+				return addrcache.Step{}, addrcache.Result{Found: true, Value: node[3+j], Words: 1}, true
 			}
 		}
-		return addrcache.Step{}, &addrcache.Result{Found: false}
+		return addrcache.Step{}, addrcache.Result{Found: false}, true
 	}
 	slot := 3
 	for j := 0; j < 3; j++ {
@@ -279,10 +279,10 @@ func (tw *treeWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, *addr
 	}
 	child := node[3+slot]
 	if child == 0 {
-		return addrcache.Step{}, &addrcache.Result{Found: false}
+		return addrcache.Step{}, addrcache.Result{Found: false}, true
 	}
 	tw.cur = child
-	return addrcache.Step{Addr: child}, nil
+	return addrcache.Step{Addr: child}, addrcache.Result{}, false
 }
 
 // RunAddr probes through an address-tagged cache with an ideal walker.
@@ -299,6 +299,7 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 
 	cursor, done := 0, 0
 	okAll := true
+	var walks addrcache.WalkPool[treeWalk]
 	pump := sim.ComponentFunc(func(cy sim.Cycle) {
 		for {
 			resp, popped := eng.Resp.Pop()
@@ -306,15 +307,18 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 				break
 			}
 			done++
+			walks.Put(resp.W.(*treeWalk))
 			key := trace[resp.ID]
 			want, present := t.Values[key]
 			if present != resp.Result.Found || (present && want != resp.Result.Value) {
 				okAll = false
 			}
 		}
-		// Build a walk only once the job queue has room for it.
+		// Take a walk only once the job queue has room for it.
 		for cursor < len(trace) && eng.Jobs.CanPush() {
-			eng.Jobs.MustPush(addrcache.Job{ID: uint64(cursor), W: &treeWalk{t: t, key: trace[cursor]}, Issued: cy})
+			tw := walks.Get()
+			*tw = treeWalk{t: t, key: trace[cursor]}
+			eng.Jobs.MustPush(addrcache.Job{ID: uint64(cursor), W: tw, Issued: cy})
 			cursor++
 		}
 	})

@@ -226,6 +226,8 @@ func RunBaseline(w widx.Work, opt Options) (dsa.Result, error) {
 	cache := addrcache.New(k, widx.AddrGeometry(opt.Cfg), d.Req, d.Resp, meter)
 	eng := addrcache.NewEngine(k, addrcache.EngineConfig{Contexts: opt.Cfg.NumActive}, cache)
 	ix, trace := widx.BuildWorkload(w, img)
+	hash := w.Profile.HashCycles
+	walks := widx.NewProbeWalks(ix, hash)
 
 	var (
 		roundStart = 0
@@ -243,6 +245,7 @@ func RunBaseline(w widx.Work, opt Options) (dsa.Result, error) {
 			}
 			inflight--
 			done++
+			walks.Put(resp.W)
 			key := trace[resp.ID]
 			rid, present := ix.RIDs[key]
 			if present != resp.Result.Found || (present && rid != resp.Result.Value) {
@@ -258,13 +261,12 @@ func RunBaseline(w widx.Work, opt Options) (dsa.Result, error) {
 		}
 		// Refill phase: issue this round's objects.
 		for issued < roundEnd {
-			// Build a walk only once the job queue has room for it.
+			// Take a walk only once the job queue has room for it.
 			if !eng.Jobs.CanPush() {
 				return
 			}
-			hash := w.Profile.HashCycles
 			eng.Jobs.MustPush(addrcache.Job{ID: uint64(issued),
-				W: widx.NewProbeWalk(ix, trace[issued], hash), Issued: cy})
+				W: walks.Get(trace[issued]), Issued: cy})
 			meter.AddOps += uint64(hash)
 			issued++
 			inflight++

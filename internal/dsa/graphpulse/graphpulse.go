@@ -549,7 +549,7 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 				continue
 			}
 			// Scan data: find active vertices, clear their deltas.
-			for i, word := range resp.Data {
+			for i, word := range resp.Data[:resp.Words] {
 				v := int((resp.BlockBase-deltaArr)/8) + i
 				if v < 0 || v >= g.N {
 					continue

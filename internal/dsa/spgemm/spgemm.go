@@ -304,14 +304,12 @@ func (dp *datapath) Tick(cy sim.Cycle) {
 		if cy < dp.busyTil && dp.issue > dp.done {
 			break // multiplier saturated; don't run arbitrarily ahead
 		}
-		if !dp.stream.Take(dp.sched[dp.issue].streamWords) {
+		// Take A's words only for a request the queue accepts.
+		if !dp.c.ReqQ.CanPush() || !dp.stream.Take(dp.sched[dp.issue].streamWords) {
 			break
 		}
-		req := ctrl.MetaReq{ID: uint64(dp.issue), Op: ctrl.MetaLoad,
-			Key: metatag.Key{uint64(dp.sched[dp.issue].key), 0}, Issued: cy}
-		if !dp.c.ReqQ.Push(req) {
-			break
-		}
+		dp.c.ReqQ.MustPush(ctrl.MetaReq{ID: uint64(dp.issue), Op: ctrl.MetaLoad,
+			Key: metatag.Key{uint64(dp.sched[dp.issue].key), 0}, Issued: cy})
 		dp.issue++
 	}
 }
@@ -421,11 +419,11 @@ type rowWalk struct {
 	lastBlk    uint64
 }
 
-func (rw *rowWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, *addrcache.Result) {
+func (rw *rowWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, addrcache.Result, bool) {
 	switch rw.stage {
 	case 0:
 		rw.stage = 1
-		return addrcache.Step{Addr: rw.rowPtr + uint64(rw.key)*8}, nil
+		return addrcache.Step{Addr: rw.rowPtr + uint64(rw.key)*8}, addrcache.Result{}, false
 	case 1:
 		off := (rw.rowPtr + uint64(rw.key)*8 - blockBase) / 8
 		rw.start = int64(data[off])
@@ -434,7 +432,7 @@ func (rw *rowWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, *addrc
 		} else {
 			// row_ptr[k+1] falls in the next block.
 			rw.stage = 2
-			return addrcache.Step{Addr: rw.rowPtr + uint64(rw.key+1)*8}, nil
+			return addrcache.Step{Addr: rw.rowPtr + uint64(rw.key+1)*8}, addrcache.Result{}, false
 		}
 		return rw.beginRow()
 	case 2:
@@ -442,17 +440,17 @@ func (rw *rowWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, *addrc
 		return rw.beginRow()
 	default:
 		if rw.nextBlk > rw.lastBlk {
-			return addrcache.Step{}, &addrcache.Result{Found: true, Words: int(2 * (rw.end - rw.start))}
+			return addrcache.Step{}, addrcache.Result{Found: true, Words: int(2 * (rw.end - rw.start))}, true
 		}
 		st := addrcache.Step{Addr: rw.nextBlk}
 		rw.nextBlk += 32
-		return st, nil
+		return st, addrcache.Result{}, false
 	}
 }
 
-func (rw *rowWalk) beginRow() (addrcache.Step, *addrcache.Result) {
+func (rw *rowWalk) beginRow() (addrcache.Step, addrcache.Result, bool) {
 	if rw.end == rw.start {
-		return addrcache.Step{}, &addrcache.Result{Found: true, Words: 0}
+		return addrcache.Step{}, addrcache.Result{Found: true, Words: 0}, true
 	}
 	rw.stage = 3
 	first := rw.cv + uint64(2*rw.start)*8
@@ -461,7 +459,7 @@ func (rw *rowWalk) beginRow() (addrcache.Step, *addrcache.Result) {
 	rw.lastBlk = last &^ 31
 	st := addrcache.Step{Addr: rw.nextBlk}
 	rw.nextBlk += 32
-	return st, nil
+	return st, addrcache.Result{}, false
 }
 
 // RunAddr measures the address-tagged cache with an ideal walker.
@@ -490,6 +488,7 @@ func RunAddr(alg Algorithm, w Work, opt Options) (dsa.Result, error) {
 		issue, done int
 		busyTil     sim.Cycle
 		okAll       = true
+		walks       addrcache.WalkPool[rowWalk]
 	)
 	pump := sim.ComponentFunc(func(cy sim.Cycle) {
 		for {
@@ -498,6 +497,7 @@ func RunAddr(alg Algorithm, w Work, opt Options) (dsa.Result, error) {
 				break
 			}
 			done++
+			walks.Put(resp.W.(*rowWalk))
 			req := sched[resp.ID]
 			if resp.Result.Words != 2*fetch.RowNNZ(int(req.key)) {
 				okAll = false
@@ -515,15 +515,13 @@ func RunAddr(alg Algorithm, w Work, opt Options) (dsa.Result, error) {
 			if cy < busyTil && issue > done {
 				break
 			}
-			if !str.Take(sched[issue].streamWords) {
+			// Take A's words only for a job the queue accepts.
+			if !eng.Jobs.CanPush() || !str.Take(sched[issue].streamWords) {
 				break
 			}
-			job := addrcache.Job{ID: uint64(issue),
-				W:      &rowWalk{rowPtr: bl.RowPtr, cv: bl.CV, key: sched[issue].key},
-				Issued: cy}
-			if !eng.Jobs.Push(job) {
-				break
-			}
+			rw := walks.Get()
+			*rw = rowWalk{rowPtr: bl.RowPtr, cv: bl.CV, key: sched[issue].key}
+			eng.Jobs.MustPush(addrcache.Job{ID: uint64(issue), W: rw, Issued: cy})
 			issue++
 		}
 	})

@@ -237,15 +237,34 @@ func mustProg(s program.Spec) *program.Program {
 	return p
 }
 
-// probeWalk is the address-based walk for one probe: bucket head, then
-// the node chain. hash is the datapath compute charged before the first
-// address (zero for the ideal walker, Profile.HashCycles for Widx).
-// NewProbeWalk returns the address-based walk for one probe (shared with
-// the DASX baseline, which walks the same index structure).
-func NewProbeWalk(ix *hashidx.Index, key uint64, hashCycles int) addrcache.Walk {
-	return &probeWalk{ix: ix, key: key, hash: hashCycles}
+// ProbeWalks hands out the address-based walks for probes of one index
+// and takes finished ones back for reuse (shared with the DASX baseline,
+// which walks the same index structure). hash is the datapath compute
+// charged before each walk's first address (zero for the ideal walker,
+// Profile.HashCycles for Widx).
+type ProbeWalks struct {
+	ix   *hashidx.Index
+	hash int
+	pool addrcache.WalkPool[probeWalk]
 }
 
+// NewProbeWalks returns the walk source for probes of ix.
+func NewProbeWalks(ix *hashidx.Index, hashCycles int) *ProbeWalks {
+	return &ProbeWalks{ix: ix, hash: hashCycles}
+}
+
+// Get returns the walk for one probe of key.
+func (ws *ProbeWalks) Get(key uint64) addrcache.Walk {
+	w := ws.pool.Get()
+	*w = probeWalk{ix: ws.ix, key: key, hash: ws.hash}
+	return w
+}
+
+// Put takes back a finished walk from JobResp.W.
+func (ws *ProbeWalks) Put(w addrcache.Walk) { ws.pool.Put(w.(*probeWalk)) }
+
+// probeWalk is the address-based walk for one probe: bucket head, then
+// the node chain.
 type probeWalk struct {
 	ix    *hashidx.Index
 	key   uint64
@@ -254,31 +273,31 @@ type probeWalk struct {
 	cur   uint64
 }
 
-func (p *probeWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, *addrcache.Result) {
+func (p *probeWalk) Next(blockBase uint64, data []uint64) (addrcache.Step, addrcache.Result, bool) {
 	switch p.stage {
 	case 0:
 		p.stage = 1
 		p.cur = p.ix.HeadAddr(p.ix.BucketOf(p.key))
-		return addrcache.Step{Addr: p.cur, ComputeCycles: p.hash}, nil
+		return addrcache.Step{Addr: p.cur, ComputeCycles: p.hash}, addrcache.Result{}, false
 	case 1:
 		head := data[(p.cur-blockBase)/8]
 		if head == 0 {
-			return addrcache.Step{}, &addrcache.Result{Found: false}
+			return addrcache.Step{}, addrcache.Result{Found: false}, true
 		}
 		p.stage = 2
 		p.cur = head
-		return addrcache.Step{Addr: head}, nil
+		return addrcache.Step{Addr: head}, addrcache.Result{}, false
 	default:
 		off := (p.cur - blockBase) / 8
 		nodeKey, rid, next := data[off], data[off+1], data[off+2]
 		if nodeKey == p.key {
-			return addrcache.Step{}, &addrcache.Result{Found: true, Value: rid, Words: 1}
+			return addrcache.Step{}, addrcache.Result{Found: true, Value: rid, Words: 1}, true
 		}
 		if next == 0 {
-			return addrcache.Step{}, &addrcache.Result{Found: false}
+			return addrcache.Step{}, addrcache.Result{Found: false}, true
 		}
 		p.cur = next
-		return addrcache.Step{Addr: next}, nil
+		return addrcache.Step{Addr: next}, addrcache.Result{}, false
 	}
 }
 
@@ -306,7 +325,7 @@ func runWalked(w Work, opt Options, kind dsa.Kind, hashCycles, contexts int) (ds
 	eng := addrcache.NewEngine(k, addrcache.EngineConfig{Contexts: contexts}, cache)
 	ix, trace := BuildWorkload(w, img)
 
-	pump := &probePump{eng: eng, meter: meter, ix: ix, trace: trace, hash: hashCycles, ok: true}
+	pump := newProbePump(eng, meter, ix, trace, hashCycles)
 	k.Add(pump)
 
 	r, err := dsa.Run(k, meter, nil, func() bool { return pump.done == len(trace) }, opt.MaxCycles)
@@ -318,16 +337,22 @@ func runWalked(w Work, opt Options, kind dsa.Kind, hashCycles, contexts int) (ds
 }
 
 // probePump feeds the walk engine one probe walk per trace key and checks
-// every result against the index. It builds a walk only once the job
-// queue has room for it, so a cycle with a full queue allocates nothing.
+// every result against the index. Finished walks are recycled, so the
+// pump allocates a walk only while its count in flight grows.
 type probePump struct {
 	eng          *addrcache.Engine
 	meter        *energy.Counters
 	ix           *hashidx.Index
+	walks        *ProbeWalks
 	trace        []uint64
 	hash         int // hash cycles charged per probe
 	cursor, done int
 	ok           bool
+}
+
+func newProbePump(eng *addrcache.Engine, meter *energy.Counters, ix *hashidx.Index, trace []uint64, hash int) *probePump {
+	return &probePump{eng: eng, meter: meter, ix: ix, walks: NewProbeWalks(ix, hash),
+		trace: trace, hash: hash, ok: true}
 }
 
 // Tick implements sim.Component.
@@ -338,6 +363,7 @@ func (p *probePump) Tick(cy sim.Cycle) {
 			break
 		}
 		p.done++
+		p.walks.Put(resp.W)
 		key := p.trace[resp.ID]
 		rid, present := p.ix.RIDs[key]
 		if present != resp.Result.Found || (present && rid != resp.Result.Value) {
@@ -346,7 +372,7 @@ func (p *probePump) Tick(cy sim.Cycle) {
 	}
 	for p.cursor < len(p.trace) && p.eng.Jobs.CanPush() {
 		p.eng.Jobs.MustPush(addrcache.Job{ID: uint64(p.cursor),
-			W:      &probeWalk{ix: p.ix, key: p.trace[p.cursor], hash: p.hash},
+			W:      p.walks.Get(p.trace[p.cursor]),
 			Issued: cy})
 		// Hashing energy: one ALU op per hash cycle on the datapath.
 		p.meter.AddOps += uint64(p.hash)

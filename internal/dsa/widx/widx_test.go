@@ -102,7 +102,7 @@ func TestFullJobQueueCycleAllocatesNothing(t *testing.T) {
 	cache := addrcache.New(k, AddrGeometry(smallOpts().Cfg), d.Req, d.Resp, meter)
 	eng := addrcache.NewEngine(k, addrcache.EngineConfig{}, cache)
 	ix, trace := BuildWorkload(smallWork(hashidx.TPCH()[2]), img)
-	pump := &probePump{eng: eng, meter: meter, ix: ix, trace: trace, ok: true}
+	pump := newProbePump(eng, meter, ix, trace, 0)
 
 	pump.Tick(0) // fills the job queue
 	if eng.Jobs.CanPush() || pump.cursor == 0 {

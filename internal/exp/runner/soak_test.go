@@ -24,13 +24,16 @@ type soakPoint struct {
 // soakMatrix returns the fault matrix over real simulations. The default
 // set keeps plain `go test` fast; XCACHE_SOAK=full (the `make soak`
 // tier) widens it to every injector class crossed with several seeds and
-// three DSAs.
+// three DSAs, plus queue clogs on both SpGEMM DSAs.
 func soakMatrix(full bool) []soakPoint {
 	mk := func(name, dsaName string, f check.FaultConfig, seed uint64, expect string) soakPoint {
 		s := Spec{DSA: dsaName, Kind: dsa.KindXCache, Workload: "TPC-H-22", Scale: 400,
 			Check: true, Faults: f, Seed: seed}
-		if dsaName == DSABTreeIdx {
+		switch dsaName {
+		case DSABTreeIdx:
 			s.Workload = "zipf"
+		case DSASpArch, DSAGamma:
+			s.Workload = "p2p-31"
 		}
 		return soakPoint{name: name, spec: s, expect: expect}
 	}
@@ -45,9 +48,21 @@ func soakMatrix(full bool) []soakPoint {
 		// With hardware fill-retry disabled, the first dropped fill is
 		// never re-requested: a genuine watchdog-class wedge.
 		mk("wedge-no-retry", DSAWidx, check.FaultConfig{DropResp: 0.3, FillTimeout: -1}, 1, "fail"),
+		// A refused issue push must leave SpGEMM's A-stream words in the
+		// stream: clogged queues slow these cells but never wedge them.
+		mk("clog", DSASpArch, check.FaultConfig{ClogQueue: 0.05}, 1, "ok"),
+		mk("clog-heavy", DSAGamma, check.FaultConfig{ClogQueue: 0.2}, 7, "ok"),
 	}
 	if !full {
 		return pts
+	}
+	for _, d := range []string{DSASpArch, DSAGamma} {
+		for _, seed := range []uint64{2, 3, 5, 11} {
+			pts = append(pts,
+				mk("clog", d, check.FaultConfig{ClogQueue: 0.05}, seed, "ok"),
+				mk("clog-heavy", d, check.FaultConfig{ClogQueue: 0.2}, seed, "ok"),
+			)
+		}
 	}
 	for _, d := range []string{DSAWidx, DSADASX, DSABTreeIdx} {
 		// At soak scale the B+-tree working set fits on chip: there are

@@ -357,8 +357,7 @@ func (a *XCOverAddr) Tick(cy sim.Cycle) {
 			panic("hier: MXA response for unknown job")
 		}
 		// Copy the words this block contributes.
-		blockWords := len(resp.Data)
-		for i := 0; i < blockWords; i++ {
+		for i := 0; i < resp.Words; i++ {
 			addr := resp.BlockBase + uint64(i)*8
 			if addr >= job.req.Addr && addr < job.req.Addr+uint64(job.req.Words)*8 {
 				job.data[(addr-job.req.Addr)/8] = resp.Data[i]

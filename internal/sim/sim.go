@@ -80,11 +80,12 @@ func (e *QueueFullError) Error() string {
 }
 
 // Kernel owns simulated time. Components are ticked in registration order,
-// then all queues commit their staged pushes.
+// then the queues that staged a push this cycle commit.
 type Kernel struct {
 	cycle     Cycle
 	comps     []Component
-	queues    []committer
+	queues    []committer // every registered queue, in registration order
+	staged    []committer // queues with staged pushes, in first-push order
 	observers []Observer
 }
 
@@ -117,14 +118,16 @@ func (k *Kernel) Queues() []QueueInfo {
 func (k *Kernel) Cycle() Cycle { return k.cycle }
 
 // Step advances simulated time by one cycle: every component ticks, then
-// every queue commits.
+// every queue that staged a push commits. Queues commit independently, so
+// skipping the ones without staged pushes changes nothing.
 func (k *Kernel) Step() {
 	for _, c := range k.comps {
 		c.Tick(k.cycle)
 	}
-	for _, q := range k.queues {
+	for _, q := range k.staged {
 		q.commit()
 	}
+	k.staged = k.staged[:0]
 	if len(k.observers) != 0 {
 		for _, o := range k.observers {
 			o.AfterStep(k.cycle)
@@ -226,6 +229,9 @@ func (q *Queue[T]) Push(v T) bool {
 		q.ring = make([]T, q.cap)
 	}
 	q.ring[q.slot(q.n+q.staged)] = v
+	if q.staged == 0 {
+		q.k.staged = append(q.k.staged, q)
+	}
 	q.staged++
 	q.pushes++
 	// The high-water mark tracks peak occupancy including staged entries:

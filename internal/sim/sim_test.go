@@ -459,3 +459,28 @@ func TestObserverRunsAfterCommit(t *testing.T) {
 type observerFunc func(c Cycle)
 
 func (f observerFunc) AfterStep(c Cycle) { f(c) }
+
+func TestIdleKernelStepAllocatesNothing(t *testing.T) {
+	k := NewKernel()
+	qs := make([]*Queue[int], 64)
+	for i := range qs {
+		qs[i] = NewQueue[int](k, "q", 4)
+	}
+	if allocs := testing.AllocsPerRun(100, k.Step); allocs != 0 {
+		t.Fatalf("a step over 64 idle queues made %v allocations, want 0", allocs)
+	}
+	// A step that commits pushes to some of them allocates nothing either,
+	// once each queue holds its ring.
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < len(qs); i += 3 {
+			qs[i].Push(i)
+		}
+		k.Step()
+		for i := 0; i < len(qs); i += 3 {
+			qs[i].Pop()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a step committing 22 pushes made %v allocations, want 0", allocs)
+	}
+}
