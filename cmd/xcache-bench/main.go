@@ -5,7 +5,7 @@
 //
 //	xcache-bench [-scale N] [-parallel N] [-v] [-fig all|none|4,7,14,15,16,17,18,19,20,t1,t2,t3,t4,btree,ablation]
 //	             [-approx] [-partial] [-checkpoint dir]
-//	             [-hotloop] [-hotloop-exec both|interp|fast] [-bench-diff FILE]
+//	             [-hotloop] [-bench-diff FILE]
 //
 // scale divides the published workload sizes (and cache capacities with
 // them); -scale 1 runs the paper-scale configuration and takes several
@@ -23,7 +23,7 @@
 // error bounds.
 //
 // -hotloop appends the controller hot-loop microbenchmark (figure id
-// "hotloop"): the ALU-dense spin routine timed on the selected executor
+// "hotloop"): the ALU-dense spin routine timed on both executor
 // backends, reporting ns-per-action and the pre-decoded fast path's
 // speedup over the reference interpreter. Wall-clock metrics are
 // machine-dependent; the deterministic figures stay byte-reproducible.
@@ -134,7 +134,6 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "journal completed runs to this directory and resume from it")
 	jsonPath := flag.String("json", "", "write a machine-readable (and byte-reproducible) result baseline to this file")
 	hotloop := flag.Bool("hotloop", false, "append the controller hot-loop executor microbenchmark (figure id 'hotloop')")
-	hotloopExec := flag.String("hotloop-exec", "both", "hotloop executor selection: both|interp|fast")
 	benchDiff := flag.String("bench-diff", "", "compare against this baseline file: exact match for deterministic figures, 5% tolerance on the hotloop speedup; exit 1 on regression")
 	flag.Parse()
 
@@ -260,7 +259,7 @@ func main() {
 		tolerate("ablation-design", func() (*exp.Out, error) { return exp.AblationDesignChoices(run, *scale) })
 	}
 	if *hotloop {
-		tolerate("hotloop", func() (*exp.Out, error) { return exp.Hotloop(*hotloopExec, 512) })
+		tolerate("hotloop", func() (*exp.Out, error) { return exp.Hotloop() })
 	}
 	if *approxTier {
 		tolerate("approx-fig17", func() (*exp.Out, error) { return exp.ApproxCacheDiv(run, *scale) })

@@ -37,6 +37,7 @@ func TestFlagErrorsExitUsage(t *testing.T) {
 		{[]string{"-fig", "none", "-retries", "2"}, 2, "flag provided but not defined: -retries"},
 		{[]string{"-fig", "none", "-backoff", "1s"}, 2, "flag provided but not defined: -backoff"},
 		{[]string{"-fig", "none", "-spec-wall", "5m"}, 2, "flag provided but not defined: -spec-wall"},
+		{[]string{"-fig", "none", "-hotloop-exec", "both"}, 2, "flag provided but not defined: -hotloop-exec"},
 	} {
 		cmd := exec.Command(os.Args[0], tc.args...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")

@@ -14,8 +14,8 @@
 //   - Engine B (EstimateWidx): warm-up + sampled execution windows. K
 //     short windows of the full simulator are run (each preceded by a
 //     warm-up slice whose stats are subtracted out) and the per-window
-//     rates are extrapolated to the full run with Student-t confidence
-//     intervals.
+//     cycles and hit rate are extrapolated to the full run, the cycles
+//     with a Student-t confidence interval.
 package approx
 
 import (

@@ -66,21 +66,17 @@ func (p IntervalPlan) layout(total int) ([]window, error) {
 }
 
 // IntervalEstimate is Engine B's extrapolation for one spec: full-run
-// totals estimated from the sampled windows, each with a two-sided 95%
-// Student-t confidence half-width (zero when only one window was
-// sampled — a point estimate carries no variance information).
+// cycles and hit rate estimated from the sampled windows, the cycles
+// with a two-sided 95% Student-t confidence half-width (zero when only
+// one window was sampled — a point estimate carries no variance
+// information).
 type IntervalEstimate struct {
 	Probes  int // full-run probe count being extrapolated to
 	Windows int
 
-	Cycles    float64
-	CyclesCI  float64
-	HitRate   float64
-	HitRateCI float64
-	Misses    float64
-	MissesCI  float64
-	EnergyPJ  float64
-	EnergyCI  float64
+	Cycles   float64
+	CyclesCI float64
+	HitRate  float64
 
 	// SampledProbes is the number of probes actually simulated (warm-up
 	// and measurement, across both runs of every window) and SimCycles
@@ -97,7 +93,7 @@ type IntervalEstimate struct {
 
 // EstimateWidx samples spec through the runner (so window runs land in
 // the content-addressed cache under their own window-keyed hashes) and
-// extrapolates full-run cycles, misses, hit rate and on-chip energy.
+// extrapolates full-run cycles and hit rate.
 func EstimateWidx(r *runner.Runner, spec runner.Spec, plan IntervalPlan) (*IntervalEstimate, error) {
 	if r == nil {
 		return nil, fmt.Errorf("%w: nil runner", ErrBadPlan)
@@ -158,8 +154,6 @@ func EstimateWidx(r *runner.Runner, spec runner.Spec, plan IntervalPlan) (*Inter
 	est := &IntervalEstimate{Probes: total, Windows: len(wins), Checked: true}
 	cycPP := make([]float64, len(wins)) // cycles per probe
 	rates := make([]float64, len(wins))
-	missPP := make([]float64, len(wins))
-	enPP := make([]float64, len(wins))
 	for j, w := range wins {
 		full := results[fullAt[j]]
 		var warm dsa.Result
@@ -173,24 +167,14 @@ func EstimateWidx(r *runner.Runner, spec runner.Spec, plan IntervalPlan) (*Inter
 		dCyc := subU64(full.Cycles, warm.Cycles)
 		dHit := subU64(full.OnChipHits, warm.OnChipHits)
 		dMiss := subU64(full.OnChipMisses, warm.OnChipMisses)
-		dEn := full.Energy.OnChip() - warm.Energy.OnChip()
-		if dEn < 0 {
-			dEn = 0
-		}
-		n := float64(w.length)
-		cycPP[j] = float64(dCyc) / n
-		missPP[j] = float64(dMiss) / n
-		enPP[j] = dEn / n
+		cycPP[j] = float64(dCyc) / float64(w.length)
 		if dHit+dMiss > 0 {
 			rates[j] = float64(dHit) / float64(dHit+dMiss)
 		}
 	}
 
-	p := float64(total)
-	est.Cycles, est.CyclesCI = scaleStat(cycPP, p)
-	est.Misses, est.MissesCI = scaleStat(missPP, p)
-	est.EnergyPJ, est.EnergyCI = scaleStat(enPP, p)
-	est.HitRate, est.HitRateCI = scaleStat(rates, 1)
+	est.Cycles, est.CyclesCI = scaleStat(cycPP, float64(total))
+	est.HitRate, _ = scaleStat(rates, 1)
 	return est, nil
 }
 

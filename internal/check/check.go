@@ -203,14 +203,6 @@ func Attach(k *sim.Kernel, cfg *Config) *Harness {
 	return h
 }
 
-// Injector returns the fault injector, or nil when faults are disabled.
-func (h *Harness) Injector() *Injector {
-	if h == nil {
-		return nil
-	}
-	return h.inj
-}
-
 // Err returns the first invariant violation observed, or nil.
 func (h *Harness) Err() error {
 	if h == nil || h.inv == nil {

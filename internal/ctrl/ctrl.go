@@ -160,7 +160,6 @@ type Stats struct {
 	MergedWaiters    uint64
 	NotFound         uint64
 	Responses        uint64
-	WalkerSpawns     uint64
 	RoutineRuns      uint64
 	Actions          uint64
 	FillsIssued      uint64
@@ -820,7 +819,6 @@ func (c *Controller) spawn(cy sim.Cycle, req MetaReq) {
 		c.pipes[p] = wid
 	}
 	c.stats.Misses++
-	c.stats.WalkerSpawns++
 	if req.Op == MetaLoad {
 		c.stats.Loads++
 	} else {

@@ -22,11 +22,7 @@ type Config struct {
 
 // Stats counts RAM activity.
 type Stats struct {
-	WordReads   uint64
-	WordWrites  uint64
-	SectorAlloc uint64
-	SectorFree  uint64
-	AllocFails  uint64
+	AllocFails uint64
 }
 
 // RAM is the data store.
@@ -97,7 +93,6 @@ func (r *RAM) Alloc(n int) (base int32, ok bool) {
 				r.used[j] = true
 			}
 			r.free -= n
-			r.stats.SectorAlloc += uint64(n)
 			if start == r.firstFree {
 				r.firstFree = start + n
 			}
@@ -122,7 +117,6 @@ func (r *RAM) Free(base int32, n int32) {
 		r.used[i] = false
 	}
 	r.free += int(n)
-	r.stats.SectorFree += uint64(n)
 	if int(base) < r.firstFree {
 		r.firstFree = int(base)
 	}
@@ -130,7 +124,6 @@ func (r *RAM) Free(base int32, n int32) {
 
 // Read returns the word at word index w, charging data-RAM energy.
 func (r *RAM) Read(w int32) uint64 {
-	r.stats.WordReads++
 	if r.Meter != nil {
 		r.Meter.DataBytes += 8
 	}
@@ -139,7 +132,6 @@ func (r *RAM) Read(w int32) uint64 {
 
 // Write stores v at word index w, charging data-RAM energy.
 func (r *RAM) Write(w int32, v uint64) {
-	r.stats.WordWrites++
 	if r.Meter != nil {
 		r.Meter.DataBytes += 8
 	}

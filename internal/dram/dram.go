@@ -84,7 +84,6 @@ type Stats struct {
 	RowHits      uint64
 	RowMisses    uint64 // closed bank or conflict
 	WordsRead    uint64
-	WordsWritten uint64
 	BusBusy      uint64 // cycles the data bus transferred
 	TotalLatency uint64 // sum of (complete - enqueue) over all requests
 
@@ -502,7 +501,6 @@ func (d *DRAM) finish(p *pending, c sim.Cycle) {
 	resp := Response{ID: p.req.ID, Addr: p.req.Addr}
 	if p.req.Write {
 		d.stats.Writes++
-		d.stats.WordsWritten += uint64(p.req.Words)
 		if len(p.req.Data) != p.req.Words {
 			panic(fmt.Sprintf("dram: write %#x has %d data words, want %d", p.req.Addr, len(p.req.Data), p.req.Words))
 		}

@@ -291,7 +291,6 @@ func (d *refDRAM) finish(p *refPending, c sim.Cycle) {
 	resp := Response{ID: p.req.ID, Addr: p.req.Addr}
 	if p.req.Write {
 		d.stats.Writes++
-		d.stats.WordsWritten += uint64(p.req.Words)
 		if len(p.req.Data) != p.req.Words {
 			panic(fmt.Sprintf("dram: write %#x has %d data words, want %d", p.req.Addr, len(p.req.Data), p.req.Words))
 		}

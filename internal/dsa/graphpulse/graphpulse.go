@@ -12,9 +12,10 @@
 package graphpulse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"xcache/internal/addrcache"
 	"xcache/internal/check"
@@ -124,13 +125,20 @@ func Spec() program.Spec {
 
 // batch is a group of drained vertices with consecutive ids whose
 // adjacency is fetched as one sequential burst — GraphPulse drains its
-// event queue in vertex order precisely so edge fetches stream.
+// event queue in vertex order precisely so edge fetches stream. A
+// retired batch is reused with its backing arrays.
 type batch struct {
 	vs     []int
 	deltas []float64
 	words  int // adjacency words still to arrive
 	cur    int // vertex being emitted
 	emit   int // next out-edge of that vertex
+}
+
+// fetch is one adjacency request not yet accepted by the channel.
+type fetch struct {
+	req dram.Request
+	b   *batch // the batch its words belong to
 }
 
 type genState struct {
@@ -161,21 +169,22 @@ type engine struct {
 	eps     float64
 	maxSS   int
 
-	rank         []float64
-	drained      []ctrl.Drained
-	fetchQ       []*batch       // awaiting adjacency
-	readyQ       []*batch       // generating events
-	inAdj        map[uint64]int // outstanding adjacency request id → fetchQ slot
-	issueQ       []dram.Request // adjacency requests not yet accepted
-	issueSlots   []int          // fetchQ slot per queued request
-	nextID       uint64
-	lastPush     sim.Cycle // last cycle an event was pushed (staged commits next cycle)
-	drainedTotal uint64
-	ss           int
-	events       uint64
-	done         bool
-	seeded       bool
-	seedPos      int
+	rank     []float64
+	drained  []ctrl.Drained    // this superstep's events, by vertex id
+	drainPos int               // next drained event to batch
+	batches  []*batch          // this superstep's batches, in drain order
+	batchPos int               // head batch: it generates once its words reach 0
+	free     []*batch          // retired batches
+	inAdj    map[uint64]*batch // issued adjacency request id → its batch
+	issueQ   []fetch           // adjacency requests; those from issuePos on are not yet accepted
+	issuePos int
+	nextID   uint64
+	lastPush sim.Cycle // last cycle an event was pushed (staged commits next cycle)
+	ss       int
+	events   uint64
+	done     bool
+	seeded   bool
+	seedPos  int
 }
 
 func (e *engine) Tick(cy sim.Cycle) {
@@ -191,19 +200,12 @@ func (e *engine) Tick(cy sim.Cycle) {
 		if !ok {
 			break
 		}
-		slot, exists := e.inAdj[resp.ID]
-		if !exists {
+		b := e.inAdj[resp.ID]
+		if b == nil {
 			panic("graphpulse: stray adjacency response")
 		}
 		delete(e.inAdj, resp.ID)
-		e.fetchQ[slot].words -= len(resp.Data)
-	}
-	// Move fully fetched vertices to the ready queue (in order). A head
-	// with unissued requests still has words outstanding by construction.
-	for len(e.fetchQ) > 0 && e.fetchQ[0].words <= 0 {
-		e.readyQ = append(e.readyQ, e.fetchQ[0])
-		e.fetchQ = e.fetchQ[1:]
-		e.reindexAdj()
+		b.words -= len(resp.Data)
 	}
 
 	// Seeding superstep. PageRank injects (1-d)/N into every vertex;
@@ -240,12 +242,15 @@ func (e *engine) Tick(cy sim.Cycle) {
 		return
 	}
 
-	// Generation: PEs emit events from ready batches.
+	// Generation: PEs emit events from the head batch once all its
+	// adjacency has arrived. A batch with unissued requests still has
+	// words outstanding by construction.
 	emitted := 0
-	for emitted < pes && len(e.readyQ) > 0 {
-		b := e.readyQ[0]
+	for emitted < pes && e.batchPos < len(e.batches) && e.batches[e.batchPos].words <= 0 {
+		b := e.batches[e.batchPos]
 		if b.cur >= len(b.vs) {
-			e.readyQ = e.readyQ[1:]
+			e.batchPos++
+			e.free = append(e.free, b)
 			continue
 		}
 		v := b.vs[b.cur]
@@ -279,42 +284,42 @@ func (e *engine) Tick(cy sim.Cycle) {
 	}
 
 	// Issue queued adjacency requests (bounded per cycle).
-	for i := 0; i < 8 && len(e.issueQ) > 0; i++ {
-		if !e.adj.Req.Push(e.issueQ[0]) {
+	for i := 0; i < 8 && e.issuePos < len(e.issueQ); i++ {
+		f := e.issueQ[e.issuePos]
+		if !e.adj.Req.Push(f.req) {
 			break
 		}
-		e.inAdj[e.issueQ[0].ID] = e.issueSlots[0]
-		e.issueQ = e.issueQ[1:]
-		e.issueSlots = e.issueSlots[1:]
+		e.inAdj[f.req.ID] = f.b
+		e.issuePos++
+	}
+	if e.issuePos == len(e.issueQ) {
+		e.issueQ, e.issuePos = e.issueQ[:0], 0
 	}
 
 	// Prefetch adjacency for drained vertices: a decoupled fetcher running
-	// well ahead of the PEs. Drained events are sorted by vertex id (the
-	// order DrainStable+sort produces), so consecutive vertices' edge
-	// lists coalesce into single sequential bursts.
-	for len(e.drained) > 0 && len(e.inAdj)+len(e.issueQ) < 48 {
-		b := &batch{}
+	// well ahead of the PEs. Drained events are sorted by vertex id, so
+	// consecutive vertices' edge lists coalesce into single sequential
+	// bursts.
+	for e.drainPos < len(e.drained) && len(e.inAdj)+len(e.issueQ)-e.issuePos < 48 {
+		b := e.newBatch()
 		spanStart := -1
-		for len(e.drained) > 0 {
-			d := e.drained[0]
+		for ; e.drainPos < len(e.drained); e.drainPos++ {
+			d := e.drained[e.drainPos]
 			v := int(d.Key[0])
 			var delta float64
 			if e.mode == modeSSSP {
 				dist := int64(d.Value)
 				if dist >= e.settled[v] {
-					e.drained = e.drained[1:]
 					continue // stale relaxation: event discarded
 				}
 				if e.g.OutDeg(v) == 0 {
 					e.settled[v] = dist
-					e.drained = e.drained[1:]
 					continue
 				}
 				delta = float64(dist)
 			} else {
 				delta = FromFix(d.Value)
 				if math.Abs(delta) < e.eps || e.g.OutDeg(v) == 0 {
-					e.drained = e.drained[1:]
 					continue // below threshold or sink: event discarded
 				}
 			}
@@ -331,38 +336,36 @@ func (e *engine) Tick(cy sim.Cycle) {
 			if e.mode == modeSSSP {
 				e.settled[v] = int64(d.Value)
 			}
-			e.drained = e.drained[1:]
 			b.vs = append(b.vs, v)
 			b.deltas = append(b.deltas, delta)
 			b.words = span - spanStart
 		}
 		if len(b.vs) == 0 {
+			e.free = append(e.free, b)
 			continue
 		}
 		addr := e.lay.OutDst + uint64(spanStart)*8
 		for w := 0; w < b.words; w += 64 {
-			n := b.words - w
-			if n > 64 {
-				n = 64
-			}
-			e.queueFetch(addr+uint64(w)*8, n, len(e.fetchQ))
+			req := dram.Request{ID: e.nid(), Addr: addr + uint64(w)*8, Words: min(b.words-w, 64)}
+			e.issueQ = append(e.issueQ, fetch{req, b})
 		}
-		e.fetchQ = append(e.fetchQ, b)
+		e.batches = append(e.batches, b)
 	}
 
 	// Superstep barrier: all events applied (including pushes still staged
 	// in the registered request queue — they commit a cycle after the
 	// push), all generation finished.
-	if len(e.drained) == 0 && len(e.fetchQ) == 0 && len(e.readyQ) == 0 &&
+	if e.drainPos == len(e.drained) && e.batchPos == len(e.batches) &&
 		len(e.inAdj) == 0 && len(e.issueQ) == 0 && cy >= e.lastPush+2 &&
 		e.c.Idle() && e.adj.Idle() {
 		e.ss++
+		e.drained, e.drainPos = e.drained[:0], 0
+		e.batches, e.batchPos = e.batches[:0], 0
 		n := e.c.DrainStable(func(d ctrl.Drained) {
 			e.drained = append(e.drained, d)
 		})
-		e.drainedTotal += uint64(n)
-		sort.Slice(e.drained, func(i, j int) bool {
-			return e.drained[i].Key[0] < e.drained[j].Key[0]
+		slices.SortFunc(e.drained, func(a, b ctrl.Drained) int {
+			return cmp.Compare(a.Key[0], b.Key[0])
 		})
 		if n == 0 || e.ss > e.maxSS {
 			e.done = true
@@ -375,20 +378,15 @@ func (e *engine) nid() uint64 {
 	return e.nextID
 }
 
-func (e *engine) queueFetch(addr uint64, words, slot int) {
-	id := e.nid()
-	e.issueQ = append(e.issueQ, dram.Request{ID: id, Addr: addr, Words: words})
-	e.issueSlots = append(e.issueSlots, slot)
-}
-
-// reindexAdj repairs slot references after the head of fetchQ retires.
-func (e *engine) reindexAdj() {
-	for id, slot := range e.inAdj {
-		e.inAdj[id] = slot - 1
+// newBatch takes an empty batch from the free list, or makes one.
+func (e *engine) newBatch() *batch {
+	if len(e.free) == 0 {
+		return &batch{}
 	}
-	for i := range e.issueSlots {
-		e.issueSlots[i]--
-	}
+	b := e.free[len(e.free)-1]
+	e.free = e.free[:len(e.free)-1]
+	*b = batch{vs: b.vs[:0], deltas: b.deltas[:0]}
+	return b
 }
 
 // inf is the SSSP distance of a vertex not yet reached.
@@ -410,7 +408,7 @@ func run(w Work, opt Options, hardwired bool, mode algoMode, src int) (dsa.Resul
 	lay := g.WriteTo(sys.Img)
 	e := &engine{mode: mode, src: src, c: sys.Cache.Ctrl, g: g, lay: lay,
 		adj: newAdjChannel(sys.K, sys.Img), eps: w.Eps, maxSS: w.MaxSS,
-		rank: make([]float64, g.N), inAdj: map[uint64]int{}}
+		rank: make([]float64, g.N), inAdj: map[uint64]*batch{}}
 	if mode == modeSSSP {
 		e.settled = make([]int64, g.N)
 		for v := range e.settled {

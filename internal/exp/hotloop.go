@@ -91,22 +91,17 @@ func hotloopRun(exec ctrl.ExecPath, reqs int) (actions uint64, wall time.Duratio
 	return c.Stats().Actions, wall, nil
 }
 
-// Hotloop measures the controller's microcode step loop on the selected
-// executor backends ("interp", "fast" or "both") and reports
-// ns-per-action plus, when both run, the fast-path speedup. The action
-// counts are deterministic (and byte-stable in baselines); the
-// nanosecond metrics are wall-clock and machine-dependent — baseline
-// comparisons must use a relative tolerance, which is what the
-// `make bench-diff` gate does with the speedup ratio.
-func Hotloop(which string, reqs int) (*Out, error) {
-	if reqs <= 0 {
-		reqs = 512
-	}
-	runInterp := which == "both" || which == "interp"
-	runFast := which == "both" || which == "fast"
-	if !runInterp && !runFast {
-		return nil, fmt.Errorf("hotloop: unknown executor selection %q (want both|interp|fast)", which)
-	}
+// hotloopReqs is the number of spins each timed executor run serves.
+const hotloopReqs = 512
+
+// Hotloop measures the controller's microcode step loop on both executor
+// backends and reports ns-per-action plus the fast path's speedup over
+// the interpreter. The action counts are deterministic (and byte-stable
+// in baselines); the nanosecond metrics are wall-clock and
+// machine-dependent — baseline comparisons must use a relative
+// tolerance, which is what the `make bench-diff` gate does with the
+// speedup ratio.
+func Hotloop() (*Out, error) {
 	out := &Out{
 		ID:      "hotloop",
 		Table:   stats.NewTable("Controller hot-loop microbenchmark", "executor", "ns/action", "Mactions/s"),
@@ -116,10 +111,10 @@ func Hotloop(which string, reqs int) (*Out, error) {
 		},
 	}
 	measure := func(name string, exec ctrl.ExecPath) (float64, error) {
-		if _, _, err := hotloopRun(exec, reqs/8); err != nil { // warmup
+		if _, _, err := hotloopRun(exec, hotloopReqs/8); err != nil { // warmup
 			return 0, err
 		}
-		actions, wall, err := hotloopRun(exec, reqs)
+		actions, wall, err := hotloopRun(exec, hotloopReqs)
 		if err != nil {
 			return 0, err
 		}
@@ -129,22 +124,16 @@ func Hotloop(which string, reqs int) (*Out, error) {
 		out.Table.Add(name, fmt.Sprintf("%.1f", ns), fmt.Sprintf("%.1f", 1e3/ns))
 		return ns, nil
 	}
-	var nsInterp, nsFast float64
-	var err error
-	if runInterp {
-		if nsInterp, err = measure("interp", ctrl.ExecInterp); err != nil {
-			return nil, err
-		}
+	nsInterp, err := measure("interp", ctrl.ExecInterp)
+	if err != nil {
+		return nil, err
 	}
-	if runFast {
-		if nsFast, err = measure("fast", ctrl.ExecFast); err != nil {
-			return nil, err
-		}
+	nsFast, err := measure("fast", ctrl.ExecFast)
+	if err != nil {
+		return nil, err
 	}
-	if runInterp && runFast {
-		out.Metrics["speedup_x"] = nsInterp / nsFast
-		out.Notes = append(out.Notes,
-			fmt.Sprintf("pre-decoded fast path is %.2fx the interpreter on this host", nsInterp/nsFast))
-	}
+	out.Metrics["speedup_x"] = nsInterp / nsFast
+	out.Notes = append(out.Notes,
+		fmt.Sprintf("pre-decoded fast path is %.2fx the interpreter on this host", nsInterp/nsFast))
 	return out, nil
 }

@@ -159,9 +159,9 @@ func newCohL1(k *sim.Kernel, port int, cfg L1Config, maxWaiters int, meter *ener
 	l := &CohL1{
 		Port:       port,
 		Cfg:        cfg,
-		Tags:       metatag.New(metatag.Config{Sets: cfg.Sets, Ways: cfg.Ways, KeyWords: cfg.KeyWords}, meter),
-		Data:       dataram.New(dataram.Config{Sectors: cfg.Sectors, WordsPerSector: 1}, meter),
-		ReqQ:       sim.NewQueue[CohReq](k, name+".req", cfg.ReqDepth),
+		Tags:       metatag.New(metatag.Config{Sets: cfg.Sets, Ways: cfg.Ways}, meter),
+		Data:       dataram.New(dataram.Config{Sectors: cfg.sectors(), WordsPerSector: 1}, meter),
+		ReqQ:       sim.NewQueue[CohReq](k, name+".req", l1ReqDepth),
 		RespQ:      sim.NewQueue[CohResp](k, name+".resp", 64),
 		dirQ:       sim.NewQueue[dirReq](k, name+".dir", 16),
 		grants:     sim.NewQueue[dirGrant](k, name+".grant", 16),
@@ -335,7 +335,7 @@ func (l *CohL1) admit(cy sim.Cycle) {
 		l.serveNow(cy, e, req)
 		return
 	}
-	if len(l.mshrs) >= l.Cfg.MaxOutstanding {
+	if len(l.mshrs) >= l1MaxOutstanding {
 		return
 	}
 	l.ReqQ.Pop()

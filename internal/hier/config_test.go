@@ -20,21 +20,14 @@ func TestL1ConfigValidate(t *testing.T) {
 	}{
 		{"minimal", L1Config{Sets: 1, Ways: 1, WordsPerSector: 1}, ""},
 		{"typical", L1Config{Sets: 8, Ways: 2, WordsPerSector: 4}, ""},
-		{"explicit-everything", L1Config{Sets: 16, Ways: 4, KeyWords: 2,
-			WordsPerSector: 8, Sectors: 256, HitLatency: 3, ReqDepth: 32,
-			MaxOutstanding: 16}, ""},
+		{"explicit-everything", L1Config{Sets: 16, Ways: 4, WordsPerSector: 8, HitLatency: 3}, ""},
 		{"zero-sets", L1Config{Sets: 0, Ways: 2, WordsPerSector: 1}, "Sets"},
 		{"negative-sets", L1Config{Sets: -8, Ways: 2, WordsPerSector: 1}, "Sets"},
 		{"non-pow2-sets", L1Config{Sets: 12, Ways: 2, WordsPerSector: 1}, "Sets"},
 		{"zero-ways", L1Config{Sets: 8, Ways: 0, WordsPerSector: 1}, "Ways"},
 		{"negative-ways", L1Config{Sets: 8, Ways: -1, WordsPerSector: 1}, "Ways"},
 		{"zero-sector-words", L1Config{Sets: 8, Ways: 2, WordsPerSector: 0}, "WordsPerSector"},
-		{"negative-sectors", L1Config{Sets: 8, Ways: 2, WordsPerSector: 1, Sectors: -4}, "Sectors"},
-		{"keywords-too-wide", L1Config{Sets: 8, Ways: 2, WordsPerSector: 1, KeyWords: 3}, "KeyWords"},
-		{"negative-keywords", L1Config{Sets: 8, Ways: 2, WordsPerSector: 1, KeyWords: -1}, "KeyWords"},
 		{"negative-latency", L1Config{Sets: 8, Ways: 2, WordsPerSector: 1, HitLatency: -2}, "HitLatency"},
-		{"negative-depth", L1Config{Sets: 8, Ways: 2, WordsPerSector: 1, ReqDepth: -1}, "ReqDepth"},
-		{"negative-outstanding", L1Config{Sets: 8, Ways: 2, WordsPerSector: 1, MaxOutstanding: -3}, "MaxOutstanding"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

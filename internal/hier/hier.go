@@ -28,17 +28,18 @@ import (
 
 // --- MX: upstream meta-tagged level with no walker. ---
 
-// L1Config sizes the upstream level.
+// L1Config sizes the upstream level. Its meta-tags are one word wide.
 type L1Config struct {
 	Sets           int
 	Ways           int
-	KeyWords       int
 	WordsPerSector int
-	Sectors        int // 0 → 2×Sets×Ways
 	HitLatency     int // 0 → 2 (smaller/closer than the walking level)
-	ReqDepth       int
-	MaxOutstanding int
 }
+
+const (
+	l1ReqDepth       = 16 // request queue depth
+	l1MaxOutstanding = 8  // misses in flight downstream
+)
 
 // ConfigError is the typed error an invalid hierarchy configuration
 // builds to. It names the offending field so callers can surface the
@@ -53,10 +54,10 @@ func (e *ConfigError) Error() string {
 	return fmt.Sprintf("hier: L1Config.%s = %d: %s", e.Field, e.Value, e.Reason)
 }
 
-// Validate rejects geometries the defaulting pass would silently turn
-// into a broken cache: sector sizing derives 2×Sets×Ways, so a zero or
-// negative dimension yields a level that can never hold data, and the
-// meta-tag array indexes sets by mask, so Sets must be a power of two.
+// Validate rejects geometries that would silently build a broken cache:
+// sector sizing derives 2×Sets×Ways, so a zero or negative dimension
+// yields a level that can never hold data, and the meta-tag array
+// indexes sets by mask, so Sets must be a power of two.
 func (c L1Config) Validate() error {
 	if c.Sets <= 0 {
 		return &ConfigError{Field: "Sets", Value: c.Sets, Reason: "must be positive"}
@@ -70,41 +71,20 @@ func (c L1Config) Validate() error {
 	if c.WordsPerSector <= 0 {
 		return &ConfigError{Field: "WordsPerSector", Value: c.WordsPerSector, Reason: "must be positive"}
 	}
-	if c.Sectors < 0 {
-		return &ConfigError{Field: "Sectors", Value: c.Sectors, Reason: "must be non-negative (0 derives 2×Sets×Ways)"}
-	}
-	if c.KeyWords < 0 || c.KeyWords > 2 {
-		return &ConfigError{Field: "KeyWords", Value: c.KeyWords, Reason: "must be 0 (default 1), 1 or 2"}
-	}
 	if c.HitLatency < 0 {
 		return &ConfigError{Field: "HitLatency", Value: c.HitLatency, Reason: "must be non-negative"}
-	}
-	if c.ReqDepth < 0 {
-		return &ConfigError{Field: "ReqDepth", Value: c.ReqDepth, Reason: "must be non-negative"}
-	}
-	if c.MaxOutstanding < 0 {
-		return &ConfigError{Field: "MaxOutstanding", Value: c.MaxOutstanding, Reason: "must be non-negative"}
 	}
 	return nil
 }
 
 func (c *L1Config) defaults() {
-	if c.Sectors == 0 {
-		c.Sectors = 2 * c.Sets * c.Ways
-	}
 	if c.HitLatency == 0 {
 		c.HitLatency = 2
 	}
-	if c.ReqDepth == 0 {
-		c.ReqDepth = 16
-	}
-	if c.MaxOutstanding == 0 {
-		c.MaxOutstanding = 8
-	}
-	if c.KeyWords == 0 {
-		c.KeyWords = 1
-	}
 }
+
+// sectors is the data-RAM size: two sectors per meta-tag way.
+func (c L1Config) sectors() int { return 2 * c.Sets * c.Ways }
 
 // L1Stats counts upstream activity.
 type L1Stats struct {
@@ -164,9 +144,9 @@ func NewMetaL1(k *sim.Kernel, cfg L1Config, l2 *ctrl.Controller, meter *energy.C
 	cfg.defaults()
 	l := &MetaL1{
 		Cfg:    cfg,
-		Tags:   metatag.New(metatag.Config{Sets: cfg.Sets, Ways: cfg.Ways, KeyWords: cfg.KeyWords}, meter),
-		Data:   dataram.New(dataram.Config{Sectors: cfg.Sectors, WordsPerSector: cfg.WordsPerSector}, meter),
-		ReqQ:   sim.NewQueue[ctrl.MetaReq](k, "l1.req", cfg.ReqDepth),
+		Tags:   metatag.New(metatag.Config{Sets: cfg.Sets, Ways: cfg.Ways}, meter),
+		Data:   dataram.New(dataram.Config{Sectors: cfg.sectors(), WordsPerSector: cfg.WordsPerSector}, meter),
+		ReqQ:   sim.NewQueue[ctrl.MetaReq](k, "l1.req", l1ReqDepth),
 		RespQ:  sim.NewQueue[ctrl.MetaResp](k, "l1.resp", 64),
 		l2Req:  l2.ReqQ,
 		l2Resp: l2.RespQ,
@@ -265,7 +245,7 @@ func (l *MetaL1) Tick(cy sim.Cycle) {
 		m.waiters = append(m.waiters, req)
 		return
 	}
-	if len(l.mshrs) >= l.Cfg.MaxOutstanding || !l.l2Req.CanPush() {
+	if len(l.mshrs) >= l1MaxOutstanding || !l.l2Req.CanPush() {
 		return
 	}
 	l.ReqQ.Pop()
@@ -313,7 +293,6 @@ type mxaJob struct {
 	req       dram.Request
 	remaining int
 	data      []uint64
-	base      uint64
 }
 
 // XCOverAddr adapts an X-Cache's memory port onto an address-based cache:
@@ -328,7 +307,6 @@ type XCOverAddr struct {
 	ac   *addrcache.Cache
 	jobs map[uint64]*mxaJob
 	next uint64
-	acct map[uint64][]uint64 // access id → job id list (one per block)
 }
 
 // NewXCOverAddr creates the adapter; xcReq/xcResp are the queues handed to
@@ -389,7 +367,7 @@ func (a *XCOverAddr) Tick(cy sim.Cycle) {
 	a.in.Pop()
 	a.next++
 	jid := a.next
-	a.jobs[jid] = &mxaJob{req: req, remaining: nBlocks, data: make([]uint64, req.Words), base: first}
+	a.jobs[jid] = &mxaJob{req: req, remaining: nBlocks, data: make([]uint64, req.Words)}
 	// Access ID: job in bits 16..63, block index in 0..15 (request-ID
 	// layout: DESIGN.md §9).
 	for i := 0; i < nBlocks; i++ {

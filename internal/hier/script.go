@@ -16,7 +16,6 @@ type ScriptOp struct {
 	Op      CohOp
 	Key     uint64
 	Payload uint64
-	Gap     int    // idle cycles after the response before the next op
 	Poll    bool   // reissue the load until its value equals Want
 	Want    uint64 // the value a Poll waits for
 }
@@ -82,7 +81,6 @@ func RunScripts(s *CohSystem, h *check.Harness, scripts [][]ScriptOp, maxCycles 
 				}
 				p.results = append(p.results, resp.Value)
 				p.idx++
-				p.gapUntil = cy + sim.Cycle(op.Gap)
 			}
 			if p.idx < len(p.ops) {
 				done = false

@@ -253,12 +253,11 @@ func (i Instr) RegOperands() (regs [3]uint8, n int) {
 // Instr is one decoded microcode action. Branch immediates are
 // routine-relative instruction indices.
 type Instr struct {
-	Op   Op
-	Dst  uint8 // first register operand (written for ALU ops)
-	A    uint8 // second register operand
-	B    uint8 // third register operand (RRR shape)
-	Imm  int32 // immediate / branch target, 16-bit signed range
-	Note string
+	Op  Op
+	Dst uint8 // first register operand (written for ALU ops)
+	A   uint8 // second register operand
+	B   uint8 // third register operand (RRR shape)
+	Imm int32 // immediate / branch target, 16-bit signed range
 }
 
 // ImmMin and ImmMax bound the encodable immediate.

@@ -48,7 +48,7 @@ type Entry struct {
 	// the controller's scrub path can detect and refetch.
 	Parity uint8
 	// untracked marks an entry whose stored key bits were corrupted after
-	// allocation: the duplicate-alloc guard no longer tracks it.
+	// allocation: the duplicate-alloc guard and Live skip it.
 	untracked bool
 
 	lru uint64
@@ -95,7 +95,6 @@ type Stats struct {
 	Lookups    uint64
 	Hits       uint64
 	Misses     uint64
-	Allocs     uint64
 	AllocFails uint64 // all ways transient — walker must retry
 	Evictions  uint64
 	DirtyEvict uint64
@@ -112,12 +111,11 @@ type Evicted struct {
 
 // Array is the meta-tag RAM.
 type Array struct {
-	Cfg     Config
-	sets    [][]Entry
-	tick    uint64
-	stats   Stats
-	Meter   *energy.Counters
-	present map[Key]struct{} // fast duplicate guard (mirrors hardware invariant)
+	Cfg   Config
+	sets  [][]Entry
+	tick  uint64
+	stats Stats
+	Meter *energy.Counters
 }
 
 // New builds an array; sets must be a power of two.
@@ -129,7 +127,7 @@ func New(cfg Config, meter *energy.Counters) *Array {
 	if cfg.Ways <= 0 {
 		panic("metatag: ways must be positive")
 	}
-	a := &Array{Cfg: cfg, Meter: meter, present: make(map[Key]struct{})}
+	a := &Array{Cfg: cfg, Meter: meter}
 	a.sets = make([][]Entry, cfg.Sets)
 	for i := range a.sets {
 		a.sets[i] = make([]Entry, cfg.Ways)
@@ -212,29 +210,34 @@ func (a *Array) Touch(e *Entry) {
 }
 
 // Alloc reserves an entry for key in state; the caller guarantees key is
-// not already present (hardware invariant: one live tag per key). If a
-// victim must be evicted it is returned so the controller can clean up.
-// ok is false when every way holds a transient entry (walker must retry).
+// not already present (hardware invariant: one live tag per key, checked
+// here over every way of the key's set, where a live tag for it must
+// sit). The victim is the first free way, else the least-recently-used
+// stable way; an evicted victim is returned so the controller can clean
+// up. ok is false when every way holds a transient entry (walker must
+// retry).
 func (a *Array) Alloc(k Key, state int, walker int32) (*Entry, *Evicted, bool) {
 	k = a.norm(k)
-	if _, dup := a.present[k]; dup {
-		panic(fmt.Sprintf("metatag: duplicate alloc for key %v", k))
-	}
 	set := a.set(k)
-	var victim *Entry
+	var free, victim *Entry
 	for i := range set {
 		e := &set[i]
 		if !e.Valid {
-			victim = e
-			break
-		}
-		// Only stable entries (no active walker) may be evicted.
-		if e.Walker != NoWalker {
+			if free == nil {
+				free = e
+			}
 			continue
 		}
-		if victim == nil || e.lru < victim.lru {
+		if !e.untracked && a.match(e, k) {
+			panic(fmt.Sprintf("metatag: duplicate alloc for key %v", k))
+		}
+		// Only stable entries (no active walker) may be evicted.
+		if e.Walker == NoWalker && (victim == nil || e.lru < victim.lru) {
 			victim = e
 		}
+	}
+	if free != nil {
+		victim = free
 	}
 	if victim == nil {
 		a.stats.AllocFails++
@@ -248,18 +251,13 @@ func (a *Array) Alloc(k Key, state int, walker int32) (*Entry, *Evicted, bool) {
 		}
 		ev = &Evicted{Key: victim.Key, Dirty: victim.Dirty,
 			SectorBase: victim.SectorBase, SectorCount: victim.SectorCount}
-		if !victim.untracked {
-			delete(a.present, victim.Key)
-		}
 	}
-	a.stats.Allocs++
 	if a.Meter != nil {
 		a.Meter.TagBytes += uint64(a.Cfg.TagBytes) // full entry write
 	}
 	a.tick++
 	*victim = Entry{Valid: true, Key: k, State: state, Walker: walker,
 		Parity: keyParity(k), lru: a.tick}
-	a.present[k] = struct{}{}
 	return victim, ev, true
 }
 
@@ -271,17 +269,14 @@ func (a *Array) Dealloc(e *Entry) {
 	if a.Meter != nil {
 		a.Meter.TagBytes += StateBytes // valid-bit/state clear
 	}
-	if !e.untracked {
-		delete(a.present, e.Key)
-	}
 	*e = Entry{Walker: NoWalker}
 }
 
 // CorruptKeyBit flips one stored key bit of a valid entry, modeling a
-// tag-RAM soft error. The duplicate-alloc guard drops the entry (hardware
-// has no such mirror; the stale bits simply occupy the way until the
-// parity scrub or an eviction removes them). word must be within the
-// configured KeyWords.
+// tag-RAM soft error. The duplicate-alloc guard and Live skip the entry
+// from then on: its stale bits simply occupy the way until the parity
+// scrub or an eviction removes them. word must be within the configured
+// KeyWords.
 func (a *Array) CorruptKeyBit(e *Entry, word, bit int) {
 	if !e.Valid {
 		panic("metatag: corrupting an invalid entry")
@@ -289,10 +284,7 @@ func (a *Array) CorruptKeyBit(e *Entry, word, bit int) {
 	if word < 0 || word >= a.Cfg.KeyWords || bit < 0 || bit > 63 {
 		panic(fmt.Sprintf("metatag: corrupt word %d bit %d out of range", word, bit))
 	}
-	if !e.untracked {
-		delete(a.present, e.Key)
-		e.untracked = true
-	}
+	e.untracked = true
 	e.Key[word] ^= 1 << uint(bit)
 }
 
@@ -332,8 +324,17 @@ func (a *Array) Update() {
 	}
 }
 
-// Live returns the number of valid entries (for invariant checks).
-func (a *Array) Live() int { return len(a.present) }
+// Live returns the number of valid entries whose key is intact (for
+// invariant checks).
+func (a *Array) Live() int {
+	n := 0
+	a.ForEach(func(e *Entry) {
+		if !e.untracked {
+			n++
+		}
+	})
+	return n
+}
 
 // ForEach visits every valid entry; used by drain paths (GraphPulse pops
 // its coalesced events) and tests.

@@ -120,6 +120,21 @@ func TestDuplicateAllocPanics(t *testing.T) {
 	a.Alloc(Key{1, 1}, program.StateValid, NoWalker)
 }
 
+// TestDuplicateAllocPanicsBehindFreeWay: the guard sees every way of the
+// set, not only those before the first free one.
+func TestDuplicateAllocPanicsBehindFreeWay(t *testing.T) {
+	a := newArray(1, 2)
+	ea, _, _ := a.Alloc(Key{1, 0}, program.StateValid, NoWalker) // way 0
+	a.Alloc(Key{2, 0}, program.StateValid, NoWalker)             // way 1
+	a.Dealloc(ea)                                                // way 0 free again
+	defer func() {
+		if recover() == nil {
+			t.Fatal("duplicate alloc of a key live behind a free way did not panic")
+		}
+	}()
+	a.Alloc(Key{2, 0}, program.StateValid, NoWalker)
+}
+
 func TestEnergyAccounting(t *testing.T) {
 	m := &energy.Counters{}
 	a := New(Config{Sets: 4, Ways: 2, SigBytes: 2, TagBytes: 10}, m)
@@ -248,7 +263,7 @@ func TestCorruptKeyBitDetectedAndScrubbed(t *testing.T) {
 	}
 }
 
-func TestCorruptedVictimDoesNotPoisonPresentMap(t *testing.T) {
+func TestCorruptedVictimKeepsDuplicateGuard(t *testing.T) {
 	a := New(Config{Sets: 1, Ways: 2, KeyWords: 1}, nil)
 	e, _, _ := a.Alloc(Key{9, 0}, 1, NoWalker)
 	a.CorruptKeyBit(e, 0, 0) // stored key bits become 8

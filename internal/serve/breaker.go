@@ -22,8 +22,6 @@ type BreakerConfig struct {
 	// Probes is the number of consecutive half-open successes required to
 	// close again. Default 4.
 	Probes int
-	// Disabled turns the breaker off entirely (requests always admitted).
-	Disabled bool
 }
 
 func (c *BreakerConfig) defaults() {
@@ -101,9 +99,6 @@ func newBreaker(cfg BreakerConfig) breaker {
 // is a half-open probe (the caller tags it so completions and timeouts
 // feed back into probeSuccess/probeFail).
 func (b *breaker) admit() (ok, probe bool) {
-	if b.cfg.Disabled {
-		return true, false
-	}
 	switch b.state {
 	case BreakerClosed:
 		return true, false
@@ -119,11 +114,11 @@ func (b *breaker) admit() (ok, probe bool) {
 // allowForward reports whether the shard should be fed from its ingress
 // queue this cycle. Open means drain: nothing new reaches the controller.
 func (b *breaker) allowForward() bool {
-	return b.cfg.Disabled || b.state != BreakerOpen
+	return b.state != BreakerOpen
 }
 
 func (b *breaker) trip(c sim.Cycle) {
-	if b.cfg.Disabled || b.state == BreakerOpen {
+	if b.state == BreakerOpen {
 		return
 	}
 	b.state = BreakerOpen
@@ -135,7 +130,7 @@ func (b *breaker) trip(c sim.Cycle) {
 
 // recordTrap feeds n controller traps into the trip counters.
 func (b *breaker) recordTrap(n int, c sim.Cycle) {
-	if b.cfg.Disabled || n <= 0 {
+	if n <= 0 {
 		return
 	}
 	switch b.state {
@@ -152,7 +147,7 @@ func (b *breaker) recordTrap(n int, c sim.Cycle) {
 
 // recordTimeout feeds one attempt timeout into the trip counters.
 func (b *breaker) recordTimeout(c sim.Cycle) {
-	if b.cfg.Disabled || b.state != BreakerClosed {
+	if b.state != BreakerClosed {
 		return
 	}
 	b.timeouts++
@@ -190,9 +185,6 @@ func (b *breaker) probeFail(c sim.Cycle) {
 // maintain returns true exactly once per open episode when the drain
 // completes — the caller clears the controller's latched trap then.
 func (b *breaker) maintain(c sim.Cycle, idle func() bool) (clearTrap bool) {
-	if b.cfg.Disabled {
-		return false
-	}
 	// Counter decay keeps "sustained rate" semantics.
 	if c-b.lastDecay >= sim.Cycle(b.cfg.Window) {
 		b.traps /= 2

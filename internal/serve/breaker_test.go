@@ -120,18 +120,6 @@ func TestBreakerProbeFailDoublesCooldown(t *testing.T) {
 	}
 }
 
-func TestBreakerDisabled(t *testing.T) {
-	b := newBreaker(BreakerConfig{Disabled: true})
-	b.recordTrap(100, 1)
-	b.recordTimeout(2)
-	if ok, _ := b.admit(); !ok || b.state != BreakerClosed {
-		t.Fatal("disabled breaker interfered")
-	}
-	if b.maintain(5000, func() bool { return true }) {
-		t.Fatal("disabled breaker asked for a trap clear")
-	}
-}
-
 // --- integration: a poisoned walker program trips the breaker through
 // the controller's real trap path, and the service degrades gracefully ---
 

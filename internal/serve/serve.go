@@ -304,8 +304,6 @@ type tenantState struct {
 	epochLat      stats.Histogram
 	epochN        uint64
 	epochMax      uint64
-	epochMet      uint64
-	epochTotal    uint64
 }
 
 // retryEntry schedules re-issue of a timed-out request.

@@ -43,13 +43,9 @@ func (s *Service) recordSLO(t *tenantState, met bool) {
 		return
 	}
 	t.sloMeasured++
-	t.epochTotal++
-	if met {
-		t.sloMet++
-		t.epochMet++
-	}
 	s.sloEpochTotal[t.prio]++
 	if met {
+		t.sloMet++
 		s.sloEpochMet[t.prio]++
 	}
 }
@@ -106,7 +102,7 @@ func (s *Service) govern(c uint64) {
 			}
 		}
 		t.epochLat = stats.Histogram{}
-		t.epochN, t.epochMax, t.epochMet, t.epochTotal = 0, 0, 0, 0
+		t.epochN, t.epochMax = 0, 0
 	}
 }
 
