@@ -4,8 +4,8 @@
 // Usage:
 //
 //	xcache-bench [-scale N] [-parallel N] [-v] [-fig all|none|4,7,14,15,16,17,18,19,20,t1,t2,t3,t4,btree,ablation]
-//	             [-approx] [-partial] [-checkpoint dir]
-//	             [-hotloop] [-bench-diff FILE]
+//	             [-partial] [-checkpoint dir]
+//	             [-hotloop] [-json FILE] [-bench-diff FILE]
 //
 // scale divides the published workload sizes (and cache capacities with
 // them); -scale 1 runs the paper-scale configuration and takes several
@@ -14,13 +14,6 @@
 // every worker count. -v prints the runner statistics (runs
 // launched/cached/failed, per-run cycles and wall time, peak workers) on
 // stderr.
-//
-// -approx additionally emits the approximate evaluation tier
-// (internal/approx): the tag-replay and sampled-interval variants of the
-// cacheDiv/geometry sweeps, with every cell annotated exact, tags or
-// interval, plus the approx_error validation table comparing each
-// approximate cell against the exact simulator under the tier's declared
-// error bounds.
 //
 // -hotloop appends the controller hot-loop microbenchmark (figure id
 // "hotloop"): the ALU-dense spin routine timed on both executor
@@ -129,7 +122,6 @@ func main() {
 	parallel := flag.Int("parallel", defaultWorkers(), "sweep-engine workers (results are identical for any value)")
 	verbose := flag.Bool("v", false, "print runner statistics (launched/cached/failed, per-run wall time)")
 	figs := flag.String("fig", "all", "comma-separated ids (4,7,14..20, t1..t4, btree, ablation) or 'all'")
-	approxTier := flag.Bool("approx", false, "emit the approximate evaluation tier (tag replay + sampled intervals) with per-cell exact|tags|interval annotation and error bounds")
 	partial := flag.Bool("partial", false, "annotate failed cells instead of aborting the run")
 	checkpoint := flag.String("checkpoint", "", "journal completed runs to this directory and resume from it")
 	jsonPath := flag.String("json", "", "write a machine-readable (and byte-reproducible) result baseline to this file")
@@ -260,11 +252,6 @@ func main() {
 	}
 	if *hotloop {
 		tolerate("hotloop", func() (*exp.Out, error) { return exp.Hotloop() })
-	}
-	if *approxTier {
-		tolerate("approx-fig17", func() (*exp.Out, error) { return exp.ApproxCacheDiv(run, *scale) })
-		tolerate("approx-geom", func() (*exp.Out, error) { return exp.ApproxGeometry(run, *scale) })
-		tolerate("approx_error", func() (*exp.Out, error) { return exp.ApproxError(run, *scale) })
 	}
 
 	for _, o := range outs {

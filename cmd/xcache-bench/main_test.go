@@ -24,7 +24,8 @@ func TestMain(m *testing.M) {
 // TestFlagErrorsExitUsage: a bad -fig id or an unknown flag exits 2
 // (usage); -fig none and -h exit 0. The runner executes each spec once
 // and a run's outcome depends only on its spec, so it takes no retry
-// flags and no wall deadline.
+// flags and no wall deadline. Every figure comes from exact simulation,
+// so it has no approximate-tier flag either.
 func TestFlagErrorsExitUsage(t *testing.T) {
 	for _, tc := range []struct {
 		args   []string
@@ -38,6 +39,7 @@ func TestFlagErrorsExitUsage(t *testing.T) {
 		{[]string{"-fig", "none", "-backoff", "1s"}, 2, "flag provided but not defined: -backoff"},
 		{[]string{"-fig", "none", "-spec-wall", "5m"}, 2, "flag provided but not defined: -spec-wall"},
 		{[]string{"-fig", "none", "-hotloop-exec", "both"}, 2, "flag provided but not defined: -hotloop-exec"},
+		{[]string{"-fig", "none", "-approx"}, 2, "flag provided but not defined: -approx"},
 	} {
 		cmd := exec.Command(os.Args[0], tc.args...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")

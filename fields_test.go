@@ -29,7 +29,7 @@ var writeOnlyAllowed = map[string]string{
 // check is conservative: it never reports a field that is read, but it
 // misses a write-only field whose name a field or method of another type
 // shares and reads, such as hier's mxaJob.base beside memBridge.base,
-// or approx's IntervalEstimate.Misses beside TagResult.Misses.
+// or any write-only field named Misses, since ctrl.Stats.Misses is read.
 func TestNoWriteOnlyFields(t *testing.T) {
 	type decl struct{ pkg, typ, field string }
 	var decls []decl

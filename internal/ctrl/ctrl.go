@@ -20,7 +20,7 @@
 // runtime-decidable traps dynamic. ExecInterp (exec.go) is the
 // reference interpreter that re-decodes every word on every step; it
 // remains the semantic ground truth the fast path is differentially
-// tested against (exec_diff_test.go, FuzzExecDiff). See DESIGN.md §12
+// tested against (exec_diff_test.go, FuzzExecDiff). See DESIGN.md §11
 // for the pre-decode pipeline and the soundness argument, and this
 // package's README.md for the file map.
 package ctrl
@@ -156,7 +156,7 @@ func (c *Config) defaults() {
 // Stats aggregates controller activity.
 type Stats struct {
 	Loads, Stores    uint64
-	Hits, Misses     uint64 // stable-entry hits vs walker spawns+merges
+	Hits, Misses     uint64 // stable-entry hits vs walker spawns; a merge counts in neither
 	MergedWaiters    uint64
 	NotFound         uint64
 	Responses        uint64
@@ -305,7 +305,8 @@ type Controller struct {
 	trapResps []MetaResp
 
 	// sink, when non-nil, receives the meta-tag reference trace (see
-	// trace.go); internal/approx replays it against other geometries.
+	// trace.go); the executor differential compares the two executors'
+	// streams.
 	sink TraceSink
 
 	// evictHook, when non-nil, observes every stable entry leaving the

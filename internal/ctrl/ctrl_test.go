@@ -1,6 +1,7 @@
 package ctrl
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -293,6 +294,52 @@ func TestAllocConflictReplays(t *testing.T) {
 	}
 	if r.c.Stats().AllocRetries == 0 {
 		t.Fatal("expected an allocm retry with 1-way tags")
+	}
+}
+
+// TestTraceClassesMatchStats pins the reference trace to the
+// controller's own accounting on both executors: each TraceReq classed
+// ClassHit is one Stats.Hits, each ClassMiss one Stats.Misses, each
+// ClassMerge one MergedWaiters and each TraceAllocRetry one AllocRetries.
+// One-way tags force allocation conflicts, whose replayed requests are
+// classified, and counted, a second time.
+func TestTraceClassesMatchStats(t *testing.T) {
+	for _, exec := range []ExecPath{ExecFast, ExecInterp} {
+		tagCfg := metatag.Config{Sets: 1, Ways: 1, KeyWords: 1}
+		r := newRig(t, Config{NumActive: 4, Exec: exec}, arrayWalkSpec(), tagCfg, defaultDataCfg())
+		r.fillArray(16)
+		log := &traceLog{}
+		r.c.SetTraceSink(log)
+		r.issue(MetaLoad, 5, 0)
+		r.await(1)
+		r.issue(MetaLoad, 5, 0) // still resident: a hit
+		r.await(1)
+		r.issue(MetaLoad, 7, 0)
+		r.k.Run(20)
+		r.issue(MetaLoad, 7, 0) // merges behind the allocated, filling entry
+		r.await(2)
+		for _, key := range []uint64{1, 1, 2, 2, 3} { // merges and way conflicts
+			r.issue(MetaLoad, key, 0)
+		}
+		r.await(5)
+		st := r.c.Stats()
+		if st.Hits == 0 || st.Misses == 0 || st.MergedWaiters == 0 || st.AllocRetries == 0 {
+			t.Fatalf("executor %d: schedule left a request class unexercised: %+v", exec, st)
+		}
+		checkTraceClasses(t, fmt.Sprintf("executor %d", exec), log.evs, st)
+		var merges, retries uint64
+		for _, ev := range log.evs {
+			switch {
+			case ev.Kind == TraceReq && ev.Class == ClassMerge:
+				merges++
+			case ev.Kind == TraceAllocRetry:
+				retries++
+			}
+		}
+		if merges != st.MergedWaiters || retries != st.AllocRetries {
+			t.Fatalf("executor %d: trace has %d merges and %d alloc retries, Stats counts %d and %d",
+				exec, merges, retries, st.MergedWaiters, st.AllocRetries)
+		}
 	}
 }
 

@@ -152,12 +152,15 @@ func (p *diffPair) compareCycle(t *testing.T, respI, respF []MetaResp) {
 }
 
 // compareFinal checks the end-of-run observables the per-cycle pass does
-// not cover: energy accounting, trace streams, storage occupancy.
+// not cover: energy accounting, trace streams and their agreement with
+// Stats, storage occupancy.
 func (p *diffPair) compareFinal(t *testing.T, respI, respF []MetaResp) {
 	t.Helper()
 	if *p.ri.meter != *p.rf.meter {
 		t.Fatalf("energy meters diverged\ninterp: %+v\nfast:   %+v", *p.ri.meter, *p.rf.meter)
 	}
+	checkTraceClasses(t, "interp", p.ti.evs, p.ri.c.Stats())
+	checkTraceClasses(t, "fast", p.tf.evs, p.rf.c.Stats())
 	if len(p.ti.evs) != len(p.tf.evs) {
 		t.Fatalf("trace length diverged: interp=%d fast=%d", len(p.ti.evs), len(p.tf.evs))
 	}
@@ -175,6 +178,29 @@ func (p *diffPair) compareFinal(t *testing.T, respI, respF []MetaResp) {
 	}
 	_ = respI
 	_ = respF
+}
+
+// checkTraceClasses pins the trace to the controller's own accounting:
+// every TraceReq classified ClassHit is one Stats.Hits and every
+// ClassMiss one Stats.Misses (a ClassMerge counts in neither).
+func checkTraceClasses(t *testing.T, side string, evs []TraceEvent, st Stats) {
+	t.Helper()
+	var hits, misses uint64
+	for _, ev := range evs {
+		if ev.Kind != TraceReq {
+			continue
+		}
+		switch ev.Class {
+		case ClassHit:
+			hits++
+		case ClassMiss:
+			misses++
+		}
+	}
+	if hits != st.Hits || misses != st.Misses {
+		t.Fatalf("%s: trace classifies %d hits and %d misses, Stats counts %d and %d",
+			side, hits, misses, st.Hits, st.Misses)
+	}
 }
 
 func sameResp(a, b MetaResp) bool {

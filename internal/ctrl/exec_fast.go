@@ -17,7 +17,7 @@ type ExecPath uint8
 const (
 	// ExecFast pre-decodes each verified instruction once at load time
 	// into a step closure with operands resolved and statically-discharged
-	// checks stripped (see DESIGN.md §12).
+	// checks stripped (see DESIGN.md §11).
 	ExecFast ExecPath = iota
 	// ExecInterp forces the reference interpreter (exec.go), which
 	// re-decodes and re-bounds-checks every instruction on every step.

@@ -32,9 +32,26 @@ type execOutcome struct {
 	cycles sim.Cycle
 }
 
+// classCounter is a TraceSink that counts classified requests: every
+// ClassHit must be one Stats.Hits and every ClassMiss one Stats.Misses.
+type classCounter struct{ hits, misses uint64 }
+
+func (cc *classCounter) Trace(ev ctrl.TraceEvent) {
+	if ev.Kind != ctrl.TraceReq {
+		return
+	}
+	switch ev.Class {
+	case ctrl.ClassHit:
+		cc.hits++
+	case ctrl.ClassMiss:
+		cc.misses++
+	}
+}
+
 // runExecPath executes p for a bounded number of cycles on a small
 // controller pinned to the given executor backend and captures the
-// outcome. The stack mirrors execAccepted's exactly.
+// outcome, failing if the trace's classes disagree with its Stats. The
+// stack mirrors execAccepted's exactly.
 func runExecPath(t *testing.T, p *program.Program, exec ctrl.ExecPath) execOutcome {
 	t.Helper()
 	k := sim.NewKernel()
@@ -49,6 +66,8 @@ func runExecPath(t *testing.T, p *program.Program, exec ctrl.ExecPath) execOutco
 	if err != nil {
 		t.Fatalf("ctrl.New rejected a program Verify accepted with the same limits: %v", err)
 	}
+	cc := &classCounter{}
+	c.SetTraceSink(cc)
 	base := img.AllocWords(64)
 	for i := 0; i < 16; i++ {
 		c.SetEnv(i, base)
@@ -85,6 +104,10 @@ func runExecPath(t *testing.T, p *program.Program, exec ctrl.ExecPath) execOutco
 	out.live = c.Tags.Live()
 	out.free = c.Data.FreeSectors()
 	out.cycles = k.Cycle()
+	if cc.hits != out.stats.Hits || cc.misses != out.stats.Misses {
+		t.Fatalf("executor %d: trace classifies %d hits and %d misses, Stats counts %d and %d",
+			exec, cc.hits, cc.misses, out.stats.Hits, out.stats.Misses)
+	}
 	return out
 }
 

@@ -24,19 +24,23 @@ import (
 
 // fuzzCfg is the small controller instance accepted programs execute
 // against. The verifier runs with exactly these limits, so acceptance
-// must imply the absence of every statically-guaranteed trap kind.
+// must imply the absence of every statically-guaranteed trap kind. The
+// limits admit every real walker (registers past r7, 8-word fills,
+// routines of up to 41 actions), so the seed corpus reaches execution.
 func fuzzCfg() ctrl.Config {
-	return ctrl.Config{NumActive: 2, NumExe: 1, NumXRegs: 8,
-		MaxFillWords: 4, MaxRoutineSteps: 32}
+	return ctrl.Config{NumActive: 2, NumExe: 1, NumXRegs: 16,
+		MaxFillWords: 8, MaxRoutineSteps: 64}
 }
 
 func fuzzVerifyCfg() program.VerifyConfig {
-	return program.VerifyConfig{NumXRegs: 8, MaxFillWords: 4,
-		MaxRoutineSteps: 32, DataSectors: 8, EnvSlots: 16}
+	return program.VerifyConfig{NumXRegs: 16, MaxFillWords: 8,
+		MaxRoutineSteps: 64, DataSectors: 8, EnvSlots: 16}
 }
 
 // seedBinaries marshals every real walker program, plus mutated variants
-// that historically panicked, as the corpus.
+// that historically panicked, as the corpus. It fails if the verifier
+// rejects a real walker: the fuzz targets would then replay no accepted
+// program and pass without executing one.
 func seedBinaries(f *testing.F) [][]byte {
 	var bins [][]byte
 	for _, s := range []program.Spec{
@@ -45,6 +49,9 @@ func seedBinaries(f *testing.F) [][]byte {
 		p, err := s.Compile()
 		if err != nil {
 			f.Fatal(err)
+		}
+		if err := program.Verify(p, fuzzVerifyCfg()); err != nil {
+			f.Fatalf("fuzz limits reject a real walker: %v", err)
 		}
 		bin, err := p.MarshalBinary()
 		if err != nil {

@@ -4,11 +4,9 @@ import "xcache/internal/metatag"
 
 // TraceKind labels one observable controller event on the meta-tag
 // reference path. The stream of TraceEvents a run emits is exactly the
-// sequence of meta-tag array operations in donor time order, which is
-// what lets internal/approx replay it against alternative cache
-// geometries (one-pass multi-configuration tag simulation) with the
-// guarantee that replaying against the donor's own geometry reproduces
-// its hit/miss counts bit-exactly.
+// sequence of meta-tag array operations in time order. The executor
+// differential (exec_diff_test.go, FuzzExecDiff) requires both executors
+// to emit the same stream, and its request classes to agree with Stats.
 type TraceKind uint8
 
 // Trace event kinds.
@@ -29,9 +27,8 @@ const (
 	// entry (not-found on the reference path).
 	TraceAbort
 	// TraceAllocRetry is an allocm/allocd conflict: the walker retired
-	// and its origin request was pushed back to replay. Captures for
-	// approximate replay reject traces containing these (the request is
-	// re-admitted and double-classified).
+	// and its origin request was pushed back to replay, where it is
+	// re-admitted and classified (and counted in Stats) a second time.
 	TraceAllocRetry
 	// TraceDrain is the bulk stable-entry removal (GraphPulse superstep
 	// pops).

@@ -23,18 +23,14 @@ import (
 	"xcache/internal/sim"
 )
 
-// Work describes one probe workload. A nonzero WinLen restricts the run
-// to the probe-trace slice [WinStart, WinStart+WinLen) — the index is
-// built in full, only the probe stream is windowed — which is what the
-// sampled-interval approximation tier (internal/approx) executes.
+// Work describes one probe workload: an index of NumKeys keys over
+// Buckets chains, probed Probes times under Profile's skew.
 type Work struct {
-	NumKeys  int
-	Buckets  int
-	Probes   int
-	Profile  hashidx.Profile
-	Seed     int64
-	WinStart int
-	WinLen   int
+	NumKeys int
+	Buckets int
+	Probes  int
+	Profile hashidx.Profile
+	Seed    int64
 }
 
 // DefaultWork sizes a workload for the given TPC-H profile; scale divides
@@ -61,9 +57,6 @@ type Options struct {
 	// Check attaches the hardening harness (watchdog, invariant checkers,
 	// fault injection) to the X-Cache run; nil runs unsupervised.
 	Check *check.Config
-	// Trace, when non-nil, receives the controller's meta-tag reference
-	// trace (RunXCache only); internal/approx captures through it.
-	Trace ctrl.TraceSink
 }
 
 const (
@@ -137,27 +130,10 @@ func Spec(shift uint) program.Spec {
 	}
 }
 
-// BuildWorkload lays the index out in img and generates the probe trace,
-// applying the Work's window (if any) to the probe stream. The window is
-// clamped to the trace, so a plan sized for a different scale degrades
-// to a shorter window instead of panicking.
+// BuildWorkload lays the index out in img and generates the probe trace.
 func BuildWorkload(w Work, img *mem.Image) (*hashidx.Index, []uint64) {
 	ix := hashidx.Build(img, hashidx.SeqKeys(w.NumKeys), w.Buckets)
-	trace := hashidx.Trace(ix, w.Profile, w.Probes, w.Seed)
-	if w.WinLen > 0 {
-		lo, hi := w.WinStart, w.WinStart+w.WinLen
-		if lo < 0 {
-			lo = 0
-		}
-		if lo > len(trace) {
-			lo = len(trace)
-		}
-		if hi > len(trace) {
-			hi = len(trace)
-		}
-		trace = trace[lo:hi]
-	}
-	return ix, trace
+	return ix, hashidx.Trace(ix, w.Profile, w.Probes, w.Seed)
 }
 
 // datapath drives meta probes against an X-Cache and validates RIDs.
@@ -215,9 +191,6 @@ func RunXCache(w Work, opt Options) (dsa.Result, error) {
 	}
 	sys.Cache.SetEnv(0, ix.Table)
 	sys.Cache.SetEnv(1, hashidx.HashMul)
-	if opt.Trace != nil {
-		sys.Cache.Ctrl.SetTraceSink(opt.Trace)
-	}
 
 	dp := &datapath{c: sys.Cache.Ctrl, trace: trace, ix: ix, ok: true}
 	sys.K.Add(dp)

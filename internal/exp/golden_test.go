@@ -61,9 +61,6 @@ func goldenOuts(t *testing.T) []*Out {
 		ExtensionBTree,
 		AblationProgrammability,
 		AblationDesignChoices,
-		ApproxCacheDiv,
-		ApproxGeometry,
-		ApproxError,
 	} {
 		o, err := f(r, goldenScale)
 		if err != nil {

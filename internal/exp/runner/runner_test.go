@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -100,6 +101,9 @@ func TestExecuteRejectsUnknowns(t *testing.T) {
 		{DSA: DSASpArch, Kind: dsa.KindXCache, Workload: "p2p-08", Scale: 1},
 		{DSA: DSAGraphPulse, Kind: dsa.KindXCache, Workload: "TPC-H-19", Scale: 1},
 		{DSA: DSABTreeIdx, Kind: dsa.KindBaseline, Workload: "zipf", Scale: 1},
+		// Only xcache-serve applies channel fault episodes.
+		{DSA: DSAWidx, Kind: dsa.KindXCache, Workload: "TPC-H-22", Scale: 400,
+			Faults: check.FaultConfig{Channels: []check.ChannelFault{{Mode: check.ChanOutage, Cycles: 100}}}},
 	}
 	for _, s := range cases {
 		if _, err := s.Execute(); err == nil {
@@ -108,26 +112,61 @@ func TestExecuteRejectsUnknowns(t *testing.T) {
 	}
 }
 
+// TestKeyDistinguishesEveryField mutates every field of Spec and of its
+// check.FaultConfig, and requires each mutation to change the key and
+// the hash. A field the table does not name fails the test, so a field
+// added later cannot slip out of Key() unnoticed.
 func TestKeyDistinguishesEveryField(t *testing.T) {
 	base := tinySpec()
+	// Each mutated rate agrees with its base to 6 significant digits, so
+	// a key that rounds rates would alias them.
+	base.Faults = check.FaultConfig{DropResp: 0.1234567, DelayResp: 0.2, ClogQueue: 0.3, FlipBit: 0.4}
 	mutations := map[string]func(*Spec){
-		"DSA":       func(s *Spec) { s.DSA = DSADASX },
-		"Kind":      func(s *Spec) { s.Kind = dsa.KindAddr },
-		"Workload":  func(s *Spec) { s.Workload = "TPC-H-19" },
-		"Scale":     func(s *Spec) { s.Scale = 401 },
-		"WorkScale": func(s *Spec) { s.WorkScale = 800 },
-		"DivMul":    func(s *Spec) { s.DivMul = 2 },
-		"Mode":      func(s *Spec) { s.Mode = 1 },
-		"Exec":      func(s *Spec) { s.Exec = ctrl.ExecInterp },
-		"Hardwired": func(s *Spec) { s.Hardwired = true },
-		"Lookahead": func(s *Spec) { s.Lookahead = 16 },
-		"NumActive": func(s *Spec) { s.NumActive = 8 },
-		"NumExe":    func(s *Spec) { s.NumExe = 2 },
-		"Check":     func(s *Spec) { s.Check = true },
-		"DropResp":  func(s *Spec) { s.Faults.DropResp = 1e-3 },
-		"FlipBit":   func(s *Spec) { s.Faults.FlipBit = 1e-4 },
-		"Timeout":   func(s *Spec) { s.Faults.FillTimeout = 99 },
-		"Seed":      func(s *Spec) { s.Seed = 9 },
+		"DSA":                func(s *Spec) { s.DSA = DSADASX },
+		"Kind":               func(s *Spec) { s.Kind = dsa.KindAddr },
+		"Workload":           func(s *Spec) { s.Workload = "TPC-H-19" },
+		"Scale":              func(s *Spec) { s.Scale = 401 },
+		"WorkScale":          func(s *Spec) { s.WorkScale = 800 },
+		"DivMul":             func(s *Spec) { s.DivMul = 2 },
+		"Mode":               func(s *Spec) { s.Mode = 1 },
+		"Exec":               func(s *Spec) { s.Exec = ctrl.ExecInterp },
+		"Hardwired":          func(s *Spec) { s.Hardwired = true },
+		"Lookahead":          func(s *Spec) { s.Lookahead = 16 },
+		"NumActive":          func(s *Spec) { s.NumActive = 8 },
+		"NumExe":             func(s *Spec) { s.NumExe = 2 },
+		"Check":              func(s *Spec) { s.Check = true },
+		"Faults.DropResp":    func(s *Spec) { s.Faults.DropResp = 0.12345671 },
+		"Faults.DelayResp":   func(s *Spec) { s.Faults.DelayResp = 0.2000001 },
+		"Faults.DelayMax":    func(s *Spec) { s.Faults.DelayMax = 64 },
+		"Faults.ClogQueue":   func(s *Spec) { s.Faults.ClogQueue = 0.3000001 },
+		"Faults.FlipBit":     func(s *Spec) { s.Faults.FlipBit = 0.4000001 },
+		"Faults.FillTimeout": func(s *Spec) { s.Faults.FillTimeout = 99 },
+		"Faults.Channels": func(s *Spec) {
+			s.Faults.Channels = []check.ChannelFault{{Channel: 1, Mode: check.ChanBurst, Start: 500, Cycles: 100}}
+		},
+		"Seed": func(s *Spec) { s.Seed = 9 },
+	}
+	fields := map[string]bool{}
+	spec := reflect.TypeOf(Spec{})
+	for i := 0; i < spec.NumField(); i++ {
+		f := spec.Field(i)
+		if f.Type != reflect.TypeOf(check.FaultConfig{}) {
+			fields[f.Name] = true
+			continue
+		}
+		for j := 0; j < f.Type.NumField(); j++ {
+			fields[f.Name+"."+f.Type.Field(j).Name] = true
+		}
+	}
+	for name := range fields {
+		if mutations[name] == nil {
+			t.Errorf("field %s has no mutation in this table", name)
+		}
+	}
+	for name := range mutations {
+		if !fields[name] {
+			t.Errorf("table mutates %s, which is no field of Spec", name)
+		}
 	}
 	for name, mutate := range mutations {
 		m := base

@@ -56,8 +56,7 @@ type Spec struct {
 	WorkScale int
 
 	// Configuration overrides. DivMul multiplies the capacity divisor
-	// (the Fig 7/17 cache-pressure sweeps). Ways overrides the meta-tag
-	// associativity (the approx geometry scan); 0 keeps the DSA default.
+	// (the Fig 7/17 cache-pressure sweeps).
 	DivMul    int
 	Mode      ctrl.ExecMode
 	Exec      ctrl.ExecPath
@@ -65,21 +64,12 @@ type Spec struct {
 	Lookahead int
 	NumActive int
 	NumExe    int
-	Ways      int
-
-	// Approximation tier (internal/approx Engine B). A nonzero WinLen
-	// runs only the probe-trace slice [WinStart, WinStart+WinLen) of the
-	// workload — a sampled execution window, not the full run. Window
-	// fields participate in Key(), so approximate cells live under
-	// distinct content-hash keys and can never poison or mask an exact
-	// cell in the run cache or a checkpoint. Windows are supported for
-	// the hash-index probe DSAs (Widx, DASX).
-	WinStart int
-	WinLen   int
 
 	// Hardening. Check attaches the internal/check harness (watchdog +
 	// invariants); Faults adds seeded fault injection driven by Seed.
 	// Each run gets its own harness instance — nothing is shared.
+	// Faults.Channels must be empty: only xcache-serve applies channel
+	// episodes, and a DSA run would silently ignore them.
 	Check  bool
 	Faults check.FaultConfig
 	Seed   uint64
@@ -87,14 +77,17 @@ type Spec struct {
 
 // Key returns the canonical encoding of the spec: a fixed-order,
 // self-delimiting rendering of every field. Equal specs have equal keys
-// and distinct specs distinct keys.
+// and distinct specs distinct keys. Probabilities print in the shortest
+// form that parses back to the same float64, so no two rates alias; the
+// channel episodes are rendered even though Execute rejects them, since
+// the runner memoises failures under the key too.
 func (s Spec) Key() string {
-	return fmt.Sprintf("%s/%s[%s] scale=%d work=%d div=%d mode=%d xp=%d hard=%t la=%d act=%d exe=%d ways=%d win=%d+%d chk=%t faults=%.6g,%.6g,%d,%.6g,%.6g,%d seed=%d",
+	f := s.Faults
+	return fmt.Sprintf("%s/%s[%s] scale=%d work=%d div=%d mode=%d xp=%d hard=%t la=%d act=%d exe=%d chk=%t faults=%v,%v,%d,%v,%v,%d,[%s] seed=%d",
 		s.DSA, s.Workload, s.Kind, s.Scale, s.workScale(), s.divMul(),
 		s.Mode, s.Exec, s.Hardwired, s.Lookahead, s.NumActive, s.NumExe,
-		s.Ways, s.WinStart, s.WinLen,
-		s.Check, s.Faults.DropResp, s.Faults.DelayResp, s.Faults.DelayMax,
-		s.Faults.ClogQueue, s.Faults.FlipBit, s.Faults.FillTimeout, s.Seed)
+		s.Check, f.DropResp, f.DelayResp, f.DelayMax, f.ClogQueue, f.FlipBit,
+		f.FillTimeout, check.FormatChannelFaults(f.Channels), s.Seed)
 }
 
 // Hash returns the content address of the spec: SHA-256 over Key().
@@ -162,28 +155,9 @@ func (s Spec) tpchProfile() (hashidx.Profile, error) {
 // on a fresh, fully isolated simulation instance. It is safe to call
 // from any number of goroutines concurrently.
 func (s Spec) Execute() (dsa.Result, error) {
-	return s.execute(nil)
-}
-
-// ExecuteTraced is Execute with a controller trace sink attached: the
-// run additionally emits its meta-tag reference trace (ctrl.TraceEvent
-// stream) to sink. It is the capture path of the approximate evaluation
-// tier and is supported for the programmed-X-Cache kind of the
-// hash-index DSAs only.
-func (s Spec) ExecuteTraced(sink ctrl.TraceSink) (dsa.Result, error) {
-	if sink == nil {
-		return dsa.Result{}, fmt.Errorf("runner: ExecuteTraced requires a sink")
-	}
-	if s.DSA != DSAWidx || s.Kind != dsa.KindXCache {
-		return dsa.Result{}, fmt.Errorf("runner: tracing is supported for %s[%s] only, not %s[%s]",
-			DSAWidx, dsa.KindXCache, s.DSA, s.Kind)
-	}
-	return s.execute(sink)
-}
-
-func (s Spec) execute(sink ctrl.TraceSink) (dsa.Result, error) {
-	if s.WinLen != 0 && s.DSA != DSAWidx && s.DSA != DSADASX {
-		return dsa.Result{}, fmt.Errorf("runner: %s does not support sampled windows", s.DSA)
+	if len(s.Faults.Channels) > 0 {
+		return dsa.Result{}, fmt.Errorf("runner: %s applies no channel fault episodes (%s); only xcache-serve does",
+			s.DSA, check.FormatChannelFaults(s.Faults.Channels))
 	}
 	switch s.DSA {
 	case DSAWidx:
@@ -192,11 +166,9 @@ func (s Spec) execute(sink ctrl.TraceSink) (dsa.Result, error) {
 			return dsa.Result{}, err
 		}
 		w := widx.DefaultWork(p, s.workScale())
-		w.WinStart, w.WinLen = s.WinStart, s.WinLen
 		opt := widx.Options{
 			Cfg:   core.WidxConfig().Scaled(CacheDiv(s.Scale) * s.divMul()),
 			Check: s.checkConfig(),
-			Trace: sink,
 		}
 		s.applyCfg(&opt.Cfg)
 		switch s.Kind {
@@ -214,7 +186,6 @@ func (s Spec) execute(sink ctrl.TraceSink) (dsa.Result, error) {
 			return dsa.Result{}, err
 		}
 		w := widx.DefaultWork(p, s.workScale())
-		w.WinStart, w.WinLen = s.WinStart, s.WinLen
 		opt := dasx.Options{
 			Cfg:       core.DASXConfig().Scaled(CacheDiv(s.Scale) * s.divMul()),
 			Lookahead: s.Lookahead,
@@ -320,12 +291,5 @@ func (s Spec) applyCfg(cfg *core.Config) {
 	}
 	if s.NumExe > 0 {
 		cfg.NumExe = s.NumExe
-	}
-	if s.Ways > 0 {
-		// Associativity override at fixed set count: capacity scales with
-		// ways, which is what the approx geometry scan sweeps. Sectors
-		// follow so the data RAM keeps its 2× provisioning rule.
-		cfg.Sectors = cfg.Sectors / cfg.Ways * s.Ways
-		cfg.Ways = s.Ways
 	}
 }

@@ -66,7 +66,7 @@ func VerifyCalls() int64 { return verifyCalls.Load() }
 // Facts is the per-instruction evidence a successful verification
 // produces. The controller's pre-decoded executor (ctrl exec_fast)
 // consumes it to decide, per microcode word, which dynamic checks the
-// verifier has already discharged. See DESIGN.md §12 for the soundness
+// verifier has already discharged. See DESIGN.md §11 for the soundness
 // argument tying each fact to the checks it licenses.
 type Facts struct {
 	// Start[pc] is the absolute start of the routine extent containing
