@@ -157,7 +157,8 @@ bench-json:
 
 # Perf gate: re-run the evaluation and compare against the committed
 # BENCH_1.json. Deterministic figures must match exactly; the hotloop
-# fast-path speedup may not regress more than 5%. Fails (exit 1) on
+# fast-path speedup (the median of 15 interleaved interp/fast pairs, with
+# its quartiles printed) may not regress more than 5%. Fails (exit 1) on
 # either violation.
 bench-diff:
 	XCACHE_BENCH_WORKERS=8 $(GO) run ./cmd/xcache-bench -scale 25 -hotloop -bench-diff BENCH_1.json >/dev/null

@@ -9,8 +9,10 @@
 // The repo replaces the paper's RTL simulation with a hand-written
 // cycle-level kernel, so this layer is the only thing standing between a
 // kernel bug and a silently-wrong figure reproduction. Everything is
-// opt-in: a nil *Config attaches nothing and costs nothing, so benchmarks
-// are unaffected.
+// opt-in: a nil *Config attaches nothing. A checked cycle reads what the
+// kernel already keeps in every run (its move counter, each queue's
+// last-pop stamp and the list of queues the step committed), so its cost
+// follows what moved in the cycle, not the number of queues.
 //
 // Usage:
 //
@@ -118,6 +120,11 @@ type Harness struct {
 	ctrls []*ctrl.Controller
 }
 
+// testHookAttach, when non-nil, is called with every harness Attach
+// builds. The package's tests set it to run the full-scan reference
+// checkers beside the harness in lockstep (reference_test.go).
+var testHookAttach func(*Harness)
+
 // Attach wires the configured hardening features into the kernel. Call it
 // after every component is registered (it discovers controllers, DRAM
 // channels and queues by inspection). A nil cfg returns a nil harness;
@@ -200,6 +207,9 @@ func Attach(k *sim.Kernel, cfg *Config) *Harness {
 			k.Observe(h.inj)
 		}
 	}
+	if testHookAttach != nil {
+		testHookAttach(h)
+	}
 	return h
 }
 
@@ -208,6 +218,18 @@ func (h *Harness) Err() error {
 	if h == nil || h.inv == nil {
 		return nil
 	}
+	return h.inv.err
+}
+
+// Audit sweeps every queue's conservation rules now and returns the first
+// invariant violation observed, or nil. A step audits only the queues it
+// committed, so a supervised loop calls Audit once when the run is done:
+// that covers the queues whose last operations were pops.
+func (h *Harness) Audit() error {
+	if h == nil || h.inv == nil {
+		return nil
+	}
+	h.inv.sweep(h.k.Cycle())
 	return h.inv.err
 }
 
@@ -258,7 +280,7 @@ func Run(h *Harness, k *sim.Kernel, done func() bool, max int) (bool, *StallRepo
 	}
 	for i := 0; i < max; i++ {
 		if done() {
-			if err := h.Err(); err != nil {
+			if err := h.Audit(); err != nil {
 				return false, h.report(invariantKind(err), fmt.Sprintf("invariant violated: %v", err))
 			}
 			if t := h.trapped(); t != nil {
@@ -280,7 +302,7 @@ func Run(h *Harness, k *sim.Kernel, done func() bool, max int) (bool, *StallRepo
 		}
 	}
 	if done() {
-		if err := h.Err(); err != nil {
+		if err := h.Audit(); err != nil {
 			return false, h.report(invariantKind(err), fmt.Sprintf("invariant violated: %v", err))
 		}
 		if t := h.trapped(); t != nil {
@@ -334,14 +356,14 @@ func (h *Harness) report(kind FailureKind, reason string) *StallReport {
 	if h.wd != nil {
 		r.StallCycles = h.wd.stallFor(h.k.Cycle())
 	}
-	for i, q := range h.k.Queues() {
+	for _, q := range h.k.Queues() {
 		qs := QueueState{
 			Name: q.Name(), Len: q.Len(), Staged: q.StagedLen(),
 			Cap: q.Cap(), MaxLen: q.MaxLen(), Pushes: q.Pushes(), Pops: q.Pops(),
 		}
 		// A queue is stuck when it holds entries that nobody has popped
 		// for a full watchdog window.
-		if qs.Len > 0 && (h.wd == nil || h.wd.frozen(i, r.Cycle)) {
+		if qs.Len > 0 && (h.wd == nil || h.wd.frozen(q, r.Cycle)) {
 			qs.Stuck = true
 		}
 		r.Queues = append(r.Queues, qs)

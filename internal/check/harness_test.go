@@ -178,3 +178,50 @@ func TestStallReportStuckMarking(t *testing.T) {
 		t.Fatalf("StuckQueues=%v, want [stuck]", names)
 	}
 }
+
+// pipe is a two-stage component that moves values between queues every
+// cycle and reports activity and (healthy) invariants like a real one.
+type pipe struct {
+	in, out *sim.Queue[int]
+	moved   uint64
+}
+
+func (p *pipe) Tick(c sim.Cycle) {
+	if v, ok := p.in.Pop(); ok && p.out.Push(v) {
+		p.moved++
+	}
+	p.in.Push(int(c))
+	p.out.Pop()
+}
+func (p *pipe) ActivityCount() uint64           { return p.moved }
+func (p *pipe) CheckInvariants(sim.Cycle) error { return nil }
+
+// TestCheckedStepAllocatesNothing gates the cost of supervision: once the
+// queues hold their rings, a step under the default watchdog and
+// invariants allocates nothing.
+func TestCheckedStepAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	for i := 0; i < 4; i++ {
+		k.Add(&pipe{in: sim.NewQueue[int](k, "in", 4), out: sim.NewQueue[int](k, "out", 4)})
+	}
+	h := Attach(k, Default())
+	for i := 0; i < 10; i++ {
+		if err := h.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := h.Step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a checked step made %v allocations, want 0", allocs)
+	}
+	if err := h.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	if h.Stalled(k.Cycle()) || len(k.Committed()) == 0 {
+		t.Fatalf("pipeline idle: stalled=%t, %d queues committed in the last step", h.Stalled(k.Cycle()), len(k.Committed()))
+	}
+}

@@ -9,42 +9,35 @@ import (
 	"xcache/internal/stats"
 )
 
-// watchdog detects deadlock and livelock by folding every queue's
-// push/pop counters and every component's activity counter into a single
-// progress signature each cycle. All counters are monotonic, so the sum
-// strictly increases whenever anything happens; a frozen sum for the
-// configured window means the machine is wedged.
+// watchdog detects deadlock and livelock by folding the kernel's move
+// counter (every push and pop on every queue) and every component's
+// activity counter into a single progress signature each cycle. All
+// counters are monotonic, so the sum strictly increases whenever anything
+// happens; a frozen sum for the configured window means the machine is
+// wedged. Every queue stamps its own last-pop cycle, so a report can
+// single out the queues nobody has drained for a full window even while
+// the rest of the machine runs.
 type watchdog struct {
 	window sim.Cycle
-	queues []sim.QueueInfo
+	k      *sim.Kernel
 	acts   []activitySource
 
 	lastSig    uint64
 	lastChange sim.Cycle
-	// lastPops/popCycle track, per queue, the pop counter and the last
-	// cycle it moved, so a report can single out the queues nobody has
-	// drained for a full window even while the rest of the machine runs.
-	lastPops []uint64
-	popCycle []sim.Cycle
 }
 
 func newWatchdog(k *sim.Kernel, window int) *watchdog {
-	w := &watchdog{window: sim.Cycle(window), queues: k.Queues()}
+	w := &watchdog{window: sim.Cycle(window), k: k}
 	for _, c := range k.Components() {
 		if a, ok := c.(activitySource); ok {
 			w.acts = append(w.acts, a)
 		}
 	}
-	w.lastPops = make([]uint64, len(w.queues))
-	w.popCycle = make([]sim.Cycle, len(w.queues))
 	return w
 }
 
 func (w *watchdog) signature() uint64 {
-	var s uint64
-	for _, q := range w.queues {
-		s += q.Pushes() + q.Pops()
-	}
+	s := w.k.Moves()
 	for _, a := range w.acts {
 		s += a.ActivityCount()
 	}
@@ -56,12 +49,6 @@ func (w *watchdog) AfterStep(c sim.Cycle) {
 	if s := w.signature(); s != w.lastSig {
 		w.lastSig = s
 		w.lastChange = c
-	}
-	for i, q := range w.queues {
-		if p := q.Pops(); p != w.lastPops[i] {
-			w.lastPops[i] = p
-			w.popCycle[i] = c
-		}
 	}
 }
 
@@ -76,9 +63,9 @@ func (w *watchdog) stallFor(c sim.Cycle) sim.Cycle {
 	return c - w.lastChange
 }
 
-// frozen reports whether queue i has gone a full window without a pop.
-func (w *watchdog) frozen(i int, now sim.Cycle) bool {
-	return now-w.popCycle[i] >= w.window
+// frozen reports whether q has gone a full window without a pop.
+func (w *watchdog) frozen(q sim.QueueInfo, now sim.Cycle) bool {
+	return now-q.LastPop() >= w.window
 }
 
 // QueueState is one queue's occupancy snapshot inside a StallReport.

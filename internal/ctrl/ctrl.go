@@ -293,6 +293,14 @@ type Controller struct {
 
 	outstandingFills int
 
+	// Running totals over the walker contexts, kept current wherever a
+	// walker's live mask, pending list or liveness changes, so no
+	// per-cycle pass scans the contexts: liveRegs is Σ popcount(liveMask)
+	// over active walkers (the coroutine-mode Fig 7 rate), pendingMsgs is
+	// Σ len(pending).
+	liveRegs    uint64
+	pendingMsgs int
+
 	// Hardening state.
 	fillTable   []fillRec // outstanding fills, tracked when FillTimeout > 0
 	fillFailure error     // a fill exhausted maxFillRetries
@@ -421,6 +429,10 @@ func (c *Controller) SetEnv(i int, v uint64) { c.env[i] = v }
 // Stats returns a copy of the controller statistics.
 func (c *Controller) Stats() Stats { return c.stats }
 
+// TrapCount returns Stats().Traps without copying the statistics, for
+// supervisors that poll it every cycle.
+func (c *Controller) TrapCount() uint64 { return c.stats.Traps }
+
 // Idle reports whether no walkers, routines, queued work, hit returns or
 // deferred trap responses remain.
 func (c *Controller) Idle() bool {
@@ -542,6 +554,7 @@ func (c *Controller) acceptFills(cy sim.Cycle) {
 			c.Meter.QueueBytes += uint64(len(resp.Data)) * 8
 		}
 		w.pending = append(w.pending, message{event: program.EvFill, addr: resp.Addr, data: resp.Data})
+		c.pendingMsgs++
 	}
 }
 
@@ -562,7 +575,7 @@ func (c *Controller) frontend(cy sim.Cycle) {
 
 	// 1. Deliver pending messages (DRAM fills, stashed events) to idle
 	// walkers.
-	for i := range c.walkers {
+	for i := 0; i < len(c.walkers) && c.pendingMsgs > 0; i++ {
 		if budget == 0 {
 			return
 		}
@@ -572,6 +585,7 @@ func (c *Controller) frontend(cy sim.Cycle) {
 		}
 		w.msg = w.pending[0]
 		w.pending = w.pending[1:]
+		c.pendingMsgs--
 		c.fire(cy, w, w.msg.event)
 		budget--
 	}
@@ -589,6 +603,7 @@ func (c *Controller) frontend(cy sim.Cycle) {
 		}
 		if w.running {
 			w.pending = append(w.pending, m)
+			c.pendingMsgs++
 			continue
 		}
 		w.msg = m
@@ -810,7 +825,7 @@ func (c *Controller) spawn(cy sim.Cycle, req MetaReq) {
 	}
 	// Spawn conventions: r0 = payload, r1/r2 = key words.
 	w.regs[0], w.regs[1], w.regs[2] = req.Payload, req.Key[0], req.Key[1]
-	w.liveMask = 0b111
+	c.markLive(w, 0b111)
 	if c.Meter != nil {
 		c.Meter.RegBitsWritten += 3 * 64
 	}
@@ -929,13 +944,7 @@ func (c *Controller) accumulateOccupancy() {
 		}
 		return
 	}
-	for i := range c.walkers {
-		w := &c.walkers[i]
-		if !w.active {
-			continue
-		}
-		c.stats.OccupancyByteCycles += uint64(bits.OnesCount32(w.liveMask)) * 8
-	}
+	c.stats.OccupancyByteCycles += c.liveRegs * 8
 }
 
 // finish releases a walker: waiters replay (they will now hit or respawn),
@@ -962,6 +971,7 @@ func (c *Controller) finish(w *walker, notFound bool) {
 	w.waiters = nil
 	w.pending = nil
 	w.active = false
+	c.liveRegs -= uint64(bits.OnesCount32(w.liveMask))
 	w.running = false
 	if w.pipeline >= 0 {
 		c.pipes[w.pipeline] = -1

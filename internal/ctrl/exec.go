@@ -2,6 +2,7 @@ package ctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"xcache/internal/dram"
 	"xcache/internal/isa"
@@ -126,7 +127,7 @@ func (c *Controller) exec1(cy sim.Cycle, r *run, w *walker, in isa.Instr) stepSt
 		// on"). Unmarked registers are pipeline temporaries and are
 		// cleared when the routine yields.
 		w.persist |= 1 << in.Dst
-		w.liveMask |= 1 << in.Dst
+		c.markLive(w, 1<<in.Dst)
 
 	// ---- Queues ----
 	case isa.OpEnqFill, isa.OpEnqFillI:
@@ -238,10 +239,17 @@ func (c *Controller) exec1(cy sim.Cycle, r *run, w *walker, in isa.Instr) stepSt
 // path's closures share it).
 func (c *Controller) fsetReg(w *walker, i uint8, v uint64) {
 	w.regs[i] = v
-	w.liveMask |= 1 << i
+	c.markLive(w, 1<<i)
 	if c.Meter != nil {
 		c.Meter.RegBitsWritten += 64
 	}
+}
+
+// markLive adds the registers in mask to the walker's live set, keeping
+// the controller's running total of live registers current.
+func (c *Controller) markLive(w *walker, mask uint32) {
+	c.liveRegs += uint64(bits.OnesCount32(mask &^ w.liveMask))
+	w.liveMask |= mask
 }
 
 // fbranch resolves a branch: one comparator charge, then the pc moves to
@@ -452,6 +460,7 @@ func (c *Controller) execYield(w *walker, s int) stepStatus {
 			w.regs[i] = 0
 		}
 	}
+	c.liveRegs -= uint64(bits.OnesCount32(w.liveMask &^ w.persist))
 	w.liveMask = w.persist
 	return stepDone
 }

@@ -10,6 +10,7 @@ package ctrl
 // routine step rather than a downstream symptom.
 
 import (
+	"math/bits"
 	"testing"
 
 	"xcache/internal/dataram"
@@ -130,6 +131,8 @@ func (p *diffPair) lockstep(t *testing.T, reqs []diffReq, maxCycles int) {
 func (p *diffPair) compareCycle(t *testing.T, respI, respF []MetaResp) {
 	t.Helper()
 	cy := p.ri.k.Cycle()
+	checkRunningTotals(t, "interp", p.ri.c, cy)
+	checkRunningTotals(t, "fast", p.rf.c, cy)
 	if si, sf := p.ri.c.Stats(), p.rf.c.Stats(); si != sf {
 		t.Fatalf("cycle %d: stats diverged\ninterp: %+v\nfast:   %+v", cy, si, sf)
 	}
@@ -200,6 +203,26 @@ func checkTraceClasses(t *testing.T, side string, evs []TraceEvent, st Stats) {
 	if hits != st.Hits || misses != st.Misses {
 		t.Fatalf("%s: trace classifies %d hits and %d misses, Stats counts %d and %d",
 			side, hits, misses, st.Hits, st.Misses)
+	}
+}
+
+// checkRunningTotals recomputes the controller's running totals from its
+// walker contexts: live registers over active walkers (the coroutine-mode
+// Fig 7 rate) and pending messages over all walkers.
+func checkRunningTotals(t *testing.T, side string, c *Controller, cy sim.Cycle) {
+	t.Helper()
+	var live uint64
+	pending := 0
+	for i := range c.walkers {
+		w := &c.walkers[i]
+		if w.active {
+			live += uint64(bits.OnesCount32(w.liveMask))
+		}
+		pending += len(w.pending)
+	}
+	if c.liveRegs != live || c.pendingMsgs != pending {
+		t.Fatalf("cycle %d: %s: running totals %d live registers and %d pending messages, contexts hold %d and %d",
+			cy, side, c.liveRegs, c.pendingMsgs, live, pending)
 	}
 }
 
@@ -289,6 +312,10 @@ func TestExecDiffLockstep(t *testing.T) {
 		{name: "runaway_trap", cfg: Config{MaxRoutineSteps: 64},
 			spec: loopSpec(), tagCfg: defaultTagCfg(), dataCfg: defaultDataCfg(),
 			reqs: []diffReq{{at: 0, op: MetaLoad, key: 1}, {at: 40, op: MetaLoad, key: 2}}, array: 8},
+		{name: "trap_with_fills_outstanding", cfg: Config{NumActive: 4, NumExe: 1},
+			spec: trapFillsSpec(), tagCfg: defaultTagCfg(), dataCfg: defaultDataCfg(),
+			reqs: []diffReq{{at: 0, op: MetaLoad, key: 1}, {at: 1, op: MetaLoad, key: 9},
+				{at: 2, op: MetaLoad, key: 17}, {at: 300, op: MetaLoad, key: 4}}, array: 32},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -323,6 +350,43 @@ func loopSpec() program.Spec {
 			spin:
 				bnz r4, spin
 				abort
+			`},
+		},
+	}
+}
+
+// trapFillsSpec issues three fills and traps on the first fill's wake
+// (peek past its one data word), after raising an internal event that
+// reaches the still-running walker's pending list: the trap quiesces a
+// walker holding a pending message and fills still outstanding. An
+// allocr-marked register keeps the walker's live set across the yield.
+func trapFillsSpec() program.Spec {
+	return program.Spec{
+		Name:   "trapfills",
+		States: []string{"W"},
+		Events: []string{"Kick"},
+		Transitions: []program.Transition{
+			{State: "Default", Event: "MetaLoad", Asm: `
+				allocr r10
+				lde r4, e0
+				shl r5, r1, 3
+				add r10, r4, r5
+				enqfilli r10, 1
+				addi r5, r10, 8
+				enqfilli r5, 1
+				addi r5, r10, 512
+				enqfilli r5, 1
+				state W
+			`},
+			{State: "W", Event: "Fill", Asm: `
+				enqev Kick
+				mov r6, r10
+				inc r6
+				inc r6
+				inc r6
+				peek r7, 5
+				enqresp r7, OK
+				halt Valid
 			`},
 		},
 	}

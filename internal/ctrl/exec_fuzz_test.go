@@ -9,12 +9,17 @@
 package ctrl_test
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"xcache/internal/ctrl"
 	"xcache/internal/dataram"
 	"xcache/internal/dram"
 	"xcache/internal/energy"
+	"xcache/internal/isa"
 	"xcache/internal/mem"
 	"xcache/internal/metatag"
 	"xcache/internal/program"
@@ -155,7 +160,8 @@ func diverged(a, b execOutcome) string {
 // FuzzExecDiff feeds fuzzed-but-verified programs through both executors
 // and fails on any observable divergence. The seed corpus is every real
 // DSA walker plus the historical panic-regression mutants; the committed
-// testdata corpus adds inputs that exercise each op class.
+// testdata corpus adds programs that together contain every action
+// (TestExecDiffCorpusCoversEveryOp) beside inputs the parser rejects.
 func FuzzExecDiff(f *testing.F) {
 	for _, bin := range seedBinaries(f) {
 		f.Add(bin)
@@ -177,4 +183,57 @@ func FuzzExecDiff(f *testing.F) {
 			t.Fatalf("executors diverged at %s\ninterp: %+v\nfast:   %+v", where, oi, of)
 		}
 	})
+}
+
+// TestExecDiffCorpusCoversEveryOp fails when the committed FuzzExecDiff
+// inputs that parse and verify under fuzzVerifyCfg miss an action from
+// OpAdd to OpWriteD: the corpus must put every op through both executors.
+func TestExecDiffCorpusCoversEveryOp(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzExecDiff", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[isa.Op]bool{}
+	verified := 0
+	for _, f := range files {
+		data := readCorpusBytes(t, f)
+		var p program.Program
+		if p.UnmarshalBinary(data) != nil || program.Verify(&p, fuzzVerifyCfg()) != nil {
+			continue
+		}
+		verified++
+		for _, in := range p.Code {
+			seen[in.Op] = true
+		}
+	}
+	var missing []string
+	for op := isa.OpAdd; op <= isa.OpWriteD; op++ {
+		if !seen[op] {
+			missing = append(missing, op.Name())
+		}
+	}
+	if len(missing) > 0 {
+		t.Fatalf("%d of %d committed inputs verify; together they miss %d ops: %s",
+			verified, len(files), len(missing), strings.Join(missing, " "))
+	}
+}
+
+// readCorpusBytes decodes a one-value []byte input in the "go test fuzz
+// v1" file format.
+func readCorpusBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n")
+	body = strings.TrimSpace(body)
+	if !ok || !strings.HasPrefix(body, "[]byte(") || !strings.HasSuffix(body, ")") {
+		t.Fatalf("%s: not a one-value []byte corpus file", path)
+	}
+	s, err := strconv.Unquote(body[len("[]byte(") : len(body)-1])
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
 }

@@ -2,6 +2,7 @@ package ctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"xcache/internal/isa"
 	"xcache/internal/program"
@@ -170,6 +171,7 @@ func (c *Controller) raise(cy sim.Cycle, w *walker, kind TrapKind, pc int32, op 
 func (c *Controller) quiesce(w *walker) {
 	w.running = false
 	w.trapped = true
+	c.pendingMsgs -= len(w.pending)
 	w.pending = nil
 	if w.entry != nil {
 		if w.entry.SectorCount > 0 {
@@ -197,6 +199,7 @@ func (c *Controller) quiesce(w *walker) {
 // freeTrapped returns a fully-drained trapped walker to the free list.
 func (c *Controller) freeTrapped(w *walker) {
 	w.active = false
+	c.liveRegs -= uint64(bits.OnesCount32(w.liveMask))
 	w.trapped = false
 	c.freeW = append(c.freeW, w.id)
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"xcache/internal/ctrl"
@@ -94,13 +95,20 @@ func hotloopRun(exec ctrl.ExecPath, reqs int) (actions uint64, wall time.Duratio
 // hotloopReqs is the number of spins each timed executor run serves.
 const hotloopReqs = 512
 
+// hotloopPairs is how many interleaved interp/fast timing pairs Hotloop
+// takes. One pair's speedup varies on a shared host by far more than the
+// 5% the bench-diff gate allows; the median of many pairs does not.
+const hotloopPairs = 15
+
 // Hotloop measures the controller's microcode step loop on both executor
 // backends and reports ns-per-action plus the fast path's speedup over
-// the interpreter. The action counts are deterministic (and byte-stable
-// in baselines); the nanosecond metrics are wall-clock and
-// machine-dependent — baseline comparisons must use a relative
-// tolerance, which is what the `make bench-diff` gate does with the
-// speedup ratio.
+// the interpreter. It times hotloopPairs pairs, alternating which
+// executor runs first, and reports each metric's median over the pairs;
+// speedup_q1 and speedup_q3 give the speedup's quartiles. The action
+// counts are deterministic (and byte-stable in baselines); the
+// nanosecond metrics are wall-clock and machine-dependent — baseline
+// comparisons must use a relative tolerance, which is what the
+// `make bench-diff` gate does with the median speedup.
 func Hotloop() (*Out, error) {
 	out := &Out{
 		ID:      "hotloop",
@@ -110,30 +118,53 @@ func Hotloop() (*Out, error) {
 			"wall-clock microbenchmark: ns/action and speedup are machine-dependent; action counts are deterministic",
 		},
 	}
-	measure := func(name string, exec ctrl.ExecPath) (float64, error) {
+	execs := [2]ctrl.ExecPath{ctrl.ExecInterp, ctrl.ExecFast}
+	for _, exec := range execs {
 		if _, _, err := hotloopRun(exec, hotloopReqs/8); err != nil { // warmup
-			return 0, err
+			return nil, err
 		}
-		actions, wall, err := hotloopRun(exec, hotloopReqs)
-		if err != nil {
-			return 0, err
+	}
+	var ns [2][]float64 // per executor, one sample per pair
+	var speedups []float64
+	for i := 0; i < hotloopPairs; i++ {
+		var pair [2]float64
+		for j := 0; j < 2; j++ {
+			e := (i + j) % 2 // even pairs time the interpreter first
+			actions, wall, err := hotloopRun(execs[e], hotloopReqs)
+			if err != nil {
+				return nil, err
+			}
+			out.Metrics["actions"] = float64(actions)
+			pair[e] = float64(wall.Nanoseconds()) / float64(actions)
 		}
-		ns := float64(wall.Nanoseconds()) / float64(actions)
-		out.Metrics[name+"_ns_per_action"] = ns
-		out.Metrics["actions"] = float64(actions)
-		out.Table.Add(name, fmt.Sprintf("%.1f", ns), fmt.Sprintf("%.1f", 1e3/ns))
-		return ns, nil
+		for e := range pair {
+			ns[e] = append(ns[e], pair[e])
+		}
+		speedups = append(speedups, pair[0]/pair[1])
 	}
-	nsInterp, err := measure("interp", ctrl.ExecInterp)
-	if err != nil {
-		return nil, err
+	for e, name := range []string{"interp", "fast"} {
+		m := quantile(ns[e], 0.5)
+		out.Metrics[name+"_ns_per_action"] = m
+		out.Table.Add(name, fmt.Sprintf("%.1f", m), fmt.Sprintf("%.1f", 1e3/m))
 	}
-	nsFast, err := measure("fast", ctrl.ExecFast)
-	if err != nil {
-		return nil, err
-	}
-	out.Metrics["speedup_x"] = nsInterp / nsFast
+	med, q1, q3 := quantile(speedups, 0.5), quantile(speedups, 0.25), quantile(speedups, 0.75)
+	out.Metrics["speedup_x"] = med
+	out.Metrics["speedup_q1"] = q1
+	out.Metrics["speedup_q3"] = q3
 	out.Notes = append(out.Notes,
-		fmt.Sprintf("pre-decoded fast path is %.2fx the interpreter on this host", nsInterp/nsFast))
+		fmt.Sprintf("pre-decoded fast path is %.2fx the interpreter on this host (median of %d interleaved pairs, quartiles %.2f-%.2f)",
+			med, hotloopPairs, q1, q3))
 	return out, nil
+}
+
+// quantile returns the p-quantile of xs, interpolating linearly between
+// the two nearest order statistics. xs is sorted in place.
+func quantile(xs []float64, p float64) float64 {
+	sort.Float64s(xs)
+	pos := p * float64(len(xs)-1)
+	i := int(pos)
+	if i+1 >= len(xs) {
+		return xs[len(xs)-1]
+	}
+	return xs[i] + (pos-float64(i))*(xs[i+1]-xs[i])
 }

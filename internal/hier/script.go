@@ -96,6 +96,9 @@ func RunScripts(s *CohSystem, h *check.Harness, scripts [][]ScriptOp, maxCycles 
 			}
 		}
 		if done && s.Idle() {
+			if err := h.Audit(); err != nil {
+				return fail(err)
+			}
 			return results(), nil
 		}
 		if h != nil {

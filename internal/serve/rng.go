@@ -14,26 +14,40 @@ const (
 	streamPhase                // per-tenant burst phase offset
 )
 
-// zipfKey maps a uniform u in [0,1) onto [0, n) with a power-law
-// popularity of exponent s via the continuous inverse-CDF approximation:
-// low keys are hot, the tail is cold. s = 0 degenerates to uniform.
-func zipfKey(u float64, n int, s float64) uint64 {
-	if n <= 1 {
+// zipf maps a uniform u in [0,1) onto [0, n) with a power-law popularity
+// of exponent s via the continuous inverse-CDF approximation: low keys
+// are hot, the tail is cold. s = 0 degenerates to uniform. newZipf
+// computes the distribution's constants once, so a draw costs one
+// math.Pow.
+type zipf struct {
+	n   int
+	s   float64
+	top float64 // n^(1-s)
+	exp float64 // 1/(1-s)
+}
+
+func newZipf(n int, s float64) zipf {
+	return zipf{n: n, s: s, top: math.Pow(float64(n), 1-s), exp: 1 / (1 - s)}
+}
+
+// key draws the key for u.
+func (z zipf) key(u float64) uint64 {
+	if z.n <= 1 {
 		return 0
 	}
-	fn := float64(n)
+	fn := float64(z.n)
 	var x float64
 	switch {
-	case s == 0:
+	case z.s == 0:
 		x = u*fn + 1
-	case math.Abs(s-1) < 1e-9:
+	case math.Abs(z.s-1) < 1e-9:
 		x = math.Pow(fn, u)
 	default:
-		x = math.Pow((math.Pow(fn, 1-s)-1)*u+1, 1/(1-s))
+		x = math.Pow((z.top-1)*u+1, z.exp)
 	}
 	k := uint64(x) - 1
-	if k >= uint64(n) {
-		k = uint64(n) - 1
+	if k >= uint64(z.n) {
+		k = uint64(z.n) - 1
 	}
 	return k
 }

@@ -270,7 +270,7 @@ type tenantState struct {
 	group    int
 	prio     int
 	rate     float64
-	skew     float64
+	keys     zipf
 	burstLen int
 	burstOn  float64
 	phase    uint64 // burst phase offset (hash of tenant index)
@@ -487,7 +487,7 @@ func expandTenants(cfg Config) []tenantState {
 		for i := 0; i < g.Count; i++ {
 			ti := len(out)
 			t := tenantState{
-				group: gi, prio: g.Priority, rate: g.Rate, skew: g.Skew,
+				group: gi, prio: g.Priority, rate: g.Rate, keys: newZipf(cfg.Keys, g.Skew),
 				burstLen: g.BurstLen, burstOn: g.BurstOn,
 				tokens: cfg.BucketBurst, bucketRate: bucketRate,
 				slo: uint64(g.SLO), sloFactor: 1,
@@ -610,7 +610,7 @@ func (s *Service) resolve(c sim.Cycle, st *reqState, sh *shardState, r ctrl.Meta
 
 func (s *Service) maintainBreakers(c sim.Cycle) {
 	for _, sh := range s.shards {
-		if tr := sh.cache.Ctrl.Stats().Traps; tr != sh.lastTraps {
+		if tr := sh.cache.Ctrl.TrapCount(); tr != sh.lastTraps {
 			sh.br.recordTrap(int(tr-sh.lastTraps), c)
 			sh.lastTraps = tr
 		}
@@ -646,7 +646,7 @@ func (s *Service) generate(c sim.Cycle) {
 		if check.Roll(s.Cfg.Seed, streamArrival, uint64(c), uint64(ti)) >= p {
 			continue
 		}
-		key := zipfKey(check.Roll(s.Cfg.Seed, streamKey, uint64(c), uint64(ti)), s.Cfg.Keys, t.skew)
+		key := t.keys.key(check.Roll(s.Cfg.Seed, streamKey, uint64(c), uint64(ti)))
 		s.accept(c, ti, key)
 	}
 }
@@ -879,6 +879,9 @@ func (s *Service) Run() (*Report, error) {
 			return nil, s.h.Report(check.FailInvariant, fmt.Sprintf("invariant violated: %v", err)).Failure()
 		}
 		if s.done() {
+			if err := s.h.Audit(); err != nil {
+				return nil, s.h.Report(check.FailInvariant, fmt.Sprintf("invariant violated: %v", err)).Failure()
+			}
 			return s.report(), nil
 		}
 		if int(s.K.Cycle()) >= s.Cfg.MaxCycles {

@@ -8,6 +8,13 @@
 // latency-insensitive queues the paper's Chisel generator emits. This
 // discipline makes results independent of component tick order, which is
 // what lets a software model stand in for RTL simulation.
+//
+// Queues also keep the counters supervision reads, so a checked cycle
+// costs what moved in it rather than a scan of every queue: each Push and
+// Pop adds one to the kernel's move counter (Moves), each Pop stamps its
+// queue's last-pop cycle (LastPop), and after a step the kernel lists the
+// queues that committed a push in it (Committed). Unsupervised runs pay
+// for these too: one increment per push or pop and one stamp per pop.
 package sim
 
 import "fmt"
@@ -27,12 +34,6 @@ type ComponentFunc func(c Cycle)
 // Tick implements Component.
 func (f ComponentFunc) Tick(c Cycle) { f(c) }
 
-// committer is the internal interface queues implement so the kernel can
-// make staged pushes visible at the end of each cycle.
-type committer interface {
-	commit()
-}
-
 // Observer is notified after every completed kernel step (all components
 // ticked, all queues committed), with the cycle that just executed.
 // Watchdogs and invariant checkers hang off this hook; when none are
@@ -43,7 +44,8 @@ type Observer interface {
 
 // QueueInfo is the type-erased introspection view of a Queue[T]; the
 // kernel exposes every registered queue through it so diagnostic layers
-// (stall reports, invariant checkers) need not know element types.
+// (stall reports, invariant checkers) need not know element types. Only
+// Queue[T] implements it: the kernel commits staged pushes through it.
 type QueueInfo interface {
 	Name() string
 	Cap() int
@@ -52,6 +54,9 @@ type QueueInfo interface {
 	MaxLen() int
 	Pushes() uint64
 	Pops() uint64
+	LastPop() Cycle
+
+	commit()
 }
 
 // Clogger is implemented by queues that accept a fault hook making them
@@ -83,9 +88,11 @@ func (e *QueueFullError) Error() string {
 // then the queues that staged a push this cycle commit.
 type Kernel struct {
 	cycle     Cycle
+	moves     uint64 // lifetime pushes plus pops over every queue
 	comps     []Component
-	queues    []committer // every registered queue, in registration order
-	staged    []committer // queues with staged pushes, in first-push order
+	queues    []QueueInfo // every registered queue, in registration order
+	staged    []QueueInfo // queues with staged pushes, in first-push order
+	committed []QueueInfo // the queues the last step committed
 	observers []Observer
 }
 
@@ -103,23 +110,31 @@ func (k *Kernel) Components() []Component {
 	return append([]Component(nil), k.comps...)
 }
 
-// Queues returns the introspection view of every registered queue.
+// Queues returns the introspection view of every registered queue, in
+// registration order.
 func (k *Kernel) Queues() []QueueInfo {
-	out := make([]QueueInfo, 0, len(k.queues))
-	for _, q := range k.queues {
-		if qi, ok := q.(QueueInfo); ok {
-			out = append(out, qi)
-		}
-	}
-	return out
+	return append([]QueueInfo(nil), k.queues...)
 }
+
+// Committed lists the queues that committed a push in the last step, in
+// first-push order. An observer reads it in AfterStep; the slice is the
+// kernel's own and is reused by the next step, so it must not be kept or
+// modified.
+func (k *Kernel) Committed() []QueueInfo { return k.committed }
+
+// Moves returns the lifetime number of pushes plus pops over every
+// registered queue. It only grows, so a watchdog can read progress from
+// it without visiting the queues.
+func (k *Kernel) Moves() uint64 { return k.moves }
 
 // Cycle reports the current cycle (the number of completed steps).
 func (k *Kernel) Cycle() Cycle { return k.cycle }
 
 // Step advances simulated time by one cycle: every component ticks, then
 // every queue that staged a push commits. Queues commit independently, so
-// skipping the ones without staged pushes changes nothing.
+// skipping the ones without staged pushes changes nothing. The list of
+// queues just committed stays readable through Committed until the next
+// step; a push an observer makes stages into a fresh list.
 func (k *Kernel) Step() {
 	for _, c := range k.comps {
 		c.Tick(k.cycle)
@@ -127,7 +142,7 @@ func (k *Kernel) Step() {
 	for _, q := range k.staged {
 		q.commit()
 	}
-	k.staged = k.staged[:0]
+	k.staged, k.committed = k.committed[:0], k.staged
 	if len(k.observers) != 0 {
 		for _, o := range k.observers {
 			o.AfterStep(k.cycle)
@@ -173,9 +188,10 @@ type Queue[T any] struct {
 	clog   func() bool // fault hook: true → report full this cycle
 
 	// Stats.
-	pushes uint64
-	pops   uint64
-	maxLen int
+	pushes  uint64
+	pops    uint64
+	lastPop Cycle // cycle of the latest pop, 0 before the first
+	maxLen  int
 }
 
 // NewQueue creates a queue with the given capacity, registered with the
@@ -234,6 +250,7 @@ func (q *Queue[T]) Push(v T) bool {
 	}
 	q.staged++
 	q.pushes++
+	q.k.moves++
 	// The high-water mark tracks peak occupancy including staged entries:
 	// this is the occupancy producers see through CanPush, so a queue that
 	// fills and drains within one cycle still records the pressure. It
@@ -287,6 +304,8 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 	q.head = q.slot(1)
 	q.n--
 	q.pops++
+	q.k.moves++
+	q.lastPop = q.k.cycle
 	return v, true
 }
 
@@ -295,6 +314,10 @@ func (q *Queue[T]) Pushes() uint64 { return q.pushes }
 
 // Pops returns the lifetime number of pops.
 func (q *Queue[T]) Pops() uint64 { return q.pops }
+
+// LastPop returns the cycle of the latest pop (the kernel's cycle when it
+// was made), or 0 if the queue was never popped.
+func (q *Queue[T]) LastPop() Cycle { return q.lastPop }
 
 // MaxLen returns the high-water mark of occupancy, counting staged
 // entries at the moment they were pushed (the back-pressure view).

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -348,7 +349,8 @@ func TestQueueFillDrainAllocatesNothing(t *testing.T) {
 
 // TestQueueMatchesSliceModel drives seeded random Push/Pop/Peek/Step
 // sequences against a plain-slice model of the registered FIFO and
-// compares every observable after every call. Phases alternate between
+// compares every observable after every call, the kernel's move counter
+// and the queue's last-pop stamp included. Phases alternate between
 // filling and draining, so the ring wraps and the queue runs full.
 func TestQueueMatchesSliceModel(t *testing.T) {
 	for _, capacity := range []int{1, 3, 8} {
@@ -357,16 +359,18 @@ func TestQueueMatchesSliceModel(t *testing.T) {
 		q := NewQueue[int](k, "q", capacity)
 		var committed, staged []int
 		var pushes, pops uint64
+		var lastPop Cycle
 		maxLen, refused, next := 0, 0, 0
 		check := func(op string) {
 			t.Helper()
 			if q.Len() != len(committed) || q.StagedLen() != len(staged) ||
 				q.Free() != capacity-len(committed)-len(staged) ||
 				q.CanPush() != (len(committed)+len(staged) < capacity) ||
-				q.Pushes() != pushes || q.Pops() != pops || q.MaxLen() != maxLen {
-				t.Fatalf("cap %d after %s: queue len %d staged %d free %d pushes %d pops %d maxLen %d; model %v staged %v pushes %d pops %d maxLen %d",
-					capacity, op, q.Len(), q.StagedLen(), q.Free(), q.Pushes(), q.Pops(), q.MaxLen(),
-					committed, staged, pushes, pops, maxLen)
+				q.Pushes() != pushes || q.Pops() != pops || q.MaxLen() != maxLen ||
+				k.Moves() != pushes+pops || q.LastPop() != lastPop {
+				t.Fatalf("cap %d after %s: queue len %d staged %d free %d pushes %d pops %d maxLen %d moves %d lastPop %d; model %v staged %v pushes %d pops %d maxLen %d lastPop %d",
+					capacity, op, q.Len(), q.StagedLen(), q.Free(), q.Pushes(), q.Pops(), q.MaxLen(), k.Moves(), q.LastPop(),
+					committed, staged, pushes, pops, maxLen, lastPop)
 			}
 		}
 		for i := 0; i < 4000; i++ {
@@ -394,6 +398,7 @@ func TestQueueMatchesSliceModel(t *testing.T) {
 				if ok {
 					committed = committed[1:]
 					pops++
+					lastPop = k.Cycle()
 				}
 				check("Pop")
 			case r < 8:
@@ -453,6 +458,45 @@ func TestObserverRunsAfterCommit(t *testing.T) {
 	}
 	if cycles[0] != 0 || cycles[1] != 1 {
 		t.Fatalf("observer cycles %v, want [0 1]", cycles)
+	}
+}
+
+// TestCommittedListsTheStepsPushes: after a step, Committed names exactly
+// the queues that step committed, in first-push order; a push made by an
+// observer stages for the next step and shows up in that step's list.
+func TestCommittedListsTheStepsPushes(t *testing.T) {
+	k := NewKernel()
+	a := NewQueue[int](k, "a", 4)
+	b := NewQueue[int](k, "b", 4)
+	NewQueue[int](k, "idle", 4)
+	k.Add(ComponentFunc(func(c Cycle) {
+		if c == 0 {
+			b.Push(1)
+			a.Push(2)
+			b.Push(3)
+		}
+	}))
+	var seen [][]string
+	k.Observe(observerFunc(func(c Cycle) {
+		var names []string
+		for _, q := range k.Committed() {
+			if q.StagedLen() != 0 {
+				t.Fatalf("cycle %d: committed queue %s still holds staged entries", c, q.Name())
+			}
+			names = append(names, q.Name())
+		}
+		seen = append(seen, names)
+		if c == 1 {
+			a.Push(4) // stages for cycle 2
+		}
+	}))
+	k.Run(4)
+	want := [][]string{{"b", "a"}, nil, {"a"}, nil}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("committed lists %v, want %v", seen, want)
+	}
+	if a.Len() != 2 || b.Len() != 2 || k.Moves() != 4 {
+		t.Fatalf("a.Len=%d b.Len=%d moves=%d, want 2, 2, 4", a.Len(), b.Len(), k.Moves())
 	}
 }
 
