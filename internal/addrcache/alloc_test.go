@@ -1,8 +1,8 @@
 package addrcache
 
 // Allocation gates: in steady state the cache and the engine allocate
-// nothing per access. The one allocation a miss makes is the DRAM read
-// payload (mem.ReadWords), which the fill copies and drops.
+// nothing per access, a miss included: the DRAM read payload travels
+// inline in the response.
 
 import (
 	"testing"
@@ -56,8 +56,8 @@ func TestMissAllocatesOnlyThePayload(t *testing.T) {
 		c.ReqQ.MustPush(Access{Addr: next()})
 		complete(k, c, 1)
 	})
-	if allocs != 1 {
-		t.Fatalf("a miss and its fill made %v allocations, want 1 (the DRAM read payload)", allocs)
+	if allocs != 0 {
+		t.Fatalf("a miss and its fill made %v allocations, want 0", allocs)
 	}
 }
 
@@ -72,8 +72,8 @@ func TestMSHRMergeAllocatesNothing(t *testing.T) {
 		}
 		complete(k, c, maxWaiters)
 	})
-	if allocs != 1 {
-		t.Fatalf("a miss with %d merged waiters made %v allocations, want 1 (the DRAM read payload)", maxWaiters-1, allocs)
+	if allocs != 0 {
+		t.Fatalf("a miss with %d merged waiters made %v allocations, want 0", maxWaiters-1, allocs)
 	}
 	if st := c.Stats(); st.MSHRMerge != (maxWaiters-1)*st.Fills {
 		t.Fatalf("stats %+v, want %d merges per fill", st, maxWaiters-1)

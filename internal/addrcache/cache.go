@@ -8,8 +8,8 @@
 // In steady state neither the cache nor the engine allocates: line data
 // lives in one array sized in New, a response carries its block by value,
 // the MSHR file is a fixed array, and finished walks go back to their
-// issuer for reuse. The one allocation per miss is the DRAM read payload,
-// which the fill copies and drops.
+// issuer for reuse. A block is at most payload.Inline words, so DRAM
+// reads and writebacks carry it inline too.
 package addrcache
 
 import (
@@ -17,6 +17,7 @@ import (
 
 	"xcache/internal/dram"
 	"xcache/internal/energy"
+	"xcache/internal/payload"
 	"xcache/internal/sim"
 )
 
@@ -31,8 +32,9 @@ type Access struct {
 }
 
 // MaxBlockWords is the largest block New accepts; an AccessResp holds
-// its block inline in an array of this many words.
-const MaxBlockWords = 8
+// its block inline in an array of this many words, and a DRAM payload
+// of this many words travels inline.
+const MaxBlockWords = payload.Inline
 
 // AccessResp returns the whole enclosing block by value: Data[:Words] is
 // the block as it stood when the access was served — at the lookup for a
@@ -196,10 +198,11 @@ func (c *Cache) Tick(cy sim.Cycle) {
 	c.acceptFills(cy)
 
 	// One lookup per cycle (single tag port, like the X-Cache front-end).
-	acc, ok := c.ReqQ.Peek()
-	if !ok {
+	head := c.ReqQ.Front()
+	if head == nil {
 		return
 	}
+	acc := *head
 	block := c.blockOf(acc.Addr)
 
 	// Charge a set probe. CACTI serial (low-power) mode reads the tag
@@ -214,7 +217,7 @@ func (c *Cache) Tick(cy sim.Cycle) {
 	for i := set; i < set+c.Cfg.Ways; i++ {
 		ln := &c.lines[i]
 		if ln.valid && ln.tag == block {
-			c.ReqQ.Pop()
+			c.ReqQ.Drop()
 			c.stats.Accesses++
 			c.stats.Hits++
 			c.tick++
@@ -236,7 +239,7 @@ func (c *Cache) Tick(cy sim.Cycle) {
 		if m.n == maxWaiters {
 			return // MSHR waiter list full: stall the port
 		}
-		c.ReqQ.Pop()
+		c.ReqQ.Drop()
 		c.stats.Accesses++
 		c.stats.Misses++
 		c.stats.MSHRMerge++
@@ -249,7 +252,7 @@ func (c *Cache) Tick(cy sim.Cycle) {
 	if c.busy == numMSHRs || !c.MemReq.CanPush() {
 		return
 	}
-	c.ReqQ.Pop()
+	c.ReqQ.Drop()
 	c.stats.Accesses++
 	c.stats.Misses++
 	m := &c.mshrs[0]
@@ -305,7 +308,7 @@ func (c *Cache) writeback(i int) bool {
 	ln := &c.lines[i]
 	data := c.blockData(i)
 	c.MemReq.MustPush(dram.Request{ID: wbFlag | ln.tag, Addr: ln.tag,
-		Words: len(data), Write: true, Data: append([]uint64(nil), data...)})
+		Words: len(data), Write: true, Data: payload.Of(data...)})
 	ln.dirty = false
 	c.stats.Writebacks++
 	if c.Meter != nil {
@@ -334,12 +337,13 @@ func (c *Cache) victim(block uint64) int {
 
 func (c *Cache) acceptFills(cy sim.Cycle) {
 	for {
-		resp, ok := c.MemResp.Peek()
-		if !ok {
+		resp := c.MemResp.Front()
+		if resp == nil {
 			return
 		}
 		if resp.ID&wbFlag != 0 {
-			c.MemResp.Pop()
+			resp.Data.Release()
+			c.MemResp.Drop()
 			continue // writeback ack
 		}
 		m := c.mshrFor(resp.ID)
@@ -354,12 +358,13 @@ func (c *Cache) acceptFills(cy sim.Cycle) {
 		if c.lines[vi].valid && c.lines[vi].dirty && !c.writeback(vi) {
 			return
 		}
-		c.MemResp.Pop()
 		c.stats.Fills++
 		c.tick++
 		c.lines[vi] = line{valid: true, tag: m.block, lru: c.tick}
 		data := c.blockData(vi)
-		copy(data, resp.Data)
+		copy(data, resp.Data.Slice())
+		resp.Data.Release()
+		c.MemResp.Drop()
 		if c.Meter != nil {
 			c.Meter.DataBytes += c.BlockBytes()
 		}

@@ -18,6 +18,7 @@ import (
 	"xcache/internal/dram"
 	"xcache/internal/energy"
 	"xcache/internal/mem"
+	"xcache/internal/payload"
 	"xcache/internal/sim"
 )
 
@@ -290,7 +291,7 @@ func runDiff(t testing.TB, dc diffCase) (Stats, EngineStats, diffReach) {
 			if !okN {
 				break
 			}
-			if qn.ID != qr.ID || qn.Addr != qr.Addr || qn.Words != qr.Words || qn.Write != qr.Write || !slices.Equal(qn.Data, qr.Data) {
+			if qn.ID != qr.ID || qn.Addr != qr.Addr || qn.Words != qr.Words || qn.Write != qr.Write || !slices.Equal(qn.Data.Slice(), qr.Data.Slice()) {
 				t.Fatalf("%v cycle %d: memory request\n  production %+v\n  reference  %+v", dc, cy, qn, qr)
 			}
 			dN.Req.MustPush(qn)
@@ -372,9 +373,12 @@ func runDiff(t testing.TB, dc diffCase) (Stats, EngineStats, diffReach) {
 		}
 	}
 	for a := region; a < region+diffBlocks*bb; a += mem.WordBytes {
-		if vn, vr := imgN.R64(a), imgR.R64(a); vn != vr {
+		if vn, vr := imgN.R64(a), imgR.R64(a); vn != vr || vn == payload.PoisonWord {
 			t.Fatalf("%v: memory word %#x is %#x production, %#x reference", dc, a, vn, vr)
 		}
+	}
+	if err := payload.Audit(kN.Components()); err != nil {
+		t.Fatalf("%v: %v", dc, err)
 	}
 	var es EngineStats
 	if en != nil {
@@ -419,6 +423,8 @@ func TestAddrCacheDiffLockstep(t *testing.T) {
 // FuzzAddrCache runs the differential harness on fuzzer-chosen streams;
 // testdata/fuzz/FuzzAddrCache holds the committed seed corpus.
 func FuzzAddrCache(f *testing.F) {
+	payload.SetPoison(true)
+	defer payload.SetPoison(false)
 	f.Fuzz(func(t *testing.T, seed int64, block8, engine bool, contexts uint8, clog bool) {
 		bw := 4
 		if block8 {

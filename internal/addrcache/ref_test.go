@@ -13,6 +13,7 @@ import (
 
 	"xcache/internal/dram"
 	"xcache/internal/energy"
+	"xcache/internal/payload"
 	"xcache/internal/sim"
 )
 
@@ -111,10 +112,11 @@ func (c *refCache) Tick(cy sim.Cycle) {
 	c.acceptFills(cy)
 
 	// One lookup per cycle (single tag port, like the X-Cache front-end).
-	acc, ok := c.ReqQ.Peek()
-	if !ok {
+	head := c.ReqQ.Front()
+	if head == nil {
 		return
 	}
+	acc := *head
 	block := c.blockOf(acc.Addr)
 
 	// Charge a set probe. CACTI serial (low-power) mode reads the tag
@@ -194,7 +196,7 @@ func (c *refCache) deliver(cy sim.Cycle) {
 // line dirty, and acceptFills retries the fill next cycle.)
 func (c *refCache) writeback(ln *refLine) bool {
 	if !c.MemReq.Push(dram.Request{ID: wbFlag | ln.tag, Addr: ln.tag,
-		Words: len(ln.data), Write: true, Data: append([]uint64(nil), ln.data...)}) {
+		Words: len(ln.data), Write: true, Data: payload.Of(ln.data...)}) {
 		return false
 	}
 	ln.dirty = false
@@ -209,12 +211,13 @@ func (c *refCache) writeback(ln *refLine) bool {
 
 func (c *refCache) acceptFills(cy sim.Cycle) {
 	for {
-		resp, ok := c.MemResp.Peek()
-		if !ok {
+		head := c.MemResp.Front()
+		if head == nil {
 			break
 		}
+		resp := *head
 		if resp.ID&wbFlag != 0 {
-			c.MemResp.Pop()
+			c.MemResp.Drop()
 			continue // writeback ack
 		}
 		m, exists := c.mshrs[resp.ID]
@@ -238,11 +241,11 @@ func (c *refCache) acceptFills(cy sim.Cycle) {
 		if victim.valid && victim.dirty && !c.writeback(victim) {
 			return
 		}
-		c.MemResp.Pop()
+		c.MemResp.Drop()
 		c.stats.Fills++
 		delete(c.mshrs, resp.ID)
 		c.tick++
-		*victim = refLine{valid: true, tag: m.block, data: append([]uint64(nil), resp.Data...), lru: c.tick}
+		*victim = refLine{valid: true, tag: m.block, data: append([]uint64(nil), resp.Data.Slice()...), lru: c.tick}
 		if c.Meter != nil {
 			c.Meter.DataBytes += c.BlockBytes()
 		}
@@ -360,15 +363,16 @@ func (e *refEngine) Idle() bool {
 func (e *refEngine) Tick(cy sim.Cycle) {
 	// Route cache responses back to waiting contexts.
 	for {
-		resp, ok := e.cache.RespQ.Peek()
-		if !ok {
+		head := e.cache.RespQ.Front()
+		if head == nil {
 			break
 		}
+		resp := *head
 		ctx := &e.ctxs[resp.ID]
 		if ctx.state != ctxWaitMem {
 			panic("addrcache: response for non-waiting context")
 		}
-		e.cache.RespQ.Pop()
+		e.cache.RespQ.Drop()
 		e.advance(cy, ctx, resp.BlockBase, resp.Data)
 	}
 

@@ -29,6 +29,7 @@ import (
 
 	"xcache/internal/ctrl"
 	"xcache/internal/dram"
+	"xcache/internal/payload"
 	"xcache/internal/sim"
 )
 
@@ -164,6 +165,7 @@ func Attach(k *sim.Kernel, cfg *Config) *Harness {
 		}
 		h.inv = newInvariants(k)
 		for _, s := range cohs {
+			s.RecordCohEvents()
 			h.inv.checkers = append(h.inv.checkers, newCohChecker(s))
 		}
 		k.Observe(h.inv)
@@ -224,12 +226,17 @@ func (h *Harness) Err() error {
 // Audit sweeps every queue's conservation rules now and returns the first
 // invariant violation observed, or nil. A step audits only the queues it
 // committed, so a supervised loop calls Audit once when the run is done:
-// that covers the queues whose last operations were pops.
+// that covers the queues whose last operations were pops. Audit also
+// checks the payload ledger (payload.Audit): every buffer a component
+// lent is back with its pool or still held by a queued message.
 func (h *Harness) Audit() error {
 	if h == nil || h.inv == nil {
 		return nil
 	}
 	h.inv.sweep(h.k.Cycle())
+	if h.inv.err == nil {
+		h.inv.err = payload.Audit(h.k.Components())
+	}
 	return h.inv.err
 }
 

@@ -65,9 +65,13 @@ type CohEvent struct {
 // CoherenceSource is implemented by a component (internal/hier's
 // directory) that can snapshot protocol state and surrender the cycle's
 // value events. CohEvents drains: each event is returned exactly once.
+// A source records events only after RecordCohEvents, which Attach
+// calls when it attaches a coherence checker: an unchecked run keeps no
+// log.
 type CoherenceSource interface {
 	CohSnapshot() CohSnapshot
 	CohEvents() []CohEvent
+	RecordCohEvents()
 }
 
 // CoherenceViolation is the typed error a coherence invariant failure

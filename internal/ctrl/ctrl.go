@@ -33,6 +33,7 @@ import (
 	"xcache/internal/dram"
 	"xcache/internal/energy"
 	"xcache/internal/metatag"
+	"xcache/internal/payload"
 	"xcache/internal/program"
 	"xcache/internal/sim"
 	"xcache/internal/stats"
@@ -65,12 +66,18 @@ type MetaReq struct {
 }
 
 // MetaResp answers a MetaReq.
+//
+// Ownership (package payload): Data is a snapshot of the element's
+// first min(Words, RespDataWords) words, produced by the controller:
+// inline up to payload.Inline words, lent from the controller's pool
+// beyond that. The datapath that pops the response consumes it and
+// releases Data.
 type MetaResp struct {
 	ID     uint64
 	Status int    // program.StatusOK or program.StatusNotFound
 	Value  uint64 // scalar result (first data word / walker enqresp value)
 	Words  int    // data words delivered on a block hit
-	Data   []uint64
+	Data   payload.Words
 }
 
 // ExecMode selects how walkers share the controller pipeline.
@@ -212,11 +219,22 @@ func (s Stats) HitRate() float64 {
 // §9).
 const wbIDFlag = uint64(1) << 63
 
-// message is a pending wakeup for a walker.
+// message is a pending wakeup for a walker: a DRAM fill carries the
+// filled address and words, an internal event the walker's id in addr.
+// The walker owns a fill's payload from acceptFills on and releases it
+// when a later message replaces it, or when the walker finishes or
+// traps.
 type message struct {
 	event int
 	addr  uint64
-	data  []uint64
+	data  payload.Words
+}
+
+// internalEvent is an entry of the internal event queue: event ev for
+// walker w.
+type internalEvent struct {
+	ev int
+	w  int32
 }
 
 type walker struct {
@@ -231,7 +249,7 @@ type walker struct {
 	origin   MetaReq
 	waiters  []MetaReq
 	msg      message
-	pending  []message
+	pending  []message // kept across lives; compacted in place as it is popped
 	running  bool
 	fills    int // outstanding DRAM fills for this walker
 	spawned  sim.Cycle
@@ -273,7 +291,7 @@ type Controller struct {
 	MemReq  *sim.Queue[dram.Request]
 	MemResp *sim.Queue[dram.Response]
 
-	evq    *sim.Queue[message] // internal events; message.addr carries walker id
+	evq    *sim.Queue[internalEvent]
 	replay []MetaReq
 
 	env      [16]uint64
@@ -286,6 +304,12 @@ type Controller struct {
 
 	Meter *energy.Counters
 	stats Stats
+
+	// pool lends the payloads of responses and writebacks longer than
+	// payload.Inline words; noteBuf holds an evicted entry's words for
+	// the eviction hook (EvictNote.Words).
+	pool    payload.Pool
+	noteBuf []uint64
 
 	// fast is the pre-decoded step-closure table, indexed by absolute pc
 	// (exec_fast.go); nil when Cfg.Exec selects the reference interpreter.
@@ -327,6 +351,8 @@ type Controller struct {
 // capacity eviction, drain, flush, or parity scrub. Words holds the
 // entry's data words read before the sectors are freed (nil when the
 // entry held no sectors, or when a parity scrub made them untrustworthy).
+// Words is the controller's buffer: it is valid only during the hook
+// call, and the hook copies what it keeps.
 type EvictNote struct {
 	Key   metatag.Key
 	Dirty bool
@@ -389,7 +415,7 @@ func New(k *sim.Kernel, cfg Config, prog *program.Program, tags *metatag.Array,
 		Meter:   meter,
 		ReqQ:    sim.NewQueue[MetaReq](k, "xc.req", cfg.MetaQueueDepth),
 		RespQ:   sim.NewQueue[MetaResp](k, "xc.resp", cfg.RespQueueDepth),
-		evq:     sim.NewQueue[message](k, "xc.evq", evQueueDepth),
+		evq:     sim.NewQueue[internalEvent](k, "xc.evq", evQueueDepth),
 	}
 	c.walkers = make([]walker, cfg.NumActive)
 	for i := range c.walkers {
@@ -500,35 +526,41 @@ func (c *Controller) matchFill(wid int32, addr uint64) bool {
 }
 
 func (c *Controller) drainHitPipe(cy sim.Cycle) {
-	keep := c.hitPipe[:0]
-	for _, h := range c.hitPipe {
+	n := 0
+	for i := range c.hitPipe {
+		h := &c.hitPipe[i]
 		if h.readyAt <= cy && c.RespQ.CanPush() {
 			c.RespQ.MustPush(h.resp)
 			c.stats.Responses++
 			continue
 		}
-		keep = append(keep, h)
+		if n != i {
+			c.hitPipe[n] = *h
+		}
+		n++
 	}
-	c.hitPipe = keep
+	c.hitPipe = c.hitPipe[:n]
 }
 
 // acceptFills pops DRAM responses and routes them to walkers' pending
 // message lists (writeback acks are discarded).
 func (c *Controller) acceptFills(cy sim.Cycle) {
 	for {
-		resp, ok := c.MemResp.Peek()
-		if !ok {
+		resp := c.MemResp.Front()
+		if resp == nil {
 			break
 		}
 		if resp.ID&wbIDFlag != 0 {
-			c.MemResp.Pop()
+			resp.Data.Release()
+			c.MemResp.Drop()
 			continue
 		}
 		wid := int32(resp.ID & 0xffffffff)
 		if c.Cfg.FillTimeout > 0 && !c.matchFill(wid, resp.Addr) {
 			// A retry's response already woke the walker; this is the late
 			// original (or vice versa). Discard it.
-			c.MemResp.Pop()
+			resp.Data.Release()
+			c.MemResp.Drop()
 			c.stats.SpuriousFills++
 			continue
 		}
@@ -539,21 +571,23 @@ func (c *Controller) acceptFills(cy sim.Cycle) {
 			// program fault, so it stays a (typed) panic.
 			specBug("fill for inactive walker %d", wid)
 		}
-		c.MemResp.Pop()
 		c.outstandingFills--
 		w.fills--
 		if w.trapped {
 			// Quiesced walker draining: discard the data, free the context
 			// once the last outstanding fill lands.
+			resp.Data.Release()
+			c.MemResp.Drop()
 			if w.fills == 0 {
 				c.freeTrapped(w)
 			}
 			continue
 		}
 		if c.Meter != nil {
-			c.Meter.QueueBytes += uint64(len(resp.Data)) * 8
+			c.Meter.QueueBytes += uint64(resp.Data.Len()) * 8
 		}
 		w.pending = append(w.pending, message{event: program.EvFill, addr: resp.Addr, data: resp.Data})
+		c.MemResp.Drop()
 		c.pendingMsgs++
 	}
 }
@@ -583,8 +617,9 @@ func (c *Controller) frontend(cy sim.Cycle) {
 		if !w.active || w.trapped || w.running || len(w.pending) == 0 {
 			continue
 		}
+		w.msg.data.Release()
 		w.msg = w.pending[0]
-		w.pending = w.pending[1:]
+		w.pending = w.pending[:copy(w.pending, w.pending[1:])]
 		c.pendingMsgs--
 		c.fire(cy, w, w.msg.event)
 		budget--
@@ -592,22 +627,22 @@ func (c *Controller) frontend(cy sim.Cycle) {
 
 	// 2. Internal event queue.
 	for budget > 0 {
-		m, ok := c.evq.Peek()
+		e, ok := c.evq.Pop()
 		if !ok {
 			break
 		}
-		w := &c.walkers[int32(m.addr)]
-		c.evq.Pop()
+		w := &c.walkers[e.w]
 		if !w.active || w.trapped {
 			continue
 		}
 		if w.running {
-			w.pending = append(w.pending, m)
+			w.pending = append(w.pending, message{event: e.ev, addr: uint64(e.w)})
 			c.pendingMsgs++
 			continue
 		}
-		w.msg = m
-		c.fire(cy, w, m.event)
+		w.msg.data.Release()
+		w.msg = message{event: e.ev, addr: uint64(e.w)}
+		c.fire(cy, w, e.ev)
 		budget--
 	}
 
@@ -618,8 +653,8 @@ func (c *Controller) frontend(cy sim.Cycle) {
 		var fromReplay bool
 		if len(c.replay) > 0 {
 			req, fromReplay = c.replay[0], true
-		} else if r, ok := c.ReqQ.Peek(); ok {
-			req = r
+		} else if head := c.ReqQ.Front(); head != nil {
+			req = *head
 		} else {
 			return
 		}
@@ -701,9 +736,9 @@ func (c *Controller) merge(w *walker, req MetaReq, fromReplay bool) bool {
 
 func (c *Controller) consumeReq(fromReplay bool) {
 	if fromReplay {
-		c.replay = c.replay[1:]
+		c.replay = c.replay[:copy(c.replay, c.replay[1:])]
 	} else {
-		c.ReqQ.Pop()
+		c.ReqQ.Drop()
 	}
 }
 
@@ -732,21 +767,7 @@ func (c *Controller) serveHit(cy sim.Cycle, req MetaReq, entry *metatag.Entry) b
 	case MetaLoad:
 		c.stats.Loads++
 		if words > 0 {
-			// Every delivered word streams out of the banked data RAM;
-			// Read charges energy per word. Words beyond the functional
-			// snapshot cap are charged without being copied.
-			keep := words
-			if keep > c.Cfg.RespDataWords {
-				keep = c.Cfg.RespDataWords
-			}
-			resp.Data = make([]uint64, keep)
-			for i := 0; i < keep; i++ {
-				resp.Data[i] = c.Data.Read(base + int32(i))
-			}
-			resp.Value = resp.Data[0]
-			if c.Meter != nil && words > keep {
-				c.Meter.DataBytes += uint64(words-keep) * 8
-			}
+			resp.Value = c.snapshot(&resp.Data, entry.SectorBase, words)
 		}
 	case MetaStore:
 		c.stats.Stores++
@@ -795,6 +816,33 @@ func (c *Controller) serveHit(cy sim.Cycle, req MetaReq, entry *metatag.Entry) b
 	return true
 }
 
+// snapshot fills p with the first min(words, RespDataWords) words of the
+// element at sector base and returns its first word. Every delivered
+// word streams out of the banked data RAM, and Read charges energy per
+// word: words beyond the snapshot cap are charged without being copied.
+func (c *Controller) snapshot(p *payload.Words, base int32, words int) uint64 {
+	keep := min(words, c.Cfg.RespDataWords)
+	data := p.Make(&c.pool, keep)
+	c.Data.ReadRun(base, data)
+	if c.Meter != nil && words > keep {
+		c.Meter.DataBytes += uint64(words-keep) * 8
+	}
+	return data[0]
+}
+
+// readNote reads count sectors from base into the controller's
+// eviction-note buffer and returns them; the buffer is reused by the
+// next call.
+func (c *Controller) readNote(base, count int32) []uint64 {
+	words := int(count) * c.Data.Cfg.WordsPerSector
+	if cap(c.noteBuf) < words {
+		c.noteBuf = make([]uint64, words)
+	}
+	data := c.noteBuf[:words]
+	c.Data.ReadRun(base, data)
+	return data
+}
+
 func (c *Controller) noteLatency(req MetaReq, done sim.Cycle, hit bool) {
 	l := uint64(done - req.Issued)
 	c.stats.L2UHist.Add(l)
@@ -815,9 +863,12 @@ func (c *Controller) spawn(cy sim.Cycle, req MetaReq) {
 	wid := c.freeW[len(c.freeW)-1]
 	c.freeW = c.freeW[:len(c.freeW)-1]
 	w := &c.walkers[wid]
+	// The context keeps its register file, waiter list and pending list
+	// arrays from earlier lives; the two lists are empty here.
 	*w = walker{
 		id: wid, active: true, key: req.Key, state: program.StateInvalid,
-		regs: w.regs, origin: req, spawned: cy, pipeline: -1,
+		regs: w.regs, waiters: w.waiters[:0], pending: w.pending[:0],
+		origin: req, spawned: cy, pipeline: -1,
 		isStore: req.Op != MetaLoad,
 	}
 	for i := range w.regs {
@@ -968,8 +1019,8 @@ func (c *Controller) finish(w *walker, notFound bool) {
 		}
 		c.replay = append(c.replay, waiter)
 	}
-	w.waiters = nil
-	w.pending = nil
+	w.waiters = w.waiters[:0]
+	w.msg.data.Release()
 	w.active = false
 	c.liveRegs -= uint64(bits.OnesCount32(w.liveMask))
 	w.running = false
@@ -1017,12 +1068,7 @@ func (c *Controller) DrainStable(fn func(Drained)) int {
 		if e.SectorCount > 0 {
 			v = c.Data.Read(c.Data.SectorWordBase(e.SectorBase))
 			if c.evictHook != nil {
-				words := int(e.SectorCount) * c.Data.Cfg.WordsPerSector
-				base := c.Data.SectorWordBase(e.SectorBase)
-				data := make([]uint64, words)
-				for i := range data {
-					data[i] = c.Data.Read(base + int32(i))
-				}
+				data := c.readNote(e.SectorBase, e.SectorCount)
 				c.evictHook(EvictNote{Key: e.Key, Dirty: e.Dirty, Words: data})
 			}
 			c.Data.Free(e.SectorBase, e.SectorCount)
@@ -1118,6 +1164,29 @@ func (c *Controller) Diagnose() []string {
 			r.walker, r.addr, r.words, r.issued, r.retries))
 	}
 	return out
+}
+
+// PayloadPool implements payload.Holder: the pool long response and
+// writeback payloads are lent from.
+func (c *Controller) PayloadPool() *payload.Pool { return &c.pool }
+
+// HeldPayloads implements payload.Holder: the walkers' current and
+// pending messages, responses in the hit pipe, and the payloads queued
+// in the controller's memory and response queues.
+func (c *Controller) HeldPayloads(visit func(*payload.Words)) {
+	for i := range c.walkers {
+		w := &c.walkers[i]
+		visit(&w.msg.data)
+		for j := range w.pending {
+			visit(&w.pending[j].data)
+		}
+	}
+	for i := range c.hitPipe {
+		visit(&c.hitPipe[i].resp.Data)
+	}
+	c.RespQ.Each(func(r *MetaResp) { visit(&r.Data) })
+	c.MemReq.Each(func(r *dram.Request) { visit(&r.Data) })
+	c.MemResp.Each(func(r *dram.Response) { visit(&r.Data) })
 }
 
 // FaultQueues lists the queues whose producers all tolerate transient

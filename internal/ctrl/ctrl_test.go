@@ -479,10 +479,10 @@ func TestMultiSectorFillAndBlockHit(t *testing.T) {
 	// Block hit: full 8-word element streamed back.
 	id2 := r.issue(MetaLoad, 2, 0)
 	resp2 := r.await(1)[id2]
-	if resp2.Words != 8 || len(resp2.Data) != 8 {
-		t.Fatalf("hit words=%d data=%d", resp2.Words, len(resp2.Data))
+	if resp2.Words != 8 || resp2.Data.Len() != 8 {
+		t.Fatalf("hit words=%d data=%d", resp2.Words, resp2.Data.Len())
 	}
-	for i, v := range resp2.Data {
+	for i, v := range resp2.Data.Slice() {
 		if v != uint64(1016+i) {
 			t.Fatalf("hit data[%d]=%d want %d", i, v, 1016+i)
 		}

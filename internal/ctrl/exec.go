@@ -151,15 +151,15 @@ func (c *Controller) exec1(cy sim.Cycle, r *run, w *walker, in isa.Instr) stepSt
 		case in.Imm == -1:
 			setReg(in.Dst, w.msg.addr)
 		case in.Imm == -2:
-			setReg(in.Dst, uint64(len(w.msg.data)))
-		case in.Imm < 0 || int(in.Imm) >= len(w.msg.data):
+			setReg(in.Dst, uint64(w.msg.data.Len()))
+		case in.Imm < 0 || int(in.Imm) >= w.msg.data.Len():
 			// A negative peek other than the -1/-2 pseudo-slots used to
 			// fall through to a raw negative slice index; both directions
 			// now trap.
 			return c.trapStep(cy, r, w, TrapPeekOOB,
-				fmt.Sprintf("peek %d beyond %d-word message", in.Imm, len(w.msg.data)))
+				fmt.Sprintf("peek %d beyond %d-word message", in.Imm, w.msg.data.Len()))
 		default:
-			setReg(in.Dst, w.msg.data[in.Imm])
+			setReg(in.Dst, w.msg.data.Slice()[in.Imm])
 		}
 	case isa.OpDeq:
 		// The front-end consumed the message at wake; explicit deq is an
@@ -317,12 +317,12 @@ func (c *Controller) execWb(cy sim.Cycle, r *run, w *walker, addr uint64, base i
 	if !c.MemReq.CanPush() {
 		return stepStall
 	}
-	data := make([]uint64, words)
+	req := dram.Request{ID: wbIDFlag | uint64(w.id), Addr: addr &^ 7, Words: words, Write: true}
+	data := req.Data.Make(&c.pool, words)
 	for i := range data {
 		data[i] = c.Data.Read(base + int32(i))
 	}
-	c.MemReq.MustPush(dram.Request{ID: wbIDFlag | uint64(w.id), Addr: addr &^ 7,
-		Words: words, Write: true, Data: data})
+	c.MemReq.MustPush(req)
 	c.stats.WritebacksIssued++
 	if c.Meter != nil {
 		c.Meter.QueueBytes += 16
@@ -344,14 +344,7 @@ func (c *Controller) execResp(cy sim.Cycle, r *run, w *walker, status int, value
 		// The refilled sectors stream to the datapath through the
 		// data port, exactly like a hit return.
 		if resp.Words > 0 {
-			keep := resp.Words
-			if keep > c.Cfg.RespDataWords {
-				keep = c.Cfg.RespDataWords
-			}
-			resp.Data = c.Data.ReadRun(w.entry.SectorBase, keep)
-			if c.Meter != nil && resp.Words > keep {
-				c.Meter.DataBytes += uint64(resp.Words-keep) * 8
-			}
+			c.snapshot(&resp.Data, w.entry.SectorBase, resp.Words)
 		}
 	}
 	if resp.Status == program.StatusNotFound {
@@ -375,7 +368,7 @@ func (c *Controller) execEnqEv(r *run, w *walker, ev int) stepStatus {
 	if !c.evq.CanPush() {
 		return stepStall
 	}
-	c.evq.MustPush(message{event: ev, addr: uint64(w.id)})
+	c.evq.MustPush(internalEvent{ev: ev, w: w.id})
 	if c.Meter != nil {
 		c.Meter.QueueBytes += 8
 	}
@@ -586,18 +579,14 @@ func (c *Controller) chargeALU(add, mul, bit, shift uint64) {
 
 // reclaim releases an evicted entry's sectors and writes back dirty data.
 // The caller has already guaranteed MemReq space.
-func (c *Controller) reclaim(ev *metatag.Evicted) {
-	if ev == nil {
+func (c *Controller) reclaim(ev metatag.Evicted) {
+	if !ev.Valid {
 		return
 	}
 	if ev.SectorCount > 0 {
 		if ev.Dirty || c.evictHook != nil {
-			words := int(ev.SectorCount) * c.Data.Cfg.WordsPerSector
-			base := c.Data.SectorWordBase(ev.SectorBase)
-			data := make([]uint64, words)
-			for i := range data {
-				data[i] = c.Data.Read(base + int32(i))
-			}
+			data := c.readNote(ev.SectorBase, ev.SectorCount)
+			words := len(data)
 			handled := false
 			if c.evictHook != nil {
 				handled = c.evictHook(EvictNote{Key: ev.Key, Dirty: ev.Dirty, Words: data})
@@ -605,8 +594,9 @@ func (c *Controller) reclaim(ev *metatag.Evicted) {
 			if ev.Dirty && !handled {
 				// Dirty meta data spills to a per-cache victim region keyed by
 				// tag hash; DSAs that need spilled data back re-walk for it.
-				addr := c.spillAddr(ev.Key)
-				c.MemReq.MustPush(dram.Request{ID: wbIDFlag, Addr: addr, Words: words, Write: true, Data: data})
+				req := dram.Request{ID: wbIDFlag, Addr: c.spillAddr(ev.Key), Words: words, Write: true}
+				req.Data.Set(&c.pool, data)
+				c.MemReq.MustPush(req)
 				c.stats.WritebacksIssued++
 				if c.Meter != nil {
 					c.Meter.DRAMAccesses++

@@ -8,16 +8,47 @@ package ctrl
 // stream, the energy meter and the storage occupancy. Any divergence is
 // reported at the first cycle it appears, which pins the faulting
 // routine step rather than a downstream symptom.
+//
+// The harness consumes each response the way a datapath does: it copies
+// the payload out and releases it. At the end of a run every payload
+// buffer either rig lent is back with its pool (payload.Audit). The
+// poisoned variant repeats every case with the payload poison hook on,
+// so a component that reads a buffer after its release diverges.
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 
 	"xcache/internal/dataram"
 	"xcache/internal/metatag"
+	"xcache/internal/payload"
 	"xcache/internal/program"
 	"xcache/internal/sim"
 )
+
+// seenResp is a response as the harness consumed it: the payload words
+// are copied out before the payload is released.
+type seenResp struct {
+	MetaResp
+	words []uint64
+}
+
+// consume pops every response of c.
+func consume(c *Controller, into []seenResp) []seenResp {
+	for {
+		r, ok := c.RespQ.Pop()
+		if !ok {
+			return into
+		}
+		words := slices.Clone(r.Data.Slice())
+		if slices.Contains(words, payload.PoisonWord) {
+			panic("ctrl: a response carries a poisoned word")
+		}
+		r.Data.Release()
+		into = append(into, seenResp{r, words})
+	}
+}
 
 // traceLog is a TraceSink that records the stream.
 type traceLog struct{ evs []TraceEvent }
@@ -67,7 +98,7 @@ func (p *diffPair) lockstep(t *testing.T, reqs []diffReq, maxCycles int) {
 	t.Helper()
 	var nextID uint64
 	pushed := 0
-	var respI, respF []MetaResp
+	var respI, respF []seenResp
 	drained := 0 // consecutive idle cycles after the schedule completes
 
 	for cy := 0; cy < maxCycles; cy++ {
@@ -92,20 +123,8 @@ func (p *diffPair) lockstep(t *testing.T, reqs []diffReq, maxCycles int) {
 		p.ri.k.Run(1)
 		p.rf.k.Run(1)
 
-		for {
-			r, ok := p.ri.c.RespQ.Pop()
-			if !ok {
-				break
-			}
-			respI = append(respI, r)
-		}
-		for {
-			r, ok := p.rf.c.RespQ.Pop()
-			if !ok {
-				break
-			}
-			respF = append(respF, r)
-		}
+		respI = consume(p.ri.c, respI)
+		respF = consume(p.rf.c, respF)
 		p.compareCycle(t, respI, respF)
 
 		if pushed == len(reqs) && p.ri.c.Idle() && p.rf.c.Idle() &&
@@ -125,10 +144,15 @@ func (p *diffPair) lockstep(t *testing.T, reqs []diffReq, maxCycles int) {
 		t.Fatal("lockstep run produced no responses")
 	}
 	p.compareFinal(t, respI, respF)
+	for _, r := range []*rig{p.ri, p.rf} {
+		if err := payload.Audit(r.k.Components()); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // compareCycle checks the per-cycle observables.
-func (p *diffPair) compareCycle(t *testing.T, respI, respF []MetaResp) {
+func (p *diffPair) compareCycle(t *testing.T, respI, respF []seenResp) {
 	t.Helper()
 	cy := p.ri.k.Cycle()
 	checkRunningTotals(t, "interp", p.ri.c, cy)
@@ -157,7 +181,7 @@ func (p *diffPair) compareCycle(t *testing.T, respI, respF []MetaResp) {
 // compareFinal checks the end-of-run observables the per-cycle pass does
 // not cover: energy accounting, trace streams and their agreement with
 // Stats, storage occupancy.
-func (p *diffPair) compareFinal(t *testing.T, respI, respF []MetaResp) {
+func (p *diffPair) compareFinal(t *testing.T, respI, respF []seenResp) {
 	t.Helper()
 	if *p.ri.meter != *p.rf.meter {
 		t.Fatalf("energy meters diverged\ninterp: %+v\nfast:   %+v", *p.ri.meter, *p.rf.meter)
@@ -226,22 +250,25 @@ func checkRunningTotals(t *testing.T, side string, c *Controller, cy sim.Cycle) 
 	}
 }
 
-func sameResp(a, b MetaResp) bool {
-	if a.ID != b.ID || a.Status != b.Status || a.Value != b.Value ||
-		a.Words != b.Words || len(a.Data) != len(b.Data) {
-		return false
-	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			return false
-		}
-	}
-	return true
+func sameResp(a, b seenResp) bool {
+	return a.ID == b.ID && a.Status == b.Status && a.Value == b.Value &&
+		a.Words == b.Words && slices.Equal(a.words, b.words)
 }
 
 // TestExecDiffLockstep sweeps every walker program the unit suite uses —
 // and several controller configurations — through the lockstep harness.
-func TestExecDiffLockstep(t *testing.T) {
+func TestExecDiffLockstep(t *testing.T) { runExecDiffCases(t) }
+
+// TestExecDiffLockstepPoisoned repeats the lockstep sweep and the fault
+// recovery run with the payload poison hook on.
+func TestExecDiffLockstepPoisoned(t *testing.T) {
+	payload.SetPoison(true)
+	defer payload.SetPoison(false)
+	runExecDiffCases(t)
+	TestExecDiffFaultRecovery(t)
+}
+
+func runExecDiffCases(t *testing.T) {
 	// A load mix with hits, misses, not-founds, duplicate keys in flight
 	// (waiter merging) and an eventual re-walk of an evicted key.
 	loadMix := func(n int) []diffReq {
@@ -308,6 +335,10 @@ func TestExecDiffLockstep(t *testing.T) {
 			reqs: loadMix(24), array: 32},
 		{name: "multifill_block_hits", cfg: Config{NumActive: 4},
 			spec: multiFillSpec(), tagCfg: defaultTagCfg(), dataCfg: defaultDataCfg(),
+			reqs: loadMix(20), array: 0},
+		// 16-word elements: every response payload is lent.
+		{name: "multifill_lent_payloads", cfg: Config{NumActive: 4},
+			spec: multiFillSpec(), tagCfg: defaultTagCfg(), dataCfg: dataram.Config{Sectors: 64, WordsPerSector: 8},
 			reqs: loadMix(20), array: 0},
 		{name: "runaway_trap", cfg: Config{MaxRoutineSteps: 64},
 			spec: loopSpec(), tagCfg: defaultTagCfg(), dataCfg: defaultDataCfg(),

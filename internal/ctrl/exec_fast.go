@@ -310,7 +310,7 @@ func compileVerified(in isa.Instr, p *program.Program, start int32) fastFn {
 		case imm == -2:
 			return func(c *Controller, cy sim.Cycle, r *run, w *walker) stepStatus {
 				c.chargeAction()
-				c.fsetReg(w, d, uint64(len(w.msg.data)))
+				c.fsetReg(w, d, uint64(w.msg.data.Len()))
 				r.pc++
 				return stepAgain
 			}
@@ -318,11 +318,11 @@ func compileVerified(in isa.Instr, p *program.Program, start int32) fastFn {
 			pi := int(imm)
 			return func(c *Controller, cy sim.Cycle, r *run, w *walker) stepStatus {
 				c.chargeAction()
-				if pi >= len(w.msg.data) {
+				if pi >= w.msg.data.Len() {
 					return c.trapStep(cy, r, w, TrapPeekOOB,
-						fmt.Sprintf("peek %d beyond %d-word message", pi, len(w.msg.data)))
+						fmt.Sprintf("peek %d beyond %d-word message", pi, w.msg.data.Len()))
 				}
-				c.fsetReg(w, d, w.msg.data[pi])
+				c.fsetReg(w, d, w.msg.data.Slice()[pi])
 				r.pc++
 				return stepAgain
 			}

@@ -11,6 +11,7 @@ package ctrl_test
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -130,13 +131,8 @@ func diverged(a, b execOutcome) string {
 	for i := range a.resps {
 		ra, rb := a.resps[i], b.resps[i]
 		if ra.ID != rb.ID || ra.Status != rb.Status || ra.Value != rb.Value ||
-			ra.Words != rb.Words || len(ra.Data) != len(rb.Data) {
+			ra.Words != rb.Words || !slices.Equal(ra.Data.Slice(), rb.Data.Slice()) {
 			return "response"
-		}
-		for j := range ra.Data {
-			if ra.Data[j] != rb.Data[j] {
-				return "response data"
-			}
 		}
 	}
 	switch {

@@ -265,8 +265,8 @@ func TestRespDataWordsCap(t *testing.T) {
 	if resp.Words != 8 {
 		t.Fatalf("words %d", resp.Words)
 	}
-	if len(resp.Data) != 2 {
-		t.Fatalf("snapshot %d words, want cap 2", len(resp.Data))
+	if resp.Data.Len() != 2 {
+		t.Fatalf("snapshot %d words, want cap 2", resp.Data.Len())
 	}
 }
 

@@ -172,7 +172,11 @@ func (c *Controller) quiesce(w *walker) {
 	w.running = false
 	w.trapped = true
 	c.pendingMsgs -= len(w.pending)
-	w.pending = nil
+	for i := range w.pending {
+		w.pending[i].data.Release()
+	}
+	w.pending = w.pending[:0]
+	w.msg.data.Release()
 	if w.entry != nil {
 		if w.entry.SectorCount > 0 {
 			c.Data.Free(w.entry.SectorBase, w.entry.SectorCount)
@@ -190,7 +194,7 @@ func (c *Controller) quiesce(w *walker) {
 	for _, waiter := range w.waiters {
 		c.trapResps = append(c.trapResps, MetaResp{ID: waiter.ID, Status: program.StatusNotFound})
 	}
-	w.waiters = nil
+	w.waiters = w.waiters[:0]
 	if w.fills == 0 {
 		c.freeTrapped(w)
 	}
@@ -207,10 +211,12 @@ func (c *Controller) freeTrapped(w *walker) {
 // flushTrapResps delivers deferred NotFound responses for quiesced
 // walkers as response-queue space allows.
 func (c *Controller) flushTrapResps() {
-	for len(c.trapResps) > 0 && c.RespQ.CanPush() {
-		c.RespQ.MustPush(c.trapResps[0])
-		c.trapResps = c.trapResps[1:]
+	n := 0
+	for n < len(c.trapResps) && c.RespQ.CanPush() {
+		c.RespQ.MustPush(c.trapResps[n])
+		n++
 		c.stats.Responses++
 		c.stats.NotFound++
 	}
+	c.trapResps = c.trapResps[:copy(c.trapResps, c.trapResps[n:])]
 }

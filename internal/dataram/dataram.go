@@ -143,13 +143,12 @@ func (r *RAM) SectorWordBase(sector int32) int32 {
 	return sector * int32(r.Cfg.WordsPerSector)
 }
 
-// ReadRun reads nWords starting at the first word of sector base
-// (hit-path block return), charging energy once per word.
-func (r *RAM) ReadRun(base int32, nWords int) []uint64 {
-	out := make([]uint64, nWords)
+// ReadRun reads len(dst) words starting at the first word of sector
+// base into dst (hit-path block return), charging energy once per word.
+// The caller owns dst: the RAM keeps no reference to it.
+func (r *RAM) ReadRun(base int32, dst []uint64) {
 	w := r.SectorWordBase(base)
-	for i := range out {
-		out[i] = r.Read(w + int32(i))
+	for i := range dst {
+		dst[i] = r.Read(w + int32(i))
 	}
-	return out
 }

@@ -57,7 +57,8 @@ func TestReadWriteWords(t *testing.T) {
 	for i := int32(0); i < 8; i++ {
 		r.Write(w+i, uint64(100+i))
 	}
-	run := r.ReadRun(base, 8)
+	run := make([]uint64, 8)
+	r.ReadRun(base, run)
 	for i, v := range run {
 		if v != uint64(100+i) {
 			t.Fatalf("word %d: %d", i, v)

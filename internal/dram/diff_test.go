@@ -6,15 +6,20 @@ package dram
 // request stream, one cycle at a time, and every observable must match on
 // every cycle: queue acceptance, each response popped (ID, Addr, Data and
 // cycle), Stats, Pending, Idle, Diagnose and CheckInvariants. Any
-// divergence is reported at the first cycle it appears.
+// divergence is reported at the first cycle it appears. One request in
+// eight is longer than payload.Inline words, so its payload is lent: a
+// long write's by the harness, a long read's by the channel. At the end
+// every lent buffer is back with its pool.
 
 import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"xcache/internal/mem"
+	"xcache/internal/payload"
 	"xcache/internal/sim"
 )
 
@@ -113,28 +118,45 @@ func runDiff(t testing.TB, dc diffCase) Stats {
 	// Rows cluster on three hot banks; one request in eight goes to any
 	// bank.
 	hot := rng.Perm(cfg.Banks)[:3]
-	newReq := func(id uint64) Request {
+	// A request is offered to each channel with its own copy of the
+	// write data, lent from that channel's side of the harness when long.
+	type offer struct {
+		req  Request
+		data []uint64 // write data, nil for a read
+	}
+	newReq := func(id uint64) offer {
 		bank := hot[rng.Intn(len(hot))]
 		if rng.Intn(8) == 0 {
 			bank = rng.Intn(cfg.Banks)
 		}
 		words := 1 + rng.Intn(8)
+		if rng.Intn(8) == 0 {
+			words = payload.Inline + 1 + rng.Intn(56)
+		}
 		col := uint64(rng.Intn(int(cfg.RowBytes/mem.WordBytes) - words + 1))
 		row := uint64(rng.Intn(diffRows))
-		req := Request{ID: id, Addr: (row*uint64(cfg.Banks)+uint64(bank))*cfg.RowBytes + col*mem.WordBytes, Words: words}
+		o := offer{req: Request{ID: id, Addr: (row*uint64(cfg.Banks)+uint64(bank))*cfg.RowBytes + col*mem.WordBytes, Words: words}}
 		if rng.Intn(3) == 0 {
-			req.Write = true
-			req.Data = make([]uint64, words)
-			for i := range req.Data {
+			o.req.Write = true
+			o.data = make([]uint64, words)
+			for i := range o.data {
 				if rng.Intn(4) != 0 {
-					req.Data[i] = rng.Uint64()
+					o.data[i] = rng.Uint64()
 				}
 			}
+		}
+		return o
+	}
+	var poolN, poolR payload.Pool // the harness lends long write payloads
+	with := func(o *offer, pool *payload.Pool) Request {
+		req := o.req
+		if o.data != nil {
+			req.Data.Set(pool, o.data)
 		}
 		return req
 	}
 
-	var next *Request
+	var next *offer
 	offered := 0
 	const drainLimit = 20000 // cycles allowed after the stream stops
 	for cy := 0; ; cy++ {
@@ -149,11 +171,15 @@ func runDiff(t testing.TB, dc diffCase) Stats {
 				next = &req
 				offered++
 			}
-			okN, okR := n.Req.Push(*next), r.Req.Push(*next)
+			reqN, reqR := with(next, &poolN), with(next, &poolR)
+			okN, okR := n.Req.Push(reqN), r.Req.Push(reqR)
 			if okN != okR {
-				t.Fatalf("%v cycle %d: request %d accepted %v by per-bank, %v by reference", dc, cy, next.ID, okN, okR)
+				t.Fatalf("%v cycle %d: request %d accepted %v by per-bank, %v by reference", dc, cy, next.req.ID, okN, okR)
 			}
 			if !okN {
+				// A refused request stays with its producer.
+				reqN.Data.Release()
+				reqR.Data.Release()
 				break
 			}
 			next = nil
@@ -175,9 +201,14 @@ func runDiff(t testing.TB, dc diffCase) Stats {
 			if !okN {
 				break
 			}
-			if rn.ID != rr.ID || rn.Addr != rr.Addr || !reflect.DeepEqual(rn.Data, rr.Data) {
+			if rn.ID != rr.ID || rn.Addr != rr.Addr || !slices.Equal(rn.Data.Slice(), rr.Data.Slice()) {
 				t.Fatalf("%v cycle %d: response\n  per-bank  %+v\n  reference %+v", dc, cy, rn, rr)
 			}
+			if slices.Contains(rn.Data.Slice(), payload.PoisonWord) {
+				t.Fatalf("%v cycle %d: response %d carries a poisoned word: %v", dc, cy, rn.ID, rn.Data.Slice())
+			}
+			rn.Data.Release()
+			rr.Data.Release()
 		}
 
 		if sn, sr := n.Stats(), r.Stats(); sn != sr {
@@ -205,9 +236,16 @@ func runDiff(t testing.TB, dc diffCase) Stats {
 		}
 	}
 	for a := uint64(0); a < region; a += mem.WordBytes {
-		if vn, vr := imgN.R64(a), imgR.R64(a); vn != vr {
+		if vn, vr := imgN.R64(a), imgR.R64(a); vn != vr || vn == payload.PoisonWord {
 			t.Fatalf("%v: memory word %#x is %#x per-bank, %#x reference", dc, a, vn, vr)
 		}
+	}
+	if err := payload.Audit([]sim.Component{n}); err != nil {
+		t.Fatalf("%v: %v", dc, err)
+	}
+	if poolN.Lent() != 0 || poolR.Lent() != 0 || r.pool.Lent() != 0 {
+		t.Fatalf("%v: write buffers still lent: %d per-bank, %d reference; reference read buffers %d",
+			dc, poolN.Lent(), poolR.Lent(), r.pool.Lent())
 	}
 	return n.Stats()
 }
@@ -238,8 +276,13 @@ func TestSchedDiffLockstep(t *testing.T) {
 }
 
 // FuzzDRAMSched runs the differential harness on fuzzer-chosen streams;
-// testdata/fuzz/FuzzDRAMSched holds the committed seed corpus.
+// testdata/fuzz/FuzzDRAMSched holds the committed seed corpus. Every
+// input runs with the payload poison hook on, so a channel that reads a
+// write payload after releasing it writes poison into memory, and a
+// consumer handed a released read buffer sees poison in its response.
 func FuzzDRAMSched(f *testing.F) {
+	payload.SetPoison(true)
+	defer payload.SetPoison(false)
 	f.Fuzz(func(t *testing.T, seed int64, respDepth uint8, faults, disrupt bool) {
 		runDiff(t, diffCase{seed: seed, respDepth: 1 + int(respDepth%64), faults: faults, disrupt: disrupt, requests: 300})
 	})

@@ -22,23 +22,35 @@ import (
 	"math/bits"
 
 	"xcache/internal/mem"
+	"xcache/internal/payload"
 	"xcache/internal/sim"
 )
 
 // Request is a memory read or write issued by a cache controller.
+//
+// Ownership (package payload): a write's Data is produced by the
+// requester, inline up to payload.Inline words and lent from the
+// requester's pool beyond that. The channel consumes it: it releases
+// Data once the words are in the image.
 type Request struct {
-	ID    uint64   // opaque caller tag, echoed in the Response (layout: DESIGN.md §9)
-	Addr  uint64   // byte address, word aligned
-	Words int      // number of 8-byte words
-	Write bool     // true for writebacks
-	Data  []uint64 // write payload (len == Words)
+	ID    uint64        // opaque caller tag, echoed in the Response (layout: DESIGN.md §9)
+	Addr  uint64        // byte address, word aligned
+	Words int           // number of 8-byte words
+	Write bool          // true for writebacks
+	Data  payload.Words // write payload (Len == Words)
 }
 
-// Response completes a Request. Writes are acknowledged with Data nil.
+// Response completes a Request. Writes are acknowledged with empty
+// Data.
+//
+// Ownership (package payload): a read's Data is produced by the
+// channel, inline up to payload.Inline words and lent from the
+// channel's pool beyond that. Whoever consumes the response releases
+// Data; a component that only routes responses (a mux) passes it on.
 type Response struct {
 	ID   uint64
 	Addr uint64
-	Data []uint64
+	Data payload.Words
 }
 
 // Config sets the channel geometry and timing (in controller cycles).
@@ -180,6 +192,7 @@ type DRAM struct {
 	queuedMask []uint64     // bit b set iff queued[b] is non-empty
 	issueAt    sim.Cycle    // earliest busyUntil of a bank with queued requests; noIssue when none
 	free       []*pending   // finished records for reuse
+	pool       payload.Pool // lends read payloads longer than payload.Inline
 	nextDone   sim.Cycle    // completion cycle of the earliest issued request; 0 when none
 	busFree    sim.Cycle
 	stats      Stats
@@ -332,22 +345,24 @@ func (d *DRAM) Tick(c sim.Cycle) {
 	}
 
 	// Retry responses that were blocked on a full response queue.
-	for len(d.respHold) > 0 {
-		if !d.Resp.Push(d.respHold[0]) {
-			break
+	if len(d.respHold) > 0 {
+		n := 0
+		for n < len(d.respHold) && d.Resp.Push(d.respHold[n]) {
+			n++
 		}
-		d.respHold = d.respHold[1:]
+		d.respHold = d.respHold[:copy(d.respHold, d.respHold[n:])]
 	}
 
 	// Admit new requests into the scheduling window.
 	for len(d.window) < d.Cfg.WindowDepth {
-		req, ok := d.Req.Pop()
-		if !ok {
+		req := d.Req.Front()
+		if req == nil {
 			break
 		}
 		p := d.newPending()
-		*p = pending{req: req, arrived: c}
-		p.bank, p.row = d.mapAddr(req.Addr)
+		p.req, p.arrived, p.started, p.complete = *req, c, false, 0
+		d.Req.Drop()
+		p.bank, p.row = d.mapAddr(p.req.Addr)
 		d.window = append(d.window, p)
 		d.queued[p.bank] = append(d.queued[p.bank], p)
 		d.queuedMask[p.bank/64] |= 1 << (p.bank % 64)
@@ -379,7 +394,6 @@ func (d *DRAM) Tick(c sim.Cycle) {
 			continue
 		}
 		d.finish(p, c)
-		*p = pending{} // drop the write payload
 		d.free = append(d.free, p)
 	}
 	d.window = remaining
@@ -501,18 +515,20 @@ func (d *DRAM) finish(p *pending, c sim.Cycle) {
 	resp := Response{ID: p.req.ID, Addr: p.req.Addr}
 	if p.req.Write {
 		d.stats.Writes++
-		if len(p.req.Data) != p.req.Words {
-			panic(fmt.Sprintf("dram: write %#x has %d data words, want %d", p.req.Addr, len(p.req.Data), p.req.Words))
+		if p.req.Data.Len() != p.req.Words {
+			panic(fmt.Sprintf("dram: write %#x has %d data words, want %d", p.req.Addr, p.req.Data.Len(), p.req.Words))
 		}
-		d.img.WriteWords(p.req.Addr, p.req.Data)
+		d.img.WriteWords(p.req.Addr, p.req.Data.Slice())
+		p.req.Data.Release()
 	} else {
 		d.stats.Reads++
 		d.stats.WordsRead += uint64(p.req.Words)
-		resp.Data = d.img.ReadWords(p.req.Addr, p.req.Words)
+		d.img.ReadWords(p.req.Addr, resp.Data.Make(&d.pool, p.req.Words))
 		if d.Faults != nil {
 			drop, delay := d.Faults.ReadResponse(resp, c)
 			if drop {
 				d.stats.DroppedResps++
+				resp.Data.Release()
 				return
 			}
 			if delay > 0 {
@@ -537,4 +553,24 @@ func (d *DRAM) deliver(resp Response) {
 	if !d.Resp.Push(resp) {
 		d.respHold = append(d.respHold, resp)
 	}
+}
+
+// PayloadPool implements payload.Holder: the pool read payloads longer
+// than payload.Inline words are lent from.
+func (d *DRAM) PayloadPool() *payload.Pool { return &d.pool }
+
+// HeldPayloads implements payload.Holder: the payloads of queued and
+// admitted requests and of responses not yet popped.
+func (d *DRAM) HeldPayloads(visit func(*payload.Words)) {
+	d.Req.Each(func(r *Request) { visit(&r.Data) })
+	for _, p := range d.window {
+		visit(&p.req.Data)
+	}
+	for i := range d.respHold {
+		visit(&d.respHold[i].Data)
+	}
+	for i := range d.delayed {
+		visit(&d.delayed[i].resp.Data)
+	}
+	d.Resp.Each(func(r *Response) { visit(&r.Data) })
 }

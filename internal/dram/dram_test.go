@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"xcache/internal/mem"
+	"xcache/internal/payload"
 	"xcache/internal/sim"
 )
 
@@ -40,7 +41,7 @@ func TestReadReturnsImageData(t *testing.T) {
 	img.WriteWords(base, []uint64{10, 20, 30, 40})
 	d.Req.MustPush(Request{ID: 1, Addr: base, Words: 4})
 	rs := drain(t, k, d, 1)
-	if rs[0].ID != 1 || len(rs[0].Data) != 4 || rs[0].Data[2] != 30 {
+	if rs[0].ID != 1 || rs[0].Data.Len() != 4 || rs[0].Data.Slice()[2] != 30 {
 		t.Fatalf("bad response: %+v", rs[0])
 	}
 }
@@ -48,12 +49,12 @@ func TestReadReturnsImageData(t *testing.T) {
 func TestWriteThenReadBack(t *testing.T) {
 	k, img, d := setup(DefaultConfig())
 	base := img.AllocWords(2)
-	d.Req.MustPush(Request{ID: 1, Addr: base, Words: 2, Write: true, Data: []uint64{5, 6}})
+	d.Req.MustPush(Request{ID: 1, Addr: base, Words: 2, Write: true, Data: payload.Of(5, 6)})
 	drain(t, k, d, 1)
 	d.Req.MustPush(Request{ID: 2, Addr: base, Words: 2})
 	rs := drain(t, k, d, 1)
-	if rs[0].Data[0] != 5 || rs[0].Data[1] != 6 {
-		t.Fatalf("readback: %v", rs[0].Data)
+	if got := rs[0].Data.Slice(); got[0] != 5 || got[1] != 6 {
+		t.Fatalf("readback: %v", got)
 	}
 	if got := d.Stats().Writes; got != 1 {
 		t.Fatalf("writes=%d", got)
@@ -162,7 +163,7 @@ func TestEveryRequestAnswered(t *testing.T) {
 				if !popped {
 					break
 				}
-				got[r.ID] = r.Data[0]
+				got[r.ID] = r.Data.Slice()[0]
 			}
 			return len(got) == n
 		}, 200000)
@@ -262,7 +263,7 @@ func TestFaultInjectorDelaysResponse(t *testing.T) {
 		}, 100000)
 		return out
 	}()
-	if len(rs) != 1 || rs[0].Data[0] != 77 {
+	if len(rs) != 1 || rs[0].Data.Slice()[0] != 77 {
 		t.Fatalf("delayed response wrong: %+v", rs)
 	}
 	// Re-run without the fault to find the natural latency.
@@ -358,7 +359,8 @@ func allocsPerRequest(req Request) float64 {
 		d.Req.MustPush(req)
 		for {
 			k.Step()
-			if _, ok := d.Resp.Pop(); ok {
+			if r, ok := d.Resp.Pop(); ok {
+				r.Data.Release()
 				return
 			}
 		}
@@ -367,17 +369,27 @@ func allocsPerRequest(req Request) float64 {
 
 // Allocation gate: a write allocates nothing per request.
 func TestWriteAllocatesNothing(t *testing.T) {
-	req := Request{ID: 1, Addr: 0x1040, Words: 4, Write: true, Data: []uint64{1, 2, 3, 4}}
+	req := Request{ID: 1, Addr: 0x1040, Words: 4, Write: true, Data: payload.Of(1, 2, 3, 4)}
 	if got := allocsPerRequest(req); got != 0 {
 		t.Fatalf("write: %v allocations per request, want 0", got)
 	}
 }
 
-// Allocation gate: a read allocates exactly its payload, which the
-// consumer owns.
+// Allocation gate: a read allocates nothing per request. Its payload
+// travels inline in the response.
 func TestReadAllocatesOnlyPayload(t *testing.T) {
 	req := Request{ID: 1, Addr: 0x1040, Words: 4}
-	if got := allocsPerRequest(req); got != 1 {
-		t.Fatalf("read: %v allocations per request, want 1 (the payload)", got)
+	if got := allocsPerRequest(req); got != 0 {
+		t.Fatalf("read: %v allocations per request, want 0", got)
+	}
+}
+
+// Allocation gate: a read longer than payload.Inline words borrows its
+// payload from the channel's pool, and the consumer's release returns
+// it, so the next long read allocates nothing either.
+func TestLongReadAllocatesNothing(t *testing.T) {
+	req := Request{ID: 1, Addr: 0x1040, Words: 40}
+	if got := allocsPerRequest(req); got != 0 {
+		t.Fatalf("long read: %v allocations per request, want 0", got)
 	}
 }

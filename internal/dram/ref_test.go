@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"xcache/internal/mem"
+	"xcache/internal/payload"
 	"xcache/internal/sim"
 )
 
@@ -45,6 +46,7 @@ type refDRAM struct {
 	burstExtra int           // this tick's burst-latency hold (Disruptor)
 	strict     bool          // timing-protocol assertions enabled
 	protoErr   error         // first protocol violation observed
+	pool       payload.Pool  // lends long read payloads
 }
 
 // newRef creates a reference channel over img and registers it with k.
@@ -291,18 +293,20 @@ func (d *refDRAM) finish(p *refPending, c sim.Cycle) {
 	resp := Response{ID: p.req.ID, Addr: p.req.Addr}
 	if p.req.Write {
 		d.stats.Writes++
-		if len(p.req.Data) != p.req.Words {
-			panic(fmt.Sprintf("dram: write %#x has %d data words, want %d", p.req.Addr, len(p.req.Data), p.req.Words))
+		if p.req.Data.Len() != p.req.Words {
+			panic(fmt.Sprintf("dram: write %#x has %d data words, want %d", p.req.Addr, p.req.Data.Len(), p.req.Words))
 		}
-		d.img.WriteWords(p.req.Addr, p.req.Data)
+		d.img.WriteWords(p.req.Addr, p.req.Data.Slice())
+		p.req.Data.Release()
 	} else {
 		d.stats.Reads++
 		d.stats.WordsRead += uint64(p.req.Words)
-		resp.Data = d.img.ReadWords(p.req.Addr, p.req.Words)
+		d.img.ReadWords(p.req.Addr, resp.Data.Make(&d.pool, p.req.Words))
 		if d.Faults != nil {
 			drop, delay := d.Faults.ReadResponse(resp, c)
 			if drop {
 				d.stats.DroppedResps++
+				resp.Data.Release()
 				return
 			}
 			if delay > 0 {

@@ -207,6 +207,7 @@ func RunXCache(w Work, opt Options) (dsa.Result, error) {
 			if !popped {
 				break
 			}
+			resp.Data.Release() // the pump reads Status and Value
 			done++
 			key := trace[resp.ID]
 			want, present := t.Values[key]

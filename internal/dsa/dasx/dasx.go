@@ -133,6 +133,7 @@ func (dp *collector) Tick(cy sim.Cycle) {
 		if !popped {
 			break
 		}
+		resp.Data.Release() // the collector reads Status, Words and Value
 		if resp.ID&preloadBit != 0 {
 			continue // decoupled preload: no consumer
 		}

@@ -190,9 +190,11 @@ type engine struct {
 func (e *engine) Tick(cy sim.Cycle) {
 	// Discard meta responses (stores need no consumer).
 	for {
-		if _, ok := e.c.RespQ.Pop(); !ok {
+		resp, ok := e.c.RespQ.Pop()
+		if !ok {
 			break
 		}
+		resp.Data.Release()
 	}
 	// Adjacency arrivals unblock generation.
 	for {
@@ -205,7 +207,8 @@ func (e *engine) Tick(cy sim.Cycle) {
 			panic("graphpulse: stray adjacency response")
 		}
 		delete(e.inAdj, resp.ID)
-		b.words -= len(resp.Data)
+		b.words -= resp.Data.Len()
+		resp.Data.Release()
 	}
 
 	// Seeding superstep. PageRank injects (1-d)/N into every vertex;
@@ -564,9 +567,11 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 			}
 		}
 		for {
-			if _, ok := adj.Resp.Pop(); !ok {
+			resp, ok := adj.Resp.Pop()
+			if !ok {
 				break
 			}
+			resp.Data.Release()
 			adjOut--
 		}
 		if doneAll {
@@ -574,12 +579,14 @@ func RunAddr(w Work, opt Options) (dsa.Result, error) {
 		}
 		// Flush stores that hit queue backpressure (they carry state the
 		// next scan depends on).
-		for len(pendWrites) > 0 {
-			if !cache.ReqQ.Push(pendWrites[0]) {
-				return
-			}
+		n := 0
+		for n < len(pendWrites) && cache.ReqQ.Push(pendWrites[n]) {
 			outstanding++
-			pendWrites = pendWrites[1:]
+			n++
+		}
+		pendWrites = pendWrites[:copy(pendWrites, pendWrites[n:])]
+		if len(pendWrites) > 0 {
+			return
 		}
 		// Phase 1: scan the delta array (every block, active or not).
 		if scanning {

@@ -286,6 +286,7 @@ func (dp *datapath) Tick(cy sim.Cycle) {
 		req := dp.sched[resp.ID]
 		dp.done++
 		dp.validate(resp, req)
+		resp.Data.Release()
 		// Multiply phase: products/lanes cycles of datapath occupancy.
 		cost := (req.products + lanes - 1) / lanes
 		if cost < 1 {
@@ -319,18 +320,18 @@ func (dp *datapath) validate(resp ctrl.MetaResp, req rowRequest) {
 		dp.ok = false
 		return
 	}
+	// The element holds the whole row, and the response's snapshot cap
+	// (RespDataWords) covers the longest one: every (col, val) pair must
+	// be present and right.
 	cols, vals := dp.b.Row(int(req.key))
-	if resp.Words < 2*len(cols) {
+	data := resp.Data.Slice()
+	if resp.Words < 2*len(cols) || len(data) < 2*len(cols) {
 		dp.ok = false
 		return
 	}
-	n := len(cols)
-	if 2*n > len(resp.Data) {
-		n = len(resp.Data) / 2
-	}
-	for i := 0; i < n; i++ {
-		if resp.Data[2*i] != uint64(cols[i]) ||
-			math.Float64frombits(resp.Data[2*i+1]) != vals[i] {
+	for i := range cols {
+		if data[2*i] != uint64(cols[i]) ||
+			math.Float64frombits(data[2*i+1]) != vals[i] {
 			dp.ok = false
 			return
 		}

@@ -152,6 +152,7 @@ func (dp *datapath) Tick(cy sim.Cycle) {
 		if !popped {
 			break
 		}
+		resp.Data.Release() // the datapath reads Status and Value
 		dp.done++
 		key := dp.trace[resp.ID]
 		rid, present := dp.ix.RIDs[key]

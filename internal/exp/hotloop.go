@@ -67,9 +67,11 @@ func hotloopRun(exec ctrl.ExecPath, reqs int) (actions uint64, wall time.Duratio
 	sent, done := 0, 0
 	k.Add(sim.ComponentFunc(func(cy sim.Cycle) {
 		for {
-			if _, ok := c.RespQ.Pop(); !ok {
+			r, ok := c.RespQ.Pop()
+			if !ok {
 				break
 			}
+			r.Data.Release()
 			done++
 		}
 		for sent < reqs {

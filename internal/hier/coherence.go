@@ -149,7 +149,8 @@ type CohL1 struct {
 	mshrs      map[metatag.Key]*cohMSHR
 	issueQ     []metatag.Key // deterministic re-issue order for dirQ pushes
 	pend       []cohPending
-	events     []check.CohEvent
+	events     []check.CohEvent // value events, kept only while recording
+	recording  bool
 	stats      CohL1Stats
 }
 
@@ -238,11 +239,12 @@ func (l *CohL1) handleSnoops() {
 		if l.grants.Len() > 0 {
 			return // a blocked grant must not be overtaken (see Tick)
 		}
-		s, ok := l.snoops.Peek()
-		if !ok || !l.acks.CanPush() {
+		head := l.snoops.Front()
+		if head == nil || !l.acks.CanPush() {
 			return
 		}
-		l.snoops.Pop()
+		s := *head
+		l.snoops.Drop()
 		l.stats.Snoops++
 		ack := snoopAck{key: s.key, seq: s.seq}
 		if e := l.Tags.Probe(s.key); e != nil {
@@ -267,11 +269,12 @@ func (l *CohL1) handleSnoops() {
 // handleGrants installs directory grants and serves the waiting requests.
 func (l *CohL1) handleGrants(cy sim.Cycle) {
 	for {
-		g, ok := l.grants.Peek()
-		if !ok || !l.evicts.CanPush() {
+		head := l.grants.Front()
+		if head == nil || !l.evicts.CanPush() {
 			return
 		}
-		l.grants.Pop()
+		g := *head
+		l.grants.Drop()
 		e := l.Tags.Probe(g.key)
 		if e == nil {
 			e = l.install(g.key, int(g.state), g.val)
@@ -281,7 +284,7 @@ func (l *CohL1) handleGrants(cy sim.Cycle) {
 			e.State = int(g.state)
 		}
 		e.Dirty = g.state == MesiM
-		l.events = append(l.events, check.CohEvent{Cycle: cy, Port: l.Port,
+		l.record(check.CohEvent{Cycle: cy, Port: l.Port,
 			Key: [2]uint64(g.key), Kind: check.CohEvGrant, State: g.state, Value: g.val})
 
 		m := l.mshrs[g.key]
@@ -311,15 +314,16 @@ func (l *CohL1) handleGrants(cy sim.Cycle) {
 
 // admit looks up one new request per cycle.
 func (l *CohL1) admit(cy sim.Cycle) {
-	req, ok := l.ReqQ.Peek()
-	if !ok {
+	head := l.ReqQ.Front()
+	if head == nil {
 		return
 	}
+	req := *head
 	if m, exists := l.mshrs[req.Key]; exists {
 		if len(m.waiters) >= l.maxWaiters {
 			return // backpressure: hold in the request queue
 		}
-		l.ReqQ.Pop()
+		l.ReqQ.Drop()
 		l.count(req.Op)
 		// A store joining a read MSHR upgrades when its grant reaches it.
 		m.waiters = append(m.waiters, req)
@@ -327,7 +331,7 @@ func (l *CohL1) admit(cy sim.Cycle) {
 	}
 	e := l.Tags.Probe(req.Key)
 	if e != nil && (e.State == MesiM || !req.Op.isStore()) {
-		l.ReqQ.Pop()
+		l.ReqQ.Drop()
 		l.count(req.Op)
 		l.Tags.Touch(e)
 		l.Tags.Account(true)
@@ -338,7 +342,7 @@ func (l *CohL1) admit(cy sim.Cycle) {
 	if len(l.mshrs) >= l1MaxOutstanding {
 		return
 	}
-	l.ReqQ.Pop()
+	l.ReqQ.Drop()
 	l.count(req.Op)
 	want := int8(MesiS)
 	if req.Op.isStore() {
@@ -379,14 +383,22 @@ func (l *CohL1) serveNow(cy sim.Cycle, e *metatag.Entry, req CohReq) {
 		}
 		l.Data.Write(w, v)
 		e.Dirty = true
-		l.events = append(l.events, check.CohEvent{Cycle: cy, Port: l.Port,
+		l.record(check.CohEvent{Cycle: cy, Port: l.Port,
 			Key: [2]uint64(req.Key), Kind: check.CohEvApply, State: MesiM, Value: v})
 	} else {
-		l.events = append(l.events, check.CohEvent{Cycle: cy, Port: l.Port,
+		l.record(check.CohEvent{Cycle: cy, Port: l.Port,
 			Key: [2]uint64(req.Key), Kind: check.CohEvHit, State: int8(e.State), Value: v})
 	}
 	l.pend = append(l.pend, cohPending{readyAt: cy + sim.Cycle(l.Cfg.HitLatency),
 		resp: CohResp{ID: req.ID, Value: v}})
+}
+
+// record logs a value event for the coherence checker, if one is
+// attached.
+func (l *CohL1) record(ev check.CohEvent) {
+	if l.recording {
+		l.events = append(l.events, ev)
+	}
 }
 
 // install allocates a granted line, notifying the directory of the victim
@@ -396,7 +408,7 @@ func (l *CohL1) install(key metatag.Key, state int, val uint64) *metatag.Entry {
 	if !ok {
 		panic("hier: coherent L1 set full of transient entries")
 	}
-	if ev != nil {
+	if ev.Valid {
 		msg := evictMsg{key: ev.Key, wasM: ev.Dirty}
 		if ev.SectorCount > 0 {
 			if msg.wasM {

@@ -211,3 +211,36 @@ func TestCohSnapshotShape(t *testing.T) {
 		t.Errorf("snapshot missing expected states (shared=%v mod=%v)", sawShared, sawMod)
 	}
 }
+
+// TestCohUncheckedKeepsNoEventLog: without an attached checker nothing
+// drains the value-event log, so the L1s must not keep one. With a
+// checker attached every port records.
+func TestCohUncheckedKeepsNoEventLog(t *testing.T) {
+	scripts := [][]ScriptOp{{Ld(0), St(0, 5), Merge(1, 3)}, {Ld(1), Ld(0), Merge(0, 2)}}
+	s, err := NewCohSystem(CohConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunScripts(s, nil, scripts, 200_000); err != nil {
+		t.Fatal(err)
+	}
+	for p, l1 := range s.Ports {
+		if len(l1.events) != 0 || cap(l1.events) != 0 {
+			t.Fatalf("unchecked run: port %d logged %d events (capacity %d)", p, len(l1.events), cap(l1.events))
+		}
+	}
+
+	s, err = NewCohSystem(CohConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := check.Attach(s.K, check.Default())
+	for p, l1 := range s.Ports {
+		if !l1.recording {
+			t.Fatalf("port %d does not record under an attached checker", p)
+		}
+	}
+	if _, err := RunScripts(s, h, scripts, 200_000); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"xcache/internal/energy"
 	"xcache/internal/mem"
 	"xcache/internal/metatag"
+	"xcache/internal/payload"
 	"xcache/internal/program"
 	"xcache/internal/sim"
 )
@@ -199,10 +200,12 @@ func (d *Directory) Tick(cy sim.Cycle) {
 	d.advanceTxns()
 	d.startBackInvals(cy)
 	d.intake(cy)
-	for len(d.l2Out) > 0 && d.l2.ReqQ.CanPush() {
-		d.l2.ReqQ.MustPush(d.l2Out[0])
-		d.l2Out = d.l2Out[1:]
+	n := 0
+	for n < len(d.l2Out) && d.l2.ReqQ.CanPush() {
+		d.l2.ReqQ.MustPush(d.l2Out[n])
+		n++
 	}
+	d.l2Out = d.l2Out[:copy(d.l2Out, d.l2Out[n:])]
 }
 
 func (d *Directory) drainL2Resps() {
@@ -211,6 +214,7 @@ func (d *Directory) drainL2Resps() {
 		if !ok {
 			return
 		}
+		resp.Data.Release() // the directory reads Value only
 		if key, isWB := d.wbIDs[resp.ID]; isWB {
 			delete(d.wbIDs, resp.ID)
 			if ln := d.lines[key]; ln != nil {
@@ -472,15 +476,16 @@ func (d *Directory) intake(cy sim.Cycle) {
 	n := len(d.ports)
 	for i := 0; i < n; i++ {
 		p := (d.rr + i) % n
-		req, ok := d.ports[p].dirQ.Peek()
-		if !ok {
+		head := d.ports[p].dirQ.Front()
+		if head == nil {
 			continue
 		}
+		req := *head
 		ln := d.line(req.key)
 		if ln.busy != nil || ln.pendingBI {
 			continue // head-of-line: per-key order is the protocol's backbone
 		}
-		d.ports[p].dirQ.Pop()
+		d.ports[p].dirQ.Drop()
 		t := &dirTxn{key: req.key, port: p, write: req.write, phase: phSnoop}
 		ln.busy = t
 		d.txns = append(d.txns, t)
@@ -559,9 +564,17 @@ func (d *Directory) CohEvents() []check.CohEvent {
 	var out []check.CohEvent
 	for _, l1 := range d.ports {
 		out = append(out, l1.events...)
-		l1.events = nil
+		l1.events = l1.events[:0]
 	}
 	return out
+}
+
+// RecordCohEvents implements check.CoherenceSource: every port logs its
+// value events from now on.
+func (d *Directory) RecordCohEvents() {
+	for _, l1 := range d.ports {
+		l1.recording = true
+	}
 }
 
 // onL2Evict is the L2 controller's eviction hook: flush a dirty victim to
@@ -630,19 +643,20 @@ func (b *memBridge) flush(key metatag.Key, val uint64) {
 	id := flushIDBit | b.seq
 	b.ids[id] = addr
 	b.pending[addr]++
-	b.flushQ = append(b.flushQ, dram.Request{ID: id, Addr: addr, Words: 1, Write: true, Data: []uint64{val}})
+	b.flushQ = append(b.flushQ, dram.Request{ID: id, Addr: addr, Words: 1, Write: true, Data: payload.Of(val)})
 }
 
 // Tick implements sim.Component.
 func (b *memBridge) Tick(sim.Cycle) {
 	for {
-		resp, ok := b.d.Resp.Peek()
-		if !ok {
+		resp := b.d.Resp.Front()
+		if resp == nil {
 			break
 		}
 		if addr, mine := b.ids[resp.ID]; mine {
-			b.d.Resp.Pop()
+			resp.Data.Release() // a flush's write acknowledgement
 			delete(b.ids, resp.ID)
+			b.d.Resp.Drop()
 			if b.pending[addr]--; b.pending[addr] == 0 {
 				delete(b.pending, addr)
 			}
@@ -651,27 +665,29 @@ func (b *memBridge) Tick(sim.Cycle) {
 		if !b.l2Resp.CanPush() {
 			break
 		}
-		b.d.Resp.Pop()
-		b.l2Resp.MustPush(resp)
+		b.l2Resp.MustPush(*resp)
+		b.d.Resp.Drop()
 	}
-	for len(b.flushQ) > 0 && b.d.Req.CanPush() {
-		b.d.Req.MustPush(b.flushQ[0])
-		b.flushQ = b.flushQ[1:]
+	n := 0
+	for n < len(b.flushQ) && b.d.Req.CanPush() {
+		b.d.Req.MustPush(b.flushQ[n])
+		n++
 	}
+	b.flushQ = b.flushQ[:copy(b.flushQ, b.flushQ[n:])]
 	for {
-		req, ok := b.l2Req.Peek()
-		if !ok || !b.d.Req.CanPush() {
+		req := b.l2Req.Front()
+		if req == nil || !b.d.Req.CanPush() {
 			break
 		}
 		if !req.Write && b.overlaps(req) {
 			break // hold the fill until the flush it races is acknowledged
 		}
-		b.l2Req.Pop()
-		b.d.Req.MustPush(req)
+		b.d.Req.MustPush(*req)
+		b.l2Req.Drop()
 	}
 }
 
-func (b *memBridge) overlaps(req dram.Request) bool {
+func (b *memBridge) overlaps(req *dram.Request) bool {
 	if len(b.pending) == 0 && len(b.flushQ) == 0 {
 		return false
 	}

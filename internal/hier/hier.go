@@ -22,6 +22,7 @@ import (
 	"xcache/internal/dram"
 	"xcache/internal/energy"
 	"xcache/internal/metatag"
+	"xcache/internal/payload"
 	"xcache/internal/program"
 	"xcache/internal/sim"
 )
@@ -132,6 +133,7 @@ type MetaL1 struct {
 	pend   []l1pending
 	stats  L1Stats
 	Meter  *energy.Counters
+	pool   payload.Pool // lends response payloads longer than payload.Inline
 }
 
 // NewMetaL1 builds the upstream level over the downstream controller's
@@ -188,39 +190,45 @@ func (l *MetaL1) Tick(cy sim.Cycle) {
 
 	// Downstream responses: fill and answer waiters.
 	for {
-		resp, ok := l.l2Resp.Peek()
-		if !ok {
+		resp := l.l2Resp.Front()
+		if resp == nil {
 			break
 		}
 		key, mine := l.ids[resp.ID]
 		if !mine {
 			break // not ours (shouldn't happen when L1 owns the L2 port)
 		}
-		l.l2Resp.Pop()
 		delete(l.ids, resp.ID)
 		m := l.mshrs[key]
 		delete(l.mshrs, key)
-		if resp.Status == program.StatusOK && len(resp.Data) > 0 {
-			l.install(key, resp.Data)
+		if resp.Status == program.StatusOK && resp.Data.Len() > 0 {
+			l.install(key, resp.Data.Slice())
 		}
+		// Each waiter's response gets its own copy of the payload: the
+		// datapath releases each one.
 		for _, w := range m.waiters {
-			out := resp
+			out := *resp
 			out.ID = w.ID
+			out.Data = payload.Words{}
+			out.Data.Set(&l.pool, resp.Data.Slice())
 			l.pend = append(l.pend, l1pending{readyAt: cy + 1, resp: out, issued: w.Issued})
 		}
+		resp.Data.Release()
+		l.l2Resp.Drop()
 	}
 
 	// One lookup per cycle.
-	req, ok := l.ReqQ.Peek()
-	if !ok {
+	head := l.ReqQ.Front()
+	if head == nil {
 		return
 	}
+	req := *head
 	if req.Op != ctrl.MetaLoad {
 		// Stores bypass to the walking level (read-only upstream).
 		if !l.l2Req.CanPush() {
 			return
 		}
-		l.ReqQ.Pop()
+		l.ReqQ.Drop()
 		l.l2Req.MustPush(req)
 		l.stats.Forwards++
 		return
@@ -232,23 +240,24 @@ func (l *MetaL1) Tick(cy sim.Cycle) {
 		words := int(e.SectorCount) * l.Data.Cfg.WordsPerSector
 		resp := ctrl.MetaResp{ID: req.ID, Status: program.StatusOK, Words: words}
 		if words > 0 {
-			resp.Data = l.Data.ReadRun(e.SectorBase, words)
-			resp.Value = resp.Data[0]
+			data := resp.Data.Make(&l.pool, words)
+			l.Data.ReadRun(e.SectorBase, data)
+			resp.Value = data[0]
 		}
-		l.ReqQ.Pop()
+		l.ReqQ.Drop()
 		l.pend = append(l.pend, l1pending{readyAt: cy + sim.Cycle(l.Cfg.HitLatency), resp: resp, issued: req.Issued})
 		return
 	}
 	l.stats.Misses++
 	if m, exists := l.mshrs[req.Key]; exists {
-		l.ReqQ.Pop()
+		l.ReqQ.Drop()
 		m.waiters = append(m.waiters, req)
 		return
 	}
 	if len(l.mshrs) >= l1MaxOutstanding || !l.l2Req.CanPush() {
 		return
 	}
-	l.ReqQ.Pop()
+	l.ReqQ.Drop()
 	l.nextID++
 	id := l1IDBit | l.nextID
 	l.ids[id] = req.Key
@@ -270,7 +279,7 @@ func (l *MetaL1) install(key metatag.Key, words []uint64) {
 	if !ok {
 		return // set full of... cannot happen: L1 entries are never transient
 	}
-	if ev != nil && ev.SectorCount > 0 {
+	if ev.Valid && ev.SectorCount > 0 {
 		l.Data.Free(ev.SectorBase, ev.SectorCount)
 	}
 	base, ok := l.Data.Alloc(sectors)
@@ -287,12 +296,26 @@ func (l *MetaL1) install(key metatag.Key, words []uint64) {
 	}
 }
 
+// PayloadPool implements payload.Holder: the pool long hit payloads are
+// lent from.
+func (l *MetaL1) PayloadPool() *payload.Pool { return &l.pool }
+
+// HeldPayloads implements payload.Holder: responses waiting in the hit
+// pipe or in the response queue, and L2 responses not yet popped.
+func (l *MetaL1) HeldPayloads(visit func(*payload.Words)) {
+	for i := range l.pend {
+		visit(&l.pend[i].resp.Data)
+	}
+	l.RespQ.Each(func(r *ctrl.MetaResp) { visit(&r.Data) })
+	l.l2Resp.Each(func(r *ctrl.MetaResp) { visit(&r.Data) })
+}
+
 // --- MXA: X-Cache walker fills served by an address cache. ---
 
 type mxaJob struct {
 	req       dram.Request
 	remaining int
-	data      []uint64
+	data      payload.Words // the fill's words, lent from the adapter's pool when long
 }
 
 // XCOverAddr adapts an X-Cache's memory port onto an address-based cache:
@@ -307,6 +330,7 @@ type XCOverAddr struct {
 	ac   *addrcache.Cache
 	jobs map[uint64]*mxaJob
 	next uint64
+	pool payload.Pool
 }
 
 // NewXCOverAddr creates the adapter; xcReq/xcResp are the queues handed to
@@ -335,14 +359,17 @@ func (a *XCOverAddr) Tick(cy sim.Cycle) {
 			panic("hier: MXA response for unknown job")
 		}
 		// Copy the words this block contributes.
+		data := job.data.Slice()
 		for i := 0; i < resp.Words; i++ {
 			addr := resp.BlockBase + uint64(i)*8
 			if addr >= job.req.Addr && addr < job.req.Addr+uint64(job.req.Words)*8 {
-				job.data[(addr-job.req.Addr)/8] = resp.Data[i]
+				data[(addr-job.req.Addr)/8] = resp.Data[i]
 			}
 		}
 		job.remaining--
 		if job.remaining == 0 {
+			// The response takes the payload over; the walker that
+			// consumes it releases it.
 			a.out.MustPush(dram.Response{ID: job.req.ID, Addr: job.req.Addr, Data: job.data})
 			delete(a.jobs, resp.ID>>16)
 		}
@@ -350,8 +377,8 @@ func (a *XCOverAddr) Tick(cy sim.Cycle) {
 
 	// New fills from the X-Cache walker: one fill per cycle, split into
 	// the cache-line accesses that cover it.
-	req, ok := a.in.Peek()
-	if !ok {
+	req := a.in.Front()
+	if req == nil {
 		return
 	}
 	if req.Write {
@@ -364,15 +391,30 @@ func (a *XCOverAddr) Tick(cy sim.Cycle) {
 	if a.ac.ReqQ.Free() < nBlocks {
 		return
 	}
-	a.in.Pop()
 	a.next++
 	jid := a.next
-	a.jobs[jid] = &mxaJob{req: req, remaining: nBlocks, data: make([]uint64, req.Words)}
+	job := &mxaJob{req: *req, remaining: nBlocks}
+	a.in.Drop()
+	clear(job.data.Make(&a.pool, job.req.Words))
+	a.jobs[jid] = job
 	// Access ID: job in bits 16..63, block index in 0..15 (request-ID
 	// layout: DESIGN.md §9).
 	for i := 0; i < nBlocks; i++ {
 		a.ac.ReqQ.MustPush(addrcache.Access{ID: jid<<16 | uint64(i), Addr: first + uint64(i)*bb, Issued: cy})
 	}
+}
+
+// PayloadPool implements payload.Holder: the pool long fills are lent
+// from.
+func (a *XCOverAddr) PayloadPool() *payload.Pool { return &a.pool }
+
+// HeldPayloads implements payload.Holder: fills being assembled and
+// fills waiting in the walker's response queue.
+func (a *XCOverAddr) HeldPayloads(visit func(*payload.Words)) {
+	for _, job := range a.jobs {
+		visit(&job.data)
+	}
+	a.out.Each(func(r *dram.Response) { visit(&r.Data) })
 }
 
 // --- MXS: a sequential stream port beside X-Cache. ---
@@ -415,9 +457,11 @@ func (s *Stream) SetBuffer(words uint64) {
 // Tick implements sim.Component.
 func (s *Stream) Tick(cy sim.Cycle) {
 	for {
-		if _, ok := s.d.Resp.Pop(); !ok {
+		resp, ok := s.d.Resp.Pop()
+		if !ok {
 			break
 		}
+		resp.Data.Release() // the port meters words; it keeps none
 		s.outstanding--
 		s.avail += uint64(s.burstWords)
 	}

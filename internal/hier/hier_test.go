@@ -244,10 +244,10 @@ func TestMXAFillSpanningTwoBlocks(t *testing.T) {
 	}, 100000) {
 		t.Fatal("adapter never responded")
 	}
-	if resp.ID != 77 || len(resp.Data) != 4 {
+	if resp.ID != 77 || resp.Data.Len() != 4 {
 		t.Fatalf("resp: %+v", resp)
 	}
-	for i, v := range resp.Data {
+	for i, v := range resp.Data.Slice() {
 		if v != uint64(i+3) {
 			t.Fatalf("word %d: %d want %d", i, v, i+3)
 		}

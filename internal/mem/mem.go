@@ -122,13 +122,11 @@ func (im *Image) WriteWords(addr uint64, ws []uint64) {
 	}
 }
 
-// ReadWords reads n words starting at addr into a fresh slice.
-func (im *Image) ReadWords(addr uint64, n int) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = im.R64(addr + uint64(i)*WordBytes)
+// ReadWords reads len(dst) words starting at addr into dst.
+func (im *Image) ReadWords(addr uint64, dst []uint64) {
+	for i := range dst {
+		dst[i] = im.R64(addr + uint64(i)*WordBytes)
 	}
-	return out
 }
 
 // AllocWords reserves and returns the base of an n-word, word-aligned

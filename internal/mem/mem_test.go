@@ -25,7 +25,8 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	im := NewImage()
 	base := im.AllocWords(4)
 	im.WriteWords(base, []uint64{1, 0, 3, ^uint64(0)})
-	got := im.ReadWords(base, 4)
+	got := make([]uint64, 4)
+	im.ReadWords(base, got)
 	want := []uint64{1, 0, 3, ^uint64(0)}
 	for i := range want {
 		if got[i] != want[i] {

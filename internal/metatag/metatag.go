@@ -100,22 +100,25 @@ type Stats struct {
 	DirtyEvict uint64
 }
 
-// Evicted describes a victim removed by Alloc so the controller can
-// writeback/deallocate its sectors.
+// Evicted describes a victim removed by Alloc or EvictLRUStable so the
+// controller can write back and free its sectors. It is returned by
+// value; Valid is false when Alloc took a free way and evicted nothing.
 type Evicted struct {
+	Valid       bool
 	Key         Key
 	Dirty       bool
 	SectorBase  int32
 	SectorCount int32
 }
 
-// Array is the meta-tag RAM.
+// Array is the meta-tag RAM. Its entries sit in one array, set-major:
+// way w of set s is entries[s*Ways+w].
 type Array struct {
-	Cfg   Config
-	sets  [][]Entry
-	tick  uint64
-	stats Stats
-	Meter *energy.Counters
+	Cfg     Config
+	entries []Entry
+	tick    uint64
+	stats   Stats
+	Meter   *energy.Counters
 }
 
 // New builds an array; sets must be a power of two.
@@ -127,13 +130,9 @@ func New(cfg Config, meter *energy.Counters) *Array {
 	if cfg.Ways <= 0 {
 		panic("metatag: ways must be positive")
 	}
-	a := &Array{Cfg: cfg, Meter: meter}
-	a.sets = make([][]Entry, cfg.Sets)
-	for i := range a.sets {
-		a.sets[i] = make([]Entry, cfg.Ways)
-		for w := range a.sets[i] {
-			a.sets[i][w].Walker = NoWalker
-		}
+	a := &Array{Cfg: cfg, Meter: meter, entries: make([]Entry, cfg.Sets*cfg.Ways)}
+	for i := range a.entries {
+		a.entries[i].Walker = NoWalker
 	}
 	return a
 }
@@ -153,11 +152,16 @@ func (a *Array) norm(k Key) Key {
 	return k
 }
 
+// set returns the ways of k's set.
 func (a *Array) set(k Key) []Entry {
+	var s uint64
 	if a.Cfg.IdentityIndex {
-		return a.sets[k[0]&uint64(a.Cfg.Sets-1)]
+		s = k[0] & uint64(a.Cfg.Sets-1)
+	} else {
+		s = k.Mix() & uint64(a.Cfg.Sets-1)
 	}
-	return a.sets[k.Mix()&uint64(a.Cfg.Sets-1)]
+	w := uint64(a.Cfg.Ways)
+	return a.entries[s*w : s*w+w]
 }
 
 func (a *Array) match(e *Entry, k Key) bool {
@@ -181,9 +185,9 @@ func (a *Array) Lookup(k Key) *Entry {
 // admit this cycle; Account is called once on actual admission.
 func (a *Array) Probe(k Key) *Entry {
 	k = a.norm(k)
-	for i := range a.set(k) {
-		e := &a.set(k)[i]
-		if a.match(e, k) {
+	set := a.set(k)
+	for i := range set {
+		if e := &set[i]; a.match(e, k) {
 			return e
 		}
 	}
@@ -216,7 +220,7 @@ func (a *Array) Touch(e *Entry) {
 // stable way; an evicted victim is returned so the controller can clean
 // up. ok is false when every way holds a transient entry (walker must
 // retry).
-func (a *Array) Alloc(k Key, state int, walker int32) (*Entry, *Evicted, bool) {
+func (a *Array) Alloc(k Key, state int, walker int32) (*Entry, Evicted, bool) {
 	k = a.norm(k)
 	set := a.set(k)
 	var free, victim *Entry
@@ -241,16 +245,11 @@ func (a *Array) Alloc(k Key, state int, walker int32) (*Entry, *Evicted, bool) {
 	}
 	if victim == nil {
 		a.stats.AllocFails++
-		return nil, nil, false
+		return nil, Evicted{}, false
 	}
-	var ev *Evicted
+	var ev Evicted
 	if victim.Valid {
-		a.stats.Evictions++
-		if victim.Dirty {
-			a.stats.DirtyEvict++
-		}
-		ev = &Evicted{Key: victim.Key, Dirty: victim.Dirty,
-			SectorBase: victim.SectorBase, SectorCount: victim.SectorCount}
+		ev = a.evict(victim)
 	}
 	if a.Meter != nil {
 		a.Meter.TagBytes += uint64(a.Cfg.TagBytes) // full entry write
@@ -336,14 +335,12 @@ func (a *Array) Live() int {
 	return n
 }
 
-// ForEach visits every valid entry; used by drain paths (GraphPulse pops
-// its coalesced events) and tests.
+// ForEach visits every valid entry in set-major order; used by drain
+// paths (GraphPulse pops its coalesced events) and tests.
 func (a *Array) ForEach(fn func(e *Entry)) {
-	for si := range a.sets {
-		for wi := range a.sets[si] {
-			if a.sets[si][wi].Valid {
-				fn(&a.sets[si][wi])
-			}
+	for i := range a.entries {
+		if a.entries[i].Valid {
+			fn(&a.entries[i])
 		}
 	}
 }
@@ -352,28 +349,31 @@ func (a *Array) ForEach(fn func(e *Entry)) {
 // walker-free) entry anywhere in the array, returning its eviction record.
 // The controller uses it to reclaim data-RAM sectors when a walker's
 // allocation cannot be satisfied within its own set.
-func (a *Array) EvictLRUStable() (*Evicted, bool) {
+func (a *Array) EvictLRUStable() (Evicted, bool) {
 	var victim *Entry
-	for si := range a.sets {
-		for wi := range a.sets[si] {
-			e := &a.sets[si][wi]
-			if !e.Valid || e.Walker != NoWalker || e.State != 1 {
-				continue
-			}
-			if victim == nil || e.lru < victim.lru {
-				victim = e
-			}
+	for i := range a.entries {
+		e := &a.entries[i]
+		if !e.Valid || e.Walker != NoWalker || e.State != 1 {
+			continue
+		}
+		if victim == nil || e.lru < victim.lru {
+			victim = e
 		}
 	}
 	if victim == nil {
-		return nil, false
+		return Evicted{}, false
 	}
+	ev := a.evict(victim)
+	a.Dealloc(victim)
+	return ev, true
+}
+
+// evict counts victim's eviction and returns its record.
+func (a *Array) evict(victim *Entry) Evicted {
 	a.stats.Evictions++
 	if victim.Dirty {
 		a.stats.DirtyEvict++
 	}
-	ev := &Evicted{Key: victim.Key, Dirty: victim.Dirty,
+	return Evicted{Valid: true, Key: victim.Key, Dirty: victim.Dirty,
 		SectorBase: victim.SectorBase, SectorCount: victim.SectorCount}
-	a.Dealloc(victim)
-	return ev, true
 }

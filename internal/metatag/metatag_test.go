@@ -17,7 +17,7 @@ func TestLookupAfterAlloc(t *testing.T) {
 	a := newArray(16, 4)
 	k := Key{42, 7}
 	e, ev, ok := a.Alloc(k, program.StateFirstCustom, 3)
-	if !ok || ev != nil {
+	if !ok || ev.Valid {
 		t.Fatalf("alloc: ok=%v ev=%v", ok, ev)
 	}
 	if e.State != program.StateFirstCustom || e.Walker != 3 {
@@ -49,7 +49,7 @@ func TestLRUEviction(t *testing.T) {
 	_ = e2
 	a.Touch(a.Lookup(Key{1, 0})) // make key 1 MRU
 	_, ev, ok := a.Alloc(Key{3, 0}, program.StateValid, NoWalker)
-	if !ok || ev == nil {
+	if !ok || !ev.Valid {
 		t.Fatalf("expected eviction, ok=%v ev=%v", ok, ev)
 	}
 	if ev.Key != (Key{2, 0}) {
@@ -68,7 +68,7 @@ func TestEvictionCarriesSectorsAndDirty(t *testing.T) {
 	e, _, _ := a.Alloc(Key{1, 0}, program.StateValid, NoWalker)
 	e.SectorBase, e.SectorCount, e.Dirty = 7, 3, true
 	_, ev, ok := a.Alloc(Key{2, 0}, program.StateValid, NoWalker)
-	if !ok || ev == nil || !ev.Dirty || ev.SectorBase != 7 || ev.SectorCount != 3 {
+	if !ok || !ev.Valid || !ev.Dirty || ev.SectorBase != 7 || ev.SectorCount != 3 {
 		t.Fatalf("eviction record: %+v ok=%v", ev, ok)
 	}
 	if a.Stats().DirtyEvict != 1 {
@@ -92,7 +92,7 @@ func TestTransientEntriesNotEvicted(t *testing.T) {
 	e.State = program.StateValid
 	e.Walker = NoWalker
 	_, ev, ok := a.Alloc(Key{3, 0}, program.StateValid, NoWalker)
-	if !ok || ev == nil || ev.Key != (Key{1, 0}) {
+	if !ok || !ev.Valid || ev.Key != (Key{1, 0}) {
 		t.Fatalf("post-settle alloc: ok=%v ev=%+v", ok, ev)
 	}
 }
@@ -171,7 +171,7 @@ func TestArrayInvariantsProperty(t *testing.T) {
 				if !ok {
 					return false // no transient entries here; must succeed
 				}
-				if ev != nil {
+				if ev.Valid {
 					delete(live, ev.Key)
 				}
 				live[k] = e
@@ -274,7 +274,7 @@ func TestCorruptedVictimKeepsDuplicateGuard(t *testing.T) {
 	// Evicting the corrupted entry (the LRU victim) must not remove key
 	// 8's duplicate-guard record just because the corrupted bits read 8.
 	_, ev, ok := a.Alloc(Key{5, 0}, 1, NoWalker)
-	if !ok || ev == nil || ev.Key[0] != 8 {
+	if !ok || !ev.Valid || ev.Key[0] != 8 {
 		t.Fatalf("expected the corrupted entry evicted, got ev=%+v ok=%v", ev, ok)
 	}
 	defer func() {
@@ -315,5 +315,39 @@ func TestCorruptKeyBitRangeChecks(t *testing.T) {
 			}()
 			a.CorruptKeyBit(e, bad[0], bad[1])
 		}()
+	}
+}
+
+// Allocation gate: a probe, hit or miss, allocates nothing.
+func TestProbeAllocatesNothing(t *testing.T) {
+	a := newArray(64, 4)
+	a.Alloc(Key{1, 2}, program.StateValid, NoWalker)
+	if got := testing.AllocsPerRun(100, func() {
+		a.Probe(Key{1, 2})
+		a.Probe(Key{3, 4})
+	}); got != 0 {
+		t.Fatalf("Probe: %v allocations, want 0", got)
+	}
+}
+
+// Allocation gate: an Alloc that evicts a victim allocates nothing; the
+// victim comes back by value.
+func TestAllocWithEvictionAllocatesNothing(t *testing.T) {
+	a := newArray(1, 2)
+	next := uint64(0)
+	for ; next < 2; next++ {
+		a.Alloc(Key{next, 0}, program.StateValid, NoWalker)
+	}
+	evicted := 0
+	if got := testing.AllocsPerRun(100, func() {
+		if _, ev, ok := a.Alloc(Key{next, 0}, program.StateValid, NoWalker); ok && ev.Valid {
+			evicted++
+		}
+		next++
+	}); got != 0 {
+		t.Fatalf("Alloc with eviction: %v allocations, want 0", got)
+	}
+	if evicted != 101 {
+		t.Fatalf("%d of 101 allocs evicted, want every one", evicted)
 	}
 }

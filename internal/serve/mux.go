@@ -294,8 +294,8 @@ func (m *dramMux) Tick(c sim.Cycle) {
 	// channel itself from wedging behind it.
 	for _, ch := range m.chans {
 		for {
-			r, ok := ch.d.Resp.Peek()
-			if !ok {
+			r := ch.d.Resp.Front()
+			if r == nil {
 				break
 			}
 			s := int(r.ID >> muxShardShift & muxShardMask)
@@ -305,9 +305,9 @@ func (m *dramMux) Tick(c sim.Cycle) {
 			if !m.resps[s].CanPush() {
 				break
 			}
-			ch.d.Resp.Pop()
 			r.ID &^= muxShardMask << muxShardShift
-			m.resps[s].MustPush(r)
+			m.resps[s].MustPush(*r)
+			ch.d.Resp.Drop()
 			ch.returned++
 			m.returned++
 		}
@@ -321,8 +321,8 @@ func (m *dramMux) Tick(c sim.Cycle) {
 		advanced := false
 		for i := 0; i < len(m.reqs); i++ {
 			s := (m.rr + i) % len(m.reqs)
-			rq, ok := m.reqs[s].Peek()
-			if !ok {
+			rq := m.reqs[s].Front()
+			if rq == nil {
 				continue
 			}
 			pref := m.prefer(s, rq.Addr)
@@ -330,9 +330,9 @@ func (m *dramMux) Tick(c sim.Cycle) {
 			if ci < 0 {
 				continue
 			}
-			m.reqs[s].Pop()
 			rq.ID |= uint64(s) << muxShardShift
-			m.chans[ci].d.Req.MustPush(rq)
+			m.chans[ci].d.Req.MustPush(*rq)
+			m.reqs[s].Drop()
 			m.noteForward(c, pref, ci)
 			advanced = true
 			m.rr = (s + 1) % len(m.reqs)

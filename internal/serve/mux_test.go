@@ -52,8 +52,8 @@ func TestMuxRoutesByShard(t *testing.T) {
 		if r.ID != 7 {
 			t.Errorf("shard %d: id %d, want 7 (tag not stripped?)", s, r.ID)
 		}
-		if len(r.Data) != 1 || r.Data[0] != uint64(1000+s) {
-			t.Errorf("shard %d: data %v, want [%d] — cross-shard routing", s, r.Data, 1000+s)
+		if d := r.Data.Slice(); len(d) != 1 || d[0] != uint64(1000+s) {
+			t.Errorf("shard %d: data %v, want [%d] — cross-shard routing", s, d, 1000+s)
 		}
 	}
 }

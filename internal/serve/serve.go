@@ -24,7 +24,6 @@
 package serve
 
 import (
-	"container/heap"
 	"fmt"
 
 	"xcache/internal/check"
@@ -234,6 +233,7 @@ func ArraySpec() program.Spec {
 // reqState tracks one accepted request from admission to resolution.
 type reqState struct {
 	id       uint64
+	live     bool // admitted and not yet resolved
 	tenant   int32
 	shard    int32
 	attempt  uint8 // current attempt number (0-based)
@@ -306,6 +306,62 @@ type tenantState struct {
 	epochMax      uint64
 }
 
+// reqTable holds the records of live requests in a ring indexed by the
+// sequential request ID: the record of ID i sits in slot i mod
+// len(slots). Every ID below lo is resolved and lo only advances, so the
+// ring spans the oldest live request to the newest. An admission that
+// would wrap onto a live record doubles the ring; the ring is empty
+// until the first admission. The table counts its own live records, so
+// the conservation audit can compare them with the pending ledger.
+type reqTable struct {
+	slots []reqState
+	lo    uint64 // every ID below lo is resolved
+	next  uint64 // ID of the next admission
+	live  int
+}
+
+// add admits r under the next sequential ID and returns its record. The
+// record stays put until the next add, which may move it.
+func (t *reqTable) add(r reqState) *reqState {
+	if t.next-t.lo == uint64(len(t.slots)) {
+		t.grow()
+	}
+	r.id, r.live = t.next, true
+	st := &t.slots[t.next&uint64(len(t.slots)-1)]
+	*st = r
+	t.next++
+	t.live++
+	return st
+}
+
+func (t *reqTable) grow() {
+	slots := make([]reqState, max(64, 2*len(t.slots)))
+	for id := t.lo; id < t.next; id++ {
+		slots[id&uint64(len(slots)-1)] = t.slots[id&uint64(len(t.slots)-1)]
+	}
+	t.slots = slots
+}
+
+// get returns the live record of id, or nil once it is resolved.
+func (t *reqTable) get(id uint64) *reqState {
+	if id < t.lo || id >= t.next {
+		return nil
+	}
+	if st := &t.slots[id&uint64(len(t.slots)-1)]; st.live {
+		return st
+	}
+	return nil
+}
+
+// remove resolves st and advances lo past the resolved prefix.
+func (t *reqTable) remove(st *reqState) {
+	st.live = false
+	t.live--
+	for t.lo < t.next && !t.slots[t.lo&uint64(len(t.slots)-1)].live {
+		t.lo++
+	}
+}
+
 // retryEntry schedules re-issue of a timed-out request.
 type retryEntry struct {
 	due     sim.Cycle
@@ -313,19 +369,55 @@ type retryEntry struct {
 	attempt uint8
 }
 
+// retryHeap is a binary min-heap of retries by (due, id): ties on the
+// due cycle go to the lower request ID. push and pop follow
+// container/heap's sift order, so retries fire in the same order it
+// gives, without boxing each entry in an interface.
 type retryHeap []retryEntry
 
-func (h retryHeap) Len() int { return len(h) }
-func (h retryHeap) Less(i, j int) bool {
+func (h retryHeap) less(i, j int) bool {
 	if h[i].due != h[j].due {
 		return h[i].due < h[j].due
 	}
 	return h[i].id < h[j].id
 }
-func (h retryHeap) Swap(i, j int)    { h[i], h[j] = h[j], h[i] }
-func (h *retryHeap) Push(x any)      { *h = append(*h, x.(retryEntry)) }
-func (h *retryHeap) Pop() any        { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
 func (h retryHeap) peek() retryEntry { return h[0] }
+
+func (h *retryHeap) push(e retryEntry) {
+	*h = append(*h, e)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *retryHeap) pop() retryEntry {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q.less(j2, j) {
+			j = j2
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
+}
 
 // Service is the sharded multi-tenant front end. Build one with New,
 // drive it with Run.
@@ -349,8 +441,7 @@ type Service struct {
 	sloEpochTotal [8]uint64
 	sloSeries     [8][]float64
 
-	reqs    map[uint64]*reqState
-	nextID  uint64
+	reqs    reqTable
 	pending uint64
 	retries retryHeap
 	fatal   error
@@ -381,7 +472,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	k := sim.NewKernel()
 	img := mem.NewImage()
-	s := &Service{Cfg: cfg, K: k, img: img, reqs: make(map[uint64]*reqState)}
+	s := &Service{Cfg: cfg, K: k, img: img}
 
 	// Seeded array contents: the oracle for every OK response.
 	s.base = img.AllocWords(cfg.Keys)
@@ -550,7 +641,8 @@ func (s *Service) drainResponses(c sim.Cycle) {
 			if !ok {
 				break
 			}
-			st := s.reqs[r.ID>>attemptBits]
+			r.Data.Release() // resolve reads Status and Value only
+			st := s.reqs.get(r.ID >> attemptBits)
 			if st == nil {
 				continue // late response of an attempt already resolved/failed
 			}
@@ -604,7 +696,7 @@ func (s *Service) resolve(c sim.Cycle, st *reqState, sh *shardState, r ctrl.Meta
 			sh.br.probeSuccess()
 		}
 	}
-	delete(s.reqs, st.id)
+	s.reqs.remove(st)
 	s.pending--
 }
 
@@ -679,14 +771,12 @@ func (s *Service) accept(c sim.Cycle, ti int, key uint64) {
 		t.shedQueue++
 	default:
 		t.tokens--
-		id := s.nextID
-		s.nextID++
-		s.reqs[id] = &reqState{
-			id: id, tenant: int32(ti), shard: int32(shard), probe: probe,
+		st := s.reqs.add(reqState{
+			tenant: int32(ti), shard: int32(shard), probe: probe,
 			key: key, gen: c, deadline: c + sim.Cycle(s.Cfg.Deadline),
-		}
+		})
 		s.pending++
-		sh.ingress.MustPush(id) // admission just verified CanPush
+		sh.ingress.MustPush(st.id) // admission just verified CanPush
 		return
 	}
 	s.shed++
@@ -698,35 +788,36 @@ func (s *Service) forward(c sim.Cycle) {
 			// Open breaker: the shard drains. Queued requests wait for
 			// recovery, but expired heads must still fail (liveness).
 			for {
-				id, ok := sh.ingress.Peek()
-				if !ok {
+				head := sh.ingress.Front()
+				if head == nil {
 					break
 				}
-				st := s.reqs[id]
+				st := s.reqs.get(*head)
 				if st == nil {
-					sh.ingress.Pop()
+					sh.ingress.Drop()
 					continue
 				}
 				if c <= st.deadline {
 					break
 				}
-				sh.ingress.Pop()
+				sh.ingress.Drop()
 				s.fail(c, st)
 			}
 			continue
 		}
 		for n := 0; n < s.Cfg.ForwardPer; {
-			id, ok := sh.ingress.Peek()
-			if !ok {
+			head := sh.ingress.Front()
+			if head == nil {
 				break
 			}
-			st := s.reqs[id]
+			id := *head
+			st := s.reqs.get(id)
 			if st == nil {
-				sh.ingress.Pop()
+				sh.ingress.Drop()
 				continue
 			}
 			if c > st.deadline {
-				sh.ingress.Pop()
+				sh.ingress.Drop()
 				s.fail(c, st)
 				continue
 			}
@@ -734,7 +825,7 @@ func (s *Service) forward(c sim.Cycle) {
 				sh.bpCycles++ // explicit backpressure: stop feeding this cycle
 				break
 			}
-			sh.ingress.Pop()
+			sh.ingress.Drop()
 			sh.cache.Ctrl.ReqQ.MustPush(ctrl.MetaReq{
 				ID:  id<<attemptBits | uint64(st.attempt),
 				Op:  ctrl.MetaLoad,
@@ -749,8 +840,8 @@ func (s *Service) forward(c sim.Cycle) {
 
 func (s *Service) fireRetries(c sim.Cycle) {
 	for len(s.retries) > 0 && s.retries.peek().due <= c {
-		e := heap.Pop(&s.retries).(retryEntry)
-		st := s.reqs[e.id]
+		e := s.retries.pop()
+		st := s.reqs.get(e.id)
 		if st == nil || st.attempt != e.attempt {
 			continue // resolved (or superseded) while waiting
 		}
@@ -761,7 +852,7 @@ func (s *Service) fireRetries(c sim.Cycle) {
 		sh := s.shards[st.shard]
 		if !sh.ingress.CanPush() {
 			// Physically no room: hold the retry, bounded by the deadline.
-			heap.Push(&s.retries, retryEntry{due: c + retryBackoff, id: e.id, attempt: e.attempt})
+			s.retries.push(retryEntry{due: c + retryBackoff, id: e.id, attempt: e.attempt})
 			continue
 		}
 		s.tenants[st.tenant].retries++
@@ -778,7 +869,7 @@ func (s *Service) scanTimeouts(c sim.Cycle) {
 				break
 			}
 			sh.head++
-			st := s.reqs[rec.id]
+			st := s.reqs.get(rec.id)
 			if st == nil || st.attempt != rec.attempt {
 				continue // resolved, or already on a newer attempt
 			}
@@ -793,15 +884,16 @@ func (s *Service) scanTimeouts(c sim.Cycle) {
 				st.attempt++
 				due := c + retryBackoff<<(st.attempt-1)
 				if due <= st.deadline {
-					heap.Push(&s.retries, retryEntry{due: due, id: rec.id, attempt: st.attempt})
+					s.retries.push(retryEntry{due: due, id: rec.id, attempt: st.attempt})
 					continue
 				}
 			}
 			s.fail(c, st)
 		}
-		// Compact the lazily-scanned prefix so a long run stays O(live).
+		// Compact the lazily-scanned prefix in place so a long run stays
+		// O(live) and keeps one array.
 		if sh.head > 4096 && sh.head*2 > len(sh.inflight) {
-			sh.inflight = append(sh.inflight[:0:0], sh.inflight[sh.head:]...)
+			sh.inflight = sh.inflight[:copy(sh.inflight, sh.inflight[sh.head:])]
 			sh.head = 0
 		}
 	}
@@ -817,7 +909,7 @@ func (s *Service) fail(c sim.Cycle, st *reqState) {
 	if st.probe {
 		s.shards[st.shard].br.probeFail(c)
 	}
-	delete(s.reqs, st.id)
+	s.reqs.remove(st)
 	s.pending--
 }
 
@@ -833,8 +925,8 @@ func (s *Service) audit(c sim.Cycle) {
 			c, s.accepted, s.completed, s.shed, s.failed, s.pending)
 		return
 	}
-	if s.pending != uint64(len(s.reqs)) {
-		s.fatalf("cycle %d: pending ledger %d != live requests %d", c, s.pending, len(s.reqs))
+	if s.pending != uint64(s.reqs.live) {
+		s.fatalf("cycle %d: pending ledger %d != live requests %d", c, s.pending, s.reqs.live)
 	}
 }
 

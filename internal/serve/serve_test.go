@@ -112,10 +112,9 @@ func TestSmoke(t *testing.T) {
 	}
 }
 
-// TestDeterminism: the report matches its golden and is byte-identical
-// across same-seed reruns.
-func TestDeterminism(t *testing.T) {
-	cfg := Config{
+// determinismConfig is the run determinism.golden.json pins.
+func determinismConfig() Config {
+	return Config{
 		Shards:   4,
 		Tenants:  []TenantGroup{{Count: 6, Rate: 0.04, Skew: 0.9}, {Count: 2, Priority: 4, Rate: 0.02}},
 		Keys:     1 << 12,
@@ -123,6 +122,12 @@ func TestDeterminism(t *testing.T) {
 		Seed:     7,
 		Faults:   check.FaultConfig{DropResp: 0.01, ClogQueue: 0.002},
 	}
+}
+
+// TestDeterminism: the report matches its golden and is byte-identical
+// across same-seed reruns.
+func TestDeterminism(t *testing.T) {
+	cfg := determinismConfig()
 	r := run(t, cfg)
 	checkGolden(t, "determinism.golden.json", r)
 	first, err := json.Marshal(r)

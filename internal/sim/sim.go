@@ -283,12 +283,15 @@ func (q *Queue[T]) slot(i int) int {
 	return i
 }
 
-// Peek returns the head without consuming it. ok is false when empty.
-func (q *Queue[T]) Peek() (v T, ok bool) {
+// Front returns a pointer to the head entry without consuming it, or nil
+// when the queue is empty. The pointer is valid until the head is popped
+// or dropped; a caller may change the entry in place before passing it on,
+// and copies it (*q.Front()) only when the value must outlive the pop.
+func (q *Queue[T]) Front() *T {
 	if q.n == 0 {
-		return v, false
+		return nil
 	}
-	return q.ring[q.head], true
+	return &q.ring[q.head]
 }
 
 // Pop consumes and returns the head. ok is false when empty.
@@ -297,8 +300,15 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 		return v, false
 	}
 	v = q.ring[q.head]
-	// Zero the vacated slot so element payloads (e.g. fill data slices)
-	// become collectable.
+	q.Drop()
+	return v, true
+}
+
+// Drop consumes the head entry without returning it; the queue must not
+// be empty. It counts as a pop.
+func (q *Queue[T]) Drop() {
+	// Zero the vacated slot so whatever the entry references becomes
+	// collectable.
 	var zero T
 	q.ring[q.head] = zero
 	q.head = q.slot(1)
@@ -306,7 +316,14 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 	q.pops++
 	q.k.moves++
 	q.lastPop = q.k.cycle
-	return v, true
+}
+
+// Each visits every entry in queue order, committed ones first, then
+// the staged ones. It neither pops nor counts a move.
+func (q *Queue[T]) Each(visit func(*T)) {
+	for i := 0; i < q.n+q.staged; i++ {
+		visit(&q.ring[q.slot(i)])
+	}
 }
 
 // Pushes returns the lifetime number of accepted pushes.

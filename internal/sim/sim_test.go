@@ -60,13 +60,20 @@ func TestQueueFIFOOrder(t *testing.T) {
 func TestQueuePeekDoesNotConsume(t *testing.T) {
 	k := NewKernel()
 	q := NewQueue[string](k, "q", 2)
+	if h := q.Front(); h != nil {
+		t.Fatalf("front of an empty queue: got %q", *h)
+	}
 	q.MustPush("a")
 	k.Step()
-	if v, ok := q.Peek(); !ok || v != "a" {
-		t.Fatalf("peek: got (%q,%v)", v, ok)
+	if h := q.Front(); h == nil || *h != "a" {
+		t.Fatalf("front: got %v", h)
 	}
 	if q.Len() != 1 {
-		t.Fatalf("peek consumed: len=%d", q.Len())
+		t.Fatalf("front consumed: len=%d", q.Len())
+	}
+	q.Drop()
+	if q.Len() != 0 || q.Pops() != 1 {
+		t.Fatalf("drop: len=%d pops=%d, want 0 and 1", q.Len(), q.Pops())
 	}
 }
 
@@ -402,11 +409,11 @@ func TestQueueMatchesSliceModel(t *testing.T) {
 				}
 				check("Pop")
 			case r < 8:
-				v, ok := q.Peek()
-				if ok != (len(committed) > 0) || ok && v != committed[0] {
-					t.Fatalf("cap %d: Peek = (%d, %v), model head %v", capacity, v, ok, committed)
+				h := q.Front()
+				if (h != nil) != (len(committed) > 0) || h != nil && *h != committed[0] {
+					t.Fatalf("cap %d: Front = %v, model head %v", capacity, h, committed)
 				}
-				check("Peek")
+				check("Front")
 			default:
 				k.Step()
 				committed = append(committed, staged...)
