@@ -94,9 +94,13 @@ fuzz:
 # outcomes (store buffering, message passing, load buffering, write
 # serialization, upgrade, inclusion), the MESI-lite unit tests (sharing,
 # invalidation, eviction writeback, merge serialization, fault retry and
-# the liveness trap), and the coh-share figure's golden + shape checks.
+# the liveness trap), the directory snapshot against its map-and-sort
+# reference after every cycle (litmus, fuzz corpus, supervised aborts,
+# coh-share cells), the allocation gates (warm coherent cycles, checked
+# and unchecked, and a MetaL1 miss), and the coh-share figure's golden +
+# shape checks.
 litmus:
-	$(GO) test -race -count=1 -run 'TestLitmus|TestCoh' ./internal/hier
+	$(GO) test -race -count=1 -run 'TestLitmus|TestCoh|TestMetaL1MissAllocatesNothing' ./internal/hier
 	$(GO) test -race -count=1 -run 'TestCohShare' ./internal/exp
 
 # Executor equivalence, race-gated: the per-cycle lockstep differential

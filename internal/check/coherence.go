@@ -67,7 +67,9 @@ type CohEvent struct {
 // value events. CohEvents drains: each event is returned exactly once.
 // A source records events only after RecordCohEvents, which Attach
 // calls when it attaches a coherence checker: an unchecked run keeps no
-// log.
+// log. A snapshot, its lines' L1 slices included, and the slice
+// CohEvents returns are valid only until the next call of the same
+// method: the source refills its buffers in place.
 type CoherenceSource interface {
 	CohSnapshot() CohSnapshot
 	CohEvents() []CohEvent

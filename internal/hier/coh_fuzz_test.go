@@ -2,6 +2,10 @@ package hier
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"xcache/internal/check"
@@ -122,51 +126,92 @@ func fuzzRig(nports int, ops []fuzzOp, faults CohFaults) ([fuzzKeys]uint64, *Coh
 // recover through retries and still agree, or trap with a typed liveness
 // violation — silent divergence is the one forbidden outcome.
 func FuzzCoherence(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 0, 50, 1, 1, 0, 60, 2, 1, 1, 9, 0, 0, 1, 70})
-	f.Add([]byte{1, 0, 1, 2, 5, 1, 1, 3, 7, 2, 1, 2, 3, 0, 1, 3, 11, 1, 0, 2, 0})
-	f.Add([]byte{2, 3, 1, 15, 255, 2, 1, 15, 1, 1, 1, 14, 9, 0, 0, 15, 0, 4, 1, 14, 2})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		nports, ops := decodeCohOps(data)
-		if len(ops) == 0 {
-			t.Skip()
-		}
-		want := fuzzModel(ops)
+	for _, data := range cohFuzzSeeds {
+		f.Add(data)
+	}
+	f.Fuzz(checkCohInput)
+}
 
-		coh, _, err := fuzzRig(nports, ops, CohFaults{})
-		if err != nil {
-			t.Fatalf("coherent rig failed: %v", err)
-		}
-		flat, _, err := fuzzRig(1, ops, CohFaults{})
-		if err != nil {
-			t.Fatalf("flat oracle rig failed: %v", err)
-		}
-		for i := 0; i < fuzzKeys; i++ {
-			if coh[i] != want[i] || flat[i] != want[i] {
-				t.Fatalf("key %d: coherent=%d flat=%d model=%d (ports=%d ops=%v)",
-					i, coh[i], flat[i], want[i], nports, ops)
-			}
-		}
+// cohFuzzSeeds are FuzzCoherence's seed inputs; testdata/fuzz holds the
+// rest of its corpus.
+var cohFuzzSeeds = [][]byte{
+	{0, 0, 1, 0, 50, 1, 1, 0, 60, 2, 1, 1, 9, 0, 0, 1, 70},
+	{1, 0, 1, 2, 5, 1, 1, 3, 7, 2, 1, 2, 3, 0, 1, 3, 11, 1, 0, 2, 0},
+	{2, 3, 1, 15, 255, 2, 1, 15, 1, 1, 1, 14, 9, 0, 0, 15, 0, 4, 1, 14, 2},
+}
 
-		// Fault run: seeded snoop drops. Completion requires equality;
-		// a latched liveness violation is the sanctioned trap path.
-		seed := uint64(len(data))
-		for _, b := range data {
-			seed = seed*31 + uint64(b)
+// checkCohInput runs one fuzz input through the three rigs: coherent,
+// flat, and coherent with seeded snoop drops.
+func checkCohInput(t *testing.T, data []byte) {
+	nports, ops := decodeCohOps(data)
+	if len(ops) == 0 {
+		t.Skip()
+	}
+	want := fuzzModel(ops)
+
+	coh, _, err := fuzzRig(nports, ops, CohFaults{})
+	if err != nil {
+		t.Fatalf("coherent rig failed: %v", err)
+	}
+	flat, _, err := fuzzRig(1, ops, CohFaults{})
+	if err != nil {
+		t.Fatalf("flat oracle rig failed: %v", err)
+	}
+	for i := 0; i < fuzzKeys; i++ {
+		if coh[i] != want[i] || flat[i] != want[i] {
+			t.Fatalf("key %d: coherent=%d flat=%d model=%d (ports=%d ops=%v)",
+				i, coh[i], flat[i], want[i], nports, ops)
 		}
-		faulty, _, err := fuzzRig(nports, ops, CohFaults{DropSnoop: 0.3, Seed: seed})
+	}
+
+	// Fault run: seeded snoop drops. Completion requires equality;
+	// a latched liveness violation is the sanctioned trap path.
+	seed := uint64(len(data))
+	for _, b := range data {
+		seed = seed*31 + uint64(b)
+	}
+	faulty, _, err := fuzzRig(nports, ops, CohFaults{DropSnoop: 0.3, Seed: seed})
+	if err != nil {
+		var cv *check.CoherenceViolation
+		if errors.As(err, &cv) && cv.Rule == "liveness" {
+			return // trapped, not diverged
+		}
+		t.Fatalf("faulty rig failed outside the liveness trap: %v", err)
+	}
+	for i := 0; i < fuzzKeys; i++ {
+		if faulty[i] != want[i] {
+			t.Fatalf("fault run silently diverged on key %d: got %d want %d", i, faulty[i], want[i])
+		}
+	}
+}
+
+// cohFuzzCorpus returns every committed FuzzCoherence input: the seeds,
+// then the files under testdata/fuzz/FuzzCoherence, each a one-value
+// []byte input in the "go test fuzz v1" format.
+func cohFuzzCorpus(t *testing.T) [][]byte {
+	t.Helper()
+	inputs := append([][]byte(nil), cohFuzzSeeds...)
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzCoherence", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed FuzzCoherence inputs (%v)", err)
+	}
+	for _, path := range files {
+		raw, err := os.ReadFile(path)
 		if err != nil {
-			var cv *check.CoherenceViolation
-			if errors.As(err, &cv) && cv.Rule == "liveness" {
-				return // trapped, not diverged
-			}
-			t.Fatalf("faulty rig failed outside the liveness trap: %v", err)
+			t.Fatal(err)
 		}
-		for i := 0; i < fuzzKeys; i++ {
-			if faulty[i] != want[i] {
-				t.Fatalf("fault run silently diverged on key %d: got %d want %d", i, faulty[i], want[i])
-			}
+		body, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n")
+		body = strings.TrimSpace(body)
+		if !ok || !strings.HasPrefix(body, "[]byte(") || !strings.HasSuffix(body, ")") {
+			t.Fatalf("%s: not a one-value []byte corpus file", path)
 		}
-	})
+		s, err := strconv.Unquote(body[len("[]byte(") : len(body)-1])
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		inputs = append(inputs, []byte(s))
+	}
+	return inputs
 }
 
 // TestCohFuzzCorpusSmoke replays the committed corpus deterministically

@@ -117,12 +117,6 @@ type CohL1Stats struct {
 	Evictions     uint64
 }
 
-type cohMSHR struct {
-	waiters []CohReq
-	want    int8
-	issued  bool
-}
-
 type cohPending struct {
 	readyAt sim.Cycle
 	resp    CohResp
@@ -146,15 +140,17 @@ type CohL1 struct {
 	evicts *sim.Queue[evictMsg]
 
 	maxWaiters int
-	mshrs      map[metatag.Key]*cohMSHR
-	issueQ     []metatag.Key // deterministic re-issue order for dirQ pushes
+	numKeys    int               // keys at or above it lie outside the element array
+	mshrs      mshrTable[CohReq] // each entry's waiters: maxWaiters, the bound admit keeps
+	issueQ     []dirReq          // requests waiting for room in dirQ, in arming order: one per unissued miss, so l1MaxOutstanding
 	pend       []cohPending
 	events     []check.CohEvent // value events, kept only while recording
 	recording  bool
+	err        error // a request outside the element array, latched
 	stats      CohL1Stats
 }
 
-func newCohL1(k *sim.Kernel, port int, cfg L1Config, maxWaiters int, meter *energy.Counters) *CohL1 {
+func newCohL1(k *sim.Kernel, port int, cfg L1Config, maxWaiters, numKeys int, meter *energy.Counters) *CohL1 {
 	cfg.defaults()
 	name := fmt.Sprintf("coh%d", port)
 	l := &CohL1{
@@ -170,7 +166,13 @@ func newCohL1(k *sim.Kernel, port int, cfg L1Config, maxWaiters int, meter *ener
 		acks:       sim.NewQueue[snoopAck](k, name+".ack", 16),
 		evicts:     sim.NewQueue[evictMsg](k, name+".evict", 16),
 		maxWaiters: maxWaiters,
-		mshrs:      map[metatag.Key]*cohMSHR{},
+		numKeys:    numKeys,
+		issueQ:     make([]dirReq, 0, l1MaxOutstanding),
+	}
+	w := max(maxWaiters, 1)
+	waiters := make([]CohReq, l1MaxOutstanding*w)
+	for i := range l.mshrs.slots {
+		l.mshrs.slots[i].waiters = waiters[i*w : i*w : (i+1)*w]
 	}
 	k.Add(l)
 	return l
@@ -181,8 +183,12 @@ func (l *CohL1) Stats() CohL1Stats { return l.stats }
 
 // Idle reports whether no requests are queued or outstanding.
 func (l *CohL1) Idle() bool {
-	return l.ReqQ.Len() == 0 && len(l.mshrs) == 0 && len(l.pend) == 0
+	return l.ReqQ.Len() == 0 && l.mshrs.live() == 0 && len(l.pend) == 0
 }
+
+// CheckInvariants implements the check package's per-cycle self-audit:
+// it surfaces a latched out-of-range request, if any.
+func (l *CohL1) CheckInvariants(sim.Cycle) error { return l.err }
 
 // ActivityCount implements the watchdog's progress counter.
 func (l *CohL1) ActivityCount() uint64 {
@@ -212,22 +218,14 @@ func (l *CohL1) Tick(cy sim.Cycle) {
 	l.handleGrants(cy)
 	l.handleSnoops()
 
-	// Re-issue directory requests for MSHRs that could not push earlier
-	// (queue full) or were re-armed by an upgrade.
-	rest := l.issueQ[:0]
-	for _, key := range l.issueQ {
-		m, ok := l.mshrs[key]
-		if !ok || m.issued {
-			continue
-		}
-		if !l.dirQ.CanPush() {
-			rest = append(rest, key)
-			continue
-		}
-		l.dirQ.MustPush(dirReq{key: key, write: m.want == MesiM})
-		m.issued = true
+	// Issue directory requests for new misses and for misses an upgrade
+	// re-armed, in order, as far as dirQ has room.
+	n := 0
+	for n < len(l.issueQ) && l.dirQ.CanPush() {
+		l.dirQ.MustPush(l.issueQ[n])
+		n++
 	}
-	l.issueQ = rest
+	l.issueQ = l.issueQ[:copy(l.issueQ, l.issueQ[n:])]
 
 	l.admit(cy)
 }
@@ -287,19 +285,18 @@ func (l *CohL1) handleGrants(cy sim.Cycle) {
 		l.record(check.CohEvent{Cycle: cy, Port: l.Port,
 			Key: [2]uint64(g.key), Kind: check.CohEvGrant, State: g.state, Value: g.val})
 
-		m := l.mshrs[g.key]
-		if m == nil {
+		i := l.mshrs.find(g.key)
+		if i < 0 {
 			continue // grant for a dropped MSHR cannot happen; tolerate anyway
 		}
+		m := &l.mshrs.slots[i]
 		done := true
-		for i, w := range m.waiters {
+		for j, w := range m.waiters {
 			if w.Op.isStore() && e.State != MesiM {
 				// A store queued behind a read grant: keep the Shared copy
 				// and go back to the directory for ownership.
-				m.waiters = append([]CohReq(nil), m.waiters[i:]...)
-				m.want = MesiM
-				m.issued = false
-				l.issueQ = append(l.issueQ, g.key)
+				m.waiters = m.waiters[:copy(m.waiters, m.waiters[j:])]
+				l.issueQ = add(l.issueQ, dirReq{key: g.key, write: true}, "coherent L1 issue queue")
 				l.stats.Upgrades++
 				done = false
 				break
@@ -307,7 +304,7 @@ func (l *CohL1) handleGrants(cy sim.Cycle) {
 			l.serveNow(cy, e, w)
 		}
 		if done {
-			delete(l.mshrs, g.key)
+			m.live = false
 		}
 	}
 }
@@ -319,14 +316,23 @@ func (l *CohL1) admit(cy sim.Cycle) {
 		return
 	}
 	req := *head
-	if m, exists := l.mshrs[req.Key]; exists {
+	if req.Key[1] != 0 || req.Key[0] >= uint64(l.numKeys) {
+		// The request stays at the head: nothing walks past the array.
+		if l.err == nil {
+			l.err = fmt.Errorf("hier: port %d request %d: key {%d,%d} outside the %d-key element array",
+				l.Port, req.ID, req.Key[0], req.Key[1], l.numKeys)
+		}
+		return
+	}
+	if i := l.mshrs.find(req.Key); i >= 0 {
+		m := &l.mshrs.slots[i]
 		if len(m.waiters) >= l.maxWaiters {
 			return // backpressure: hold in the request queue
 		}
 		l.ReqQ.Drop()
 		l.count(req.Op)
 		// A store joining a read MSHR upgrades when its grant reaches it.
-		m.waiters = append(m.waiters, req)
+		m.waiters = add(m.waiters, req, "coherent L1 waiter list")
 		return
 	}
 	e := l.Tags.Probe(req.Key)
@@ -339,22 +345,18 @@ func (l *CohL1) admit(cy sim.Cycle) {
 		l.serveNow(cy, e, req)
 		return
 	}
-	if len(l.mshrs) >= l1MaxOutstanding {
+	if l.mshrs.live() == l1MaxOutstanding {
 		return
 	}
 	l.ReqQ.Drop()
 	l.count(req.Op)
-	want := int8(MesiS)
-	if req.Op.isStore() {
-		want = MesiM
-	}
 	if e != nil {
 		l.stats.Upgrades++ // store hit Shared: request ownership, keep the copy
 	} else {
 		l.stats.Misses++
 	}
-	l.mshrs[req.Key] = &cohMSHR{waiters: []CohReq{req}, want: want}
-	l.issueQ = append(l.issueQ, req.Key)
+	l.mshrs.open(req.Key, req)
+	l.issueQ = add(l.issueQ, dirReq{key: req.Key, write: req.Op.isStore()}, "coherent L1 issue queue")
 }
 
 func (l *CohL1) count(op CohOp) {

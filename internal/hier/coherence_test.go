@@ -2,9 +2,11 @@ package hier
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"xcache/internal/check"
+	"xcache/internal/metatag"
 )
 
 // cohRun builds a system, seeds keys 0..n-1 with seed(i), and runs the
@@ -243,4 +245,136 @@ func TestCohUncheckedKeepsNoEventLog(t *testing.T) {
 	if _, err := RunScripts(s, h, scripts, 200_000); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCohKeyRange: the element array holds NumKeys keys. RunScripts
+// refuses a script that names a key past it before the first cycle, and
+// a port refuses such a request pushed directly, latching an error that
+// CohSystem.Err returns, without walking past the array.
+func TestCohKeyRange(t *testing.T) {
+	const keys = 16
+	build := func(t *testing.T) *CohSystem {
+		s, err := NewCohSystem(CohConfig{NumKeys: keys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name string
+		op   ScriptOp
+		ok   bool
+	}{
+		{"last key", Merge(keys-1, 5), true},
+		{"NumKeys", Merge(keys, 5), false},
+		{"far load", Ld(1000), false},
+		{"2^40", Ld(1 << 40), false},
+	} {
+		t.Run("script/"+tc.name, func(t *testing.T) {
+			s := build(t)
+			_, err := RunScripts(s, nil, [][]ScriptOp{{Ld(0)}, {tc.op}}, 100_000)
+			if tc.ok != (err == nil) {
+				t.Fatalf("RunScripts error %v, want success %t", err, tc.ok)
+			}
+			if !tc.ok {
+				if want := "port 1 op 0"; !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not name %q", err, want)
+				}
+				if s.K.Cycle() != 0 || s.L2.Ctrl.Stats().Misses != 0 {
+					t.Fatalf("a refused script ran %d cycles and %d L2 walks", s.K.Cycle(), s.L2.Ctrl.Stats().Misses)
+				}
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		key  metatag.Key
+		ok   bool
+	}{
+		{"last key", metatag.Key{keys - 1, 0}, true},
+		{"NumKeys", metatag.Key{keys, 0}, false},
+		{"second word", metatag.Key{3, 1}, false},
+	} {
+		t.Run("port/"+tc.name, func(t *testing.T) {
+			s := build(t)
+			s.Ports[1].ReqQ.MustPush(CohReq{ID: 9, Op: OpLoad, Key: tc.key})
+			for i := 0; i < 1_000 && s.Err() == nil && s.Ports[1].RespQ.Len() == 0; i++ {
+				s.K.Step()
+			}
+			err := s.Err()
+			if tc.ok != (err == nil) {
+				t.Fatalf("port error %v, want success %t", err, tc.ok)
+			}
+			if !tc.ok {
+				if want := "port 1 request 9"; !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not name %q", err, want)
+				}
+				if st := s.L2.Ctrl.Stats(); st.Misses != 0 || s.Dir.Stats().Txns != 0 {
+					t.Fatalf("a refused request reached the directory (%d txns, %d L2 walks)", s.Dir.Stats().Txns, st.Misses)
+				}
+				if s.Ports[1].CheckInvariants(s.K.Cycle()) != err {
+					t.Fatal("the port's self-check does not report the latched error")
+				}
+			}
+		})
+	}
+}
+
+// TestCohOpenLoop: with four ops in flight per port, a port's second op
+// on a key can join the first one's miss, and a merge that joined a
+// read miss goes back to the directory for ownership once the read
+// grant arrives: paths the closed-loop scripts never take. The run stays
+// coherent under the checker, the snapshot agrees with its reference
+// after every cycle, and once the loop drains every key holds exactly
+// the merges issued on it.
+func TestCohOpenLoop(t *testing.T) {
+	stop := TrackSnapshots()
+	c := newCohLoop(t, 4)
+	ls := stop()
+	h := check.Attach(c.s.K, check.Default())
+	step := func() {
+		c.issue()
+		if err := h.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	storeBehindLoad := 0 // cycles with a live miss whose waiters are a load, then a merge
+	for i := 0; i < 20_000; i++ {
+		step()
+		for _, l1 := range c.s.Ports {
+			for j := range l1.mshrs.slots {
+				m := &l1.mshrs.slots[j]
+				if m.live && len(m.waiters) > 1 && !m.waiters[0].Op.isStore() && m.waiters[len(m.waiters)-1].Op.isStore() {
+					storeBehindLoad++
+				}
+			}
+		}
+	}
+	if storeBehindLoad == 0 {
+		t.Fatal("no merge ever waited behind a load miss")
+	}
+	c.depth = 0
+	for i := 0; c.inFlight != [4]int{} || !c.s.Idle(); i++ {
+		if i == 100_000 {
+			t.Fatal("the loop did not drain")
+		}
+		step()
+	}
+	load := make([]ScriptOp, cohLoopKeys)
+	for k := range load {
+		load[k] = Ld(uint64(k))
+	}
+	res, err := RunScripts(c.s, h, [][]ScriptOp{load}, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range res[0] {
+		if v != c.merges[k] {
+			t.Errorf("key %d reads %d after %d merges of 1", k, v, c.merges[k])
+		}
+	}
+	RequireLockstep(t, ls, 1)
 }

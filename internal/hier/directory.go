@@ -2,7 +2,6 @@ package hier
 
 import (
 	"fmt"
-	"sort"
 
 	"xcache/internal/check"
 	"xcache/internal/core"
@@ -40,15 +39,17 @@ type CohStats struct {
 	L1Evictions uint64
 }
 
-// Transaction phases.
+// Transaction phases; a line whose transaction is in phase 0 has none.
 const (
 	phSnoop uint8 = iota + 1 // waiting for snoop acks (and a recalled value)
 	phL2                     // waiting for the L2's MetaLoad answer
 	phGrant                  // waiting for room in the requester's grant queue
 )
 
+// dirTxn is a key's transaction. A key has at most one at a time
+// (intake and startBackInvals both wait while it is busy), so it lives
+// in the key's dirLine.
 type dirTxn struct {
-	key     metatag.Key
 	port    int
 	write   bool
 	isBI    bool // back-invalidation (inclusion recall), no grant
@@ -63,11 +64,13 @@ type dirTxn struct {
 type dirLine struct {
 	sharers   uint64 // bitmask of ports holding S
 	owner     int    // port holding M, or -1
-	busy      *dirTxn
+	txn       dirTxn
 	pendingBI bool
-	inL2      bool
 	l2Ops     int // outstanding writeback MetaStores for this key
 }
+
+// busy reports whether the key has a transaction in flight.
+func (ln *dirLine) busy() bool { return ln.txn.phase != 0 }
 
 func (ln *dirLine) copies() uint64 {
 	m := ln.sharers
@@ -77,18 +80,37 @@ func (ln *dirLine) copies() uint64 {
 	return m
 }
 
-func (ln *dirLine) idle() bool {
-	return ln.sharers == 0 && ln.owner < 0 && ln.busy == nil && !ln.pendingBI && ln.l2Ops == 0
-}
-
+// snoopRec is one outstanding snoop of the transaction on key.
 type snoopRec struct {
 	seq     uint64
-	port    int
-	key     metatag.Key
-	kind    uint8
-	txn     *dirTxn
 	sent    sim.Cycle
+	key     int
+	port    int
 	retries int
+	kind    uint8
+}
+
+// Keys travel between the L1s and the directory as metatag.Keys; the
+// directory indexes its tables by the first word. Every key in the
+// hierarchy entered through CohL1.admit, which refuses a second word and
+// any first word at or above the element array's key count.
+func keyIndex(k metatag.Key) int { return int(k[0]) }
+
+func keyOf(i int) metatag.Key { return metatag.Key{uint64(i), 0} }
+
+// dirWBBit marks the directory's L2 writebacks on ctrl.MetaReq IDs; the
+// low bits carry the key, for loads and writebacks alike (request-ID
+// layout: DESIGN.md §9).
+const dirWBBit = uint64(1) << 63
+
+// add appends v to a list whose capacity was fixed when the system was
+// built. Outgrowing it means the bound stated beside the list is wrong,
+// so it panics rather than grow.
+func add[T any](list []T, v T, name string) []T {
+	if len(list) == cap(list) {
+		panic("hier: " + name + " outgrew its capacity")
+	}
+	return append(list, v)
 }
 
 // Directory serializes coherence transactions: at most one in flight per
@@ -103,16 +125,21 @@ type Directory struct {
 	l2     *ctrl.Controller
 	bridge *memBridge
 
-	lines  map[metatag.Key]*dirLine
-	txns   []*dirTxn
-	biQ    []metatag.Key
+	// State tables, sized by newDirectory from the port count and the
+	// element array's key count (CohConfig.NumKeys).
+	lines  []dirLine  // one per key: NumKeys
+	txns   []int      // keys in transaction, in start order: one per key, so NumKeys
+	snoops []snoopRec // in send order: a transaction snoops each port at most once, so NumKeys × ports
+	biQ    []int      // keys awaiting a recall: pendingBI admits each once, so NumKeys
 	l2Out  []ctrl.MetaReq
-	l2ByID map[uint64]*dirTxn
-	wbIDs  map[uint64]metatag.Key
-	snoops []*snoopRec
+
+	// CohSnapshot's and CohEvents' buffers, reused by every call.
+	snapStates []int8 // NumKeys × ports L1 states
+	snapFlags  []uint8
+	snapLines  []check.CohLine // capacity NumKeys
+	events     []check.CohEvent
 
 	snoopSeq uint64
-	nextID   uint64
 	rng      uint64
 	faults   CohFaults
 	rr       int // intake round-robin cursor
@@ -120,18 +147,21 @@ type Directory struct {
 	stats    CohStats
 }
 
-func newDirectory(k *sim.Kernel, l2 *ctrl.Controller, bridge *memBridge, faults CohFaults,
-	snoopTimeout, maxRetries int) *Directory {
+func newDirectory(k *sim.Kernel, l2 *ctrl.Controller, bridge *memBridge, cfg CohConfig) *Directory {
 	d := &Directory{
-		SnoopTimeout: snoopTimeout,
-		MaxRetries:   maxRetries,
+		SnoopTimeout: cfg.SnoopTimeout,
+		MaxRetries:   cfg.MaxSnoopRetries,
 		l2:           l2,
 		bridge:       bridge,
-		lines:        map[metatag.Key]*dirLine{},
-		l2ByID:       map[uint64]*dirTxn{},
-		wbIDs:        map[uint64]metatag.Key{},
-		faults:       faults,
-		rng:          check.Mix64(faults.Seed ^ 0x8b4d_17f3_a02c_55e9),
+		lines:        make([]dirLine, cfg.NumKeys),
+		txns:         make([]int, 0, cfg.NumKeys),
+		snoops:       make([]snoopRec, 0, cfg.NumKeys*cfg.Ports),
+		biQ:          make([]int, 0, cfg.NumKeys),
+		faults:       cfg.Faults,
+		rng:          check.Mix64(cfg.Faults.Seed ^ 0x8b4d_17f3_a02c_55e9),
+	}
+	for i := range d.lines {
+		d.lines[i].owner = -1
 	}
 	k.Add(d)
 	return d
@@ -142,8 +172,15 @@ func (d *Directory) Stats() CohStats { return d.stats }
 
 // Idle reports whether no transaction, snoop, or L2 access is in flight.
 func (d *Directory) Idle() bool {
-	return len(d.txns) == 0 && len(d.biQ) == 0 && len(d.l2Out) == 0 &&
-		len(d.l2ByID) == 0 && len(d.wbIDs) == 0 && len(d.snoops) == 0
+	if len(d.txns) != 0 || len(d.biQ) != 0 || len(d.l2Out) != 0 || len(d.snoops) != 0 {
+		return false
+	}
+	for i := range d.lines {
+		if d.lines[i].l2Ops != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ActivityCount implements the watchdog's progress counter.
@@ -161,28 +198,14 @@ func (d *Directory) DiagnoseName() string { return "coh-directory" }
 
 // Diagnose implements check.Diagnoser.
 func (d *Directory) Diagnose() []string {
-	out := []string{fmt.Sprintf("%d lines tracked, %d txns, %d snoops outstanding, %d back-invals queued",
+	out := []string{fmt.Sprintf("%d keys, %d txns, %d snoops outstanding, %d back-invals queued",
 		len(d.lines), len(d.txns), len(d.snoops), len(d.biQ))}
-	for _, t := range d.txns {
+	for _, key := range d.txns {
+		t := &d.lines[key].txn
 		out = append(out, fmt.Sprintf("txn key=%d port=%d write=%v bi=%v phase=%d acks=%d needVal=%v haveVal=%v",
-			t.key[0], t.port, t.write, t.isBI, t.phase, t.pending, t.needVal, t.haveVal))
+			key, t.port, t.write, t.isBI, t.phase, t.pending, t.needVal, t.haveVal))
 	}
 	return out
-}
-
-func (d *Directory) line(key metatag.Key) *dirLine {
-	ln := d.lines[key]
-	if ln == nil {
-		ln = &dirLine{owner: -1}
-		d.lines[key] = ln
-	}
-	return ln
-}
-
-func (d *Directory) gc(key metatag.Key) {
-	if ln := d.lines[key]; ln != nil && ln.idle() && !ln.inL2 {
-		delete(d.lines, key)
-	}
 }
 
 // roll draws a deterministic uniform [0,1) for fault decisions.
@@ -215,23 +238,20 @@ func (d *Directory) drainL2Resps() {
 			return
 		}
 		resp.Data.Release() // the directory reads Value only
-		if key, isWB := d.wbIDs[resp.ID]; isWB {
-			delete(d.wbIDs, resp.ID)
-			if ln := d.lines[key]; ln != nil {
-				ln.l2Ops--
-				ln.inL2 = true // the MetaStore write-allocated the line
-				d.gc(key)
-			}
-			continue
-		}
-		t := d.l2ByID[resp.ID]
-		if t == nil {
+		key := resp.ID &^ dirWBBit
+		if key >= uint64(len(d.lines)) {
 			panic(fmt.Sprintf("hier: directory got L2 response for unknown id %d", resp.ID))
 		}
-		delete(d.l2ByID, resp.ID)
-		t.haveL2 = true
-		t.val = resp.Value
-		d.line(t.key).inL2 = true
+		ln := &d.lines[key]
+		if resp.ID&dirWBBit != 0 {
+			ln.l2Ops--
+			continue
+		}
+		if ln.txn.phase != phL2 || ln.txn.haveL2 {
+			panic(fmt.Sprintf("hier: directory got L2 response for key %d with no load outstanding", key))
+		}
+		ln.txn.haveL2 = true
+		ln.txn.val = resp.Value
 	}
 }
 
@@ -243,7 +263,8 @@ func (d *Directory) drainEvicts() {
 				break
 			}
 			d.stats.L1Evictions++
-			ln := d.line(ev.key)
+			key := keyIndex(ev.key)
+			ln := &d.lines[key]
 			ln.sharers &^= 1 << uint(p)
 			if ln.owner == p {
 				ln.owner = -1
@@ -253,14 +274,13 @@ func (d *Directory) drainEvicts() {
 				// transaction waiting on it (its snoop will find nothing)
 				// adopts it and performs the writeback itself; otherwise
 				// the directory writes it back into the L2 here.
-				if ln.busy != nil && ln.busy.needVal && !ln.busy.haveVal {
-					ln.busy.val = ev.val
-					ln.busy.haveVal = true
+				if ln.busy() && ln.txn.needVal && !ln.txn.haveVal {
+					ln.txn.val = ev.val
+					ln.txn.haveVal = true
 				} else {
-					d.writeback(ev.key, ev.val)
+					d.writeback(key, ev.val)
 				}
 			}
-			d.gc(ev.key)
 		}
 	}
 }
@@ -272,12 +292,13 @@ func (d *Directory) drainAcks() {
 			if !ok {
 				break
 			}
-			rec := d.takeSnoop(ack.seq)
-			if rec == nil {
+			rec, ok := d.takeSnoop(ack.seq)
+			if !ok {
 				continue // late duplicate from a retried snoop
 			}
-			rec.txn.pending--
-			ln := d.line(ack.key)
+			ln := &d.lines[rec.key]
+			t := &ln.txn
+			t.pending--
 			switch rec.kind {
 			case snoopInval:
 				ln.sharers &^= 1 << uint(p)
@@ -292,34 +313,35 @@ func (d *Directory) drainAcks() {
 					ln.sharers |= 1 << uint(p)
 				}
 			}
-			if ack.had && ack.wasM && !rec.txn.haveVal {
-				rec.txn.val = ack.val
-				rec.txn.haveVal = true
+			if ack.had && ack.wasM && !t.haveVal {
+				t.val = ack.val
+				t.haveVal = true
 			}
 		}
 	}
 }
 
 // takeSnoop removes and returns the outstanding record for seq.
-func (d *Directory) takeSnoop(seq uint64) *snoopRec {
+func (d *Directory) takeSnoop(seq uint64) (snoopRec, bool) {
 	for i, r := range d.snoops {
 		if r.seq == seq {
 			d.snoops = append(d.snoops[:i], d.snoops[i+1:]...)
-			return r
+			return r, true
 		}
 	}
-	return nil
+	return snoopRec{}, false
 }
 
 func (d *Directory) retrySnoops(cy sim.Cycle) {
-	for _, r := range d.snoops {
+	for i := range d.snoops {
+		r := &d.snoops[i]
 		if cy-r.sent < sim.Cycle(d.SnoopTimeout) {
 			continue
 		}
 		r.retries++
 		if r.retries > d.MaxRetries {
 			if d.err == nil {
-				d.err = &check.CoherenceViolation{Cycle: cy, Rule: "liveness", Key: [2]uint64(r.key),
+				d.err = &check.CoherenceViolation{Cycle: cy, Rule: "liveness", Key: [2]uint64(keyOf(r.key)),
 					Detail: fmt.Sprintf("snoop to port %d unacknowledged after %d retries", r.port, d.MaxRetries)}
 			}
 			continue
@@ -330,18 +352,18 @@ func (d *Directory) retrySnoops(cy sim.Cycle) {
 	}
 }
 
-// sendSnoop records and (fault permitting) delivers one snoop.
-func (d *Directory) sendSnoop(cy sim.Cycle, port int, key metatag.Key, kind uint8, t *dirTxn) {
+// sendSnoop records and (fault permitting) delivers one snoop for key's
+// transaction.
+func (d *Directory) sendSnoop(cy sim.Cycle, port, key int, kind uint8) {
 	d.snoopSeq++
-	r := &snoopRec{seq: d.snoopSeq, port: port, key: key, kind: kind, txn: t, sent: cy}
-	d.snoops = append(d.snoops, r)
-	t.pending++
+	d.snoops = add(d.snoops, snoopRec{seq: d.snoopSeq, port: port, key: key, kind: kind, sent: cy}, "directory snoop table")
+	d.lines[key].txn.pending++
 	if kind == snoopInval {
 		d.stats.Invals++
 	} else {
 		d.stats.Downgrades++
 	}
-	d.push(r)
+	d.push(&d.snoops[len(d.snoops)-1])
 }
 
 // push attempts delivery of a recorded snoop; an injected drop or a full
@@ -352,49 +374,44 @@ func (d *Directory) push(r *snoopRec) {
 		return
 	}
 	if q := d.ports[r.port].snoops; q.CanPush() {
-		q.MustPush(snoopMsg{key: r.key, kind: r.kind, seq: r.seq})
+		q.MustPush(snoopMsg{key: keyOf(r.key), kind: r.kind, seq: r.seq})
 	}
 }
 
 // writeback pushes a recalled Modified value into the L2 (write-allocate:
 // this also restores inclusion after an L2 eviction raced the recall).
-func (d *Directory) writeback(key metatag.Key, val uint64) {
-	d.nextID++
-	id := d.nextID
-	d.wbIDs[id] = key
-	d.line(key).l2Ops++
-	d.l2Out = append(d.l2Out, ctrl.MetaReq{ID: id, Op: ctrl.MetaStore, Key: key, Payload: val})
+func (d *Directory) writeback(key int, val uint64) {
+	d.lines[key].l2Ops++
+	d.l2Out = append(d.l2Out, ctrl.MetaReq{ID: dirWBBit | uint64(key), Op: ctrl.MetaStore, Key: keyOf(key), Payload: val})
 	d.stats.Writebacks++
 }
 
 func (d *Directory) advanceTxns() {
 	keep := d.txns[:0]
-	for _, t := range d.txns {
+	for _, key := range d.txns {
+		ln := &d.lines[key]
+		t := &ln.txn
 		if t.phase == phSnoop && t.pending == 0 && (!t.needVal || t.haveVal) {
 			if t.haveVal {
 				if t.isBI {
 					// The line left the L2; its newest value goes to the
 					// element's home address, not back into the cache.
-					d.bridge.flush(t.key, t.val)
+					d.bridge.flush(key, t.val)
 					d.stats.Flushes++
 				} else {
-					d.writeback(t.key, t.val)
+					d.writeback(key, t.val)
 				}
 			}
 			switch {
 			case t.isBI:
-				ln := d.line(t.key)
-				ln.busy = nil
+				t.phase = 0
 				ln.pendingBI = false
-				d.gc(t.key)
 				continue
 			case t.haveVal:
 				t.phase = phGrant
 			default:
 				t.phase = phL2
-				d.nextID++
-				d.l2ByID[d.nextID] = t
-				d.l2Out = append(d.l2Out, ctrl.MetaReq{ID: d.nextID, Op: ctrl.MetaLoad, Key: t.key})
+				d.l2Out = append(d.l2Out, ctrl.MetaReq{ID: uint64(key), Op: ctrl.MetaLoad, Key: keyOf(key)})
 			}
 		}
 		if t.phase == phL2 && t.haveL2 {
@@ -404,7 +421,6 @@ func (d *Directory) advanceTxns() {
 			l1 := d.ports[t.port]
 			if l1.grants.CanPush() {
 				state := int8(MesiS)
-				ln := d.line(t.key)
 				if t.write {
 					state = MesiM
 					ln.owner = t.port
@@ -412,9 +428,9 @@ func (d *Directory) advanceTxns() {
 				} else {
 					ln.sharers |= 1 << uint(t.port)
 				}
-				l1.grants.MustPush(dirGrant{key: t.key, state: state, val: t.val})
+				l1.grants.MustPush(dirGrant{key: keyOf(key), state: state, val: t.val})
 				d.stats.Grants++
-				ln.busy = nil
+				t.phase = 0
 				// A back-inval flagged while the transaction ran stays
 				// flagged: whether it is moot (the transaction's own L2
 				// access re-established the line) is decided by
@@ -423,7 +439,7 @@ func (d *Directory) advanceTxns() {
 				continue
 			}
 		}
-		keep = append(keep, t)
+		keep = append(keep, key)
 	}
 	d.txns = keep
 }
@@ -433,37 +449,34 @@ func (d *Directory) advanceTxns() {
 func (d *Directory) startBackInvals(cy sim.Cycle) {
 	rest := d.biQ[:0]
 	for _, key := range d.biQ {
-		ln := d.lines[key]
-		if ln == nil || !ln.pendingBI {
+		ln := &d.lines[key]
+		if !ln.pendingBI {
 			continue
 		}
 		// The L2's tag array is the ground truth for inclusion: a recall
 		// is moot once the line is back (a transaction's refill or an
 		// eviction writeback re-allocated it — transient entries count,
 		// their walker completes into a stable line).
-		if d.l2.Tags.Probe(key) != nil {
+		if d.l2.Tags.Probe(keyOf(key)) != nil {
 			ln.pendingBI = false
-			d.gc(key)
 			continue
 		}
 		// Wait out a busy transaction or an in-flight writeback for the
 		// key: either re-establishes the line, re-deciding the recall.
-		if ln.busy != nil || ln.l2Ops > 0 {
+		if ln.busy() || ln.l2Ops > 0 {
 			rest = append(rest, key)
 			continue
 		}
 		if ln.copies() == 0 {
 			ln.pendingBI = false
-			d.gc(key)
 			continue
 		}
-		t := &dirTxn{key: key, isBI: true, port: -1, phase: phSnoop, needVal: ln.owner >= 0}
-		ln.busy = t
-		d.txns = append(d.txns, t)
+		ln.txn = dirTxn{isBI: true, port: -1, phase: phSnoop, needVal: ln.owner >= 0}
+		d.txns = add(d.txns, key, "directory transaction list")
 		d.stats.BackInvals++
 		for p := 0; p < len(d.ports); p++ {
 			if ln.copies()&(1<<uint(p)) != 0 {
-				d.sendSnoop(cy, p, key, snoopInval, t)
+				d.sendSnoop(cy, p, key, snoopInval)
 			}
 		}
 	}
@@ -481,24 +494,25 @@ func (d *Directory) intake(cy sim.Cycle) {
 			continue
 		}
 		req := *head
-		ln := d.line(req.key)
-		if ln.busy != nil || ln.pendingBI {
+		key := keyIndex(req.key)
+		ln := &d.lines[key]
+		if ln.busy() || ln.pendingBI {
 			continue // head-of-line: per-key order is the protocol's backbone
 		}
 		d.ports[p].dirQ.Drop()
-		t := &dirTxn{key: req.key, port: p, write: req.write, phase: phSnoop}
-		ln.busy = t
-		d.txns = append(d.txns, t)
+		ln.txn = dirTxn{port: p, write: req.write, phase: phSnoop}
+		t := &ln.txn
+		d.txns = add(d.txns, key, "directory transaction list")
 		d.stats.Txns++
 		if req.write {
 			for q := 0; q < n; q++ {
 				if q != p && ln.copies()&(1<<uint(q)) != 0 {
-					d.sendSnoop(cy, q, req.key, snoopInval, t)
+					d.sendSnoop(cy, q, key, snoopInval)
 				}
 			}
 			t.needVal = ln.owner >= 0 && ln.owner != p
 		} else if ln.owner >= 0 && ln.owner != p {
-			d.sendSnoop(cy, ln.owner, req.key, snoopDown, t)
+			d.sendSnoop(cy, ln.owner, key, snoopDown)
 			t.needVal = true
 		}
 	}
@@ -507,66 +521,75 @@ func (d *Directory) intake(cy sim.Cycle) {
 
 // --- check.CoherenceSource ---
 
+// Snapshot flags, one byte per key; a key with none is left out.
+const (
+	snapL1      uint8 = 1 << iota // some L1 holds the key
+	snapL2                        // stable in the L2
+	snapPending                   // in flight: an L2 walk, a transaction, a recall or a writeback
+)
+
 // CohSnapshot implements check.CoherenceSource: the cross-hierarchy state
-// of every tracked line, in sorted-key order.
+// of every key some level holds, in key order. It walks the key table
+// into buffers the next call reuses.
 func (d *Directory) CohSnapshot() check.CohSnapshot {
-	acc := map[metatag.Key]*check.CohLine{}
-	get := func(key metatag.Key) *check.CohLine {
-		ln := acc[key]
-		if ln == nil {
-			ln = &check.CohLine{Key: [2]uint64(key), L1: make([]int8, len(d.ports))}
-			acc[key] = ln
-		}
-		return ln
+	np := len(d.ports)
+	if d.snapFlags == nil {
+		d.snapStates = make([]int8, len(d.lines)*np)
+		d.snapFlags = make([]uint8, len(d.lines))
+		d.snapLines = make([]check.CohLine, 0, len(d.lines))
 	}
+	clear(d.snapStates)
+	clear(d.snapFlags)
 	for p, l1 := range d.ports {
 		l1.Tags.ForEach(func(e *metatag.Entry) {
-			get(e.Key).L1[p] = int8(e.State)
+			k := keyIndex(e.Key)
+			d.snapStates[k*np+p] = int8(e.State)
+			d.snapFlags[k] |= snapL1
 		})
 	}
 	d.l2.Tags.ForEach(func(e *metatag.Entry) {
-		ln := get(e.Key)
 		if e.Walker != metatag.NoWalker {
-			ln.Pending = true // transient: a walker is filling it
+			d.snapFlags[keyIndex(e.Key)] |= snapPending // transient: a walker is filling it
 		} else {
-			ln.L2 = true
+			d.snapFlags[keyIndex(e.Key)] |= snapL2
 		}
 	})
 	// A busy transaction, queued back-inval, or outstanding writeback
 	// keeps the line logically pending: every in-flight message window
 	// (grant, snoop, ack, evict notice, queued L2 op) is covered by one of
 	// the three, because each is cleared only after its counterpart lands.
-	for key, dl := range d.lines {
-		if dl.busy != nil || dl.pendingBI || dl.l2Ops > 0 {
-			get(key).Pending = true
+	for k := range d.lines {
+		if ln := &d.lines[k]; ln.busy() || ln.pendingBI || ln.l2Ops > 0 {
+			d.snapFlags[k] |= snapPending
 		}
 	}
-	keys := make([]metatag.Key, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+	// A key's L1 states always sit at the same place in snapStates, so a
+	// line still in last call's slot for its key is updated in place.
+	lines := d.snapLines[:0]
+	for k, f := range d.snapFlags {
+		if f == 0 {
+			continue
 		}
-		return keys[i][1] < keys[j][1]
-	})
-	snap := check.CohSnapshot{Lines: make([]check.CohLine, 0, len(keys))}
-	for _, k := range keys {
-		snap.Lines = append(snap.Lines, *acc[k])
+		lines = lines[:len(lines)+1]
+		ln := &lines[len(lines)-1]
+		if ln.L1 == nil || ln.Key[0] != uint64(k) {
+			*ln = check.CohLine{Key: [2]uint64(keyOf(k)), L1: d.snapStates[k*np : (k+1)*np : (k+1)*np]}
+		}
+		ln.L2, ln.Pending = f&snapL2 != 0, f&snapPending != 0
 	}
-	return snap
+	d.snapLines = lines
+	return check.CohSnapshot{Lines: lines}
 }
 
 // CohEvents implements check.CoherenceSource: it drains every port's
-// value events in port order.
+// value events in port order, into a buffer the next call reuses.
 func (d *Directory) CohEvents() []check.CohEvent {
-	var out []check.CohEvent
+	d.events = d.events[:0]
 	for _, l1 := range d.ports {
-		out = append(out, l1.events...)
+		d.events = append(d.events, l1.events...)
 		l1.events = l1.events[:0]
 	}
-	return out
+	return d.events
 }
 
 // RecordCohEvents implements check.CoherenceSource: every port logs its
@@ -582,22 +605,15 @@ func (d *Directory) RecordCohEvents() {
 // Returning true takes ownership of the writeback (the controller skips
 // its spill path).
 func (d *Directory) onL2Evict(n ctrl.EvictNote) bool {
+	key := keyIndex(n.Key)
 	if n.Dirty && len(n.Words) > 0 {
-		d.bridge.flush(n.Key, n.Words[0])
+		d.bridge.flush(key, n.Words[0])
 		d.stats.Flushes++
 	}
-	ln := d.lines[n.Key]
-	if ln == nil {
-		return true
-	}
-	ln.inL2 = false
-	if ln.copies() != 0 || ln.busy != nil {
-		if !ln.pendingBI {
-			ln.pendingBI = true
-			d.biQ = append(d.biQ, n.Key)
-		}
-	} else {
-		d.gc(n.Key)
+	ln := &d.lines[key]
+	if (ln.copies() != 0 || ln.busy()) && !ln.pendingBI {
+		ln.pendingBI = true
+		d.biQ = add(d.biQ, key, "directory recall queue")
 	}
 	return true
 }
@@ -605,8 +621,8 @@ func (d *Directory) onL2Evict(n ctrl.EvictNote) bool {
 // --- memBridge: the L2's memory port, plus home-address flushes ---
 
 // flushIDBit tags bridge-originated DRAM writes; it sits below the L2
-// controller's writeback flag (63), above its walker ids (request-ID
-// layout: DESIGN.md §9).
+// controller's writeback flag (63), above its walker ids, and the low
+// bits carry the key (request-ID layout: DESIGN.md §9).
 const flushIDBit = uint64(1) << 61
 
 // memBridge sits between the L2 controller and the DRAM channel. It
@@ -619,31 +635,25 @@ type memBridge struct {
 	l2Req  *sim.Queue[dram.Request]
 	l2Resp *sim.Queue[dram.Response]
 
-	base    uint64
-	flushQ  []dram.Request
-	pending map[uint64]int // word address → outstanding flush writes
-	ids     map[uint64]uint64
-	seq     uint64
+	base     uint64
+	flushQ   []dram.Request
+	flushing []int // per key (NumKeys entries): flush writes not yet acknowledged
 }
 
 func newMemBridge(k *sim.Kernel, d *dram.DRAM, l2Req *sim.Queue[dram.Request],
-	l2Resp *sim.Queue[dram.Response]) *memBridge {
-	b := &memBridge{d: d, l2Req: l2Req, l2Resp: l2Resp,
-		pending: map[uint64]int{}, ids: map[uint64]uint64{}}
+	l2Resp *sim.Queue[dram.Response], numKeys int) *memBridge {
+	b := &memBridge{d: d, l2Req: l2Req, l2Resp: l2Resp, flushing: make([]int, numKeys)}
 	k.Add(b)
 	return b
 }
 
-// flush registers a home-address write for key's value. The address is
-// marked pending synchronously, before the write is even issued, so a
+// flush registers a home-address write for key's value. The key is
+// marked flushing synchronously, before the write is even issued, so a
 // fill racing the flush is held from this cycle on.
-func (b *memBridge) flush(key metatag.Key, val uint64) {
-	addr := b.base + key[0]*8
-	b.seq++
-	id := flushIDBit | b.seq
-	b.ids[id] = addr
-	b.pending[addr]++
-	b.flushQ = append(b.flushQ, dram.Request{ID: id, Addr: addr, Words: 1, Write: true, Data: payload.Of(val)})
+func (b *memBridge) flush(key int, val uint64) {
+	b.flushing[key]++
+	b.flushQ = append(b.flushQ, dram.Request{ID: flushIDBit | uint64(key), Addr: b.base + uint64(key)*8,
+		Words: 1, Write: true, Data: payload.Of(val)})
 }
 
 // Tick implements sim.Component.
@@ -653,13 +663,10 @@ func (b *memBridge) Tick(sim.Cycle) {
 		if resp == nil {
 			break
 		}
-		if addr, mine := b.ids[resp.ID]; mine {
+		if resp.ID&flushIDBit != 0 {
 			resp.Data.Release() // a flush's write acknowledgement
-			delete(b.ids, resp.ID)
+			b.flushing[resp.ID&^flushIDBit]--
 			b.d.Resp.Drop()
-			if b.pending[addr]--; b.pending[addr] == 0 {
-				delete(b.pending, addr)
-			}
 			continue
 		}
 		if !b.l2Resp.CanPush() {
@@ -687,12 +694,13 @@ func (b *memBridge) Tick(sim.Cycle) {
 	}
 }
 
+// overlaps reports whether a fill reads a key with a flush in flight.
+// The L2's walker (cohArraySpec) reads only element words, so a fill's
+// words index the key table.
 func (b *memBridge) overlaps(req *dram.Request) bool {
-	if len(b.pending) == 0 && len(b.flushQ) == 0 {
-		return false
-	}
+	first := int((req.Addr - b.base) / 8)
 	for w := 0; w < req.Words; w++ {
-		if b.pending[req.Addr+uint64(w)*8] > 0 {
+		if b.flushing[first+w] > 0 {
 			return true
 		}
 	}
@@ -818,11 +826,11 @@ func NewCohSystem(cfg CohConfig) (*CohSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	bridge := newMemBridge(k, d, l2Req, l2Resp)
-	dir := newDirectory(k, l2.Ctrl, bridge, cfg.Faults, cfg.SnoopTimeout, cfg.MaxSnoopRetries)
+	bridge := newMemBridge(k, d, l2Req, l2Resp, cfg.NumKeys)
+	dir := newDirectory(k, l2.Ctrl, bridge, cfg)
 	s := &CohSystem{K: k, Img: img, DRAM: d, L2: l2, Dir: dir, Meter: meter, Cfg: cfg}
 	for p := 0; p < cfg.Ports; p++ {
-		l1 := newCohL1(k, p, cfg.L1, cfg.MaxWaiters, meter)
+		l1 := newCohL1(k, p, cfg.L1, cfg.MaxWaiters, cfg.NumKeys, meter)
 		s.Ports = append(s.Ports, l1)
 		dir.ports = append(dir.ports, l1)
 	}
@@ -830,8 +838,16 @@ func NewCohSystem(cfg CohConfig) (*CohSystem, error) {
 	bridge.base = s.Base
 	l2.SetEnv(0, s.Base)
 	l2.Ctrl.SetEvictHook(dir.onL2Evict)
+	if testHookNewCohSystem != nil {
+		testHookNewCohSystem(s)
+	}
 	return s, nil
 }
+
+// testHookNewCohSystem, when non-nil, is called with every system
+// NewCohSystem builds. The package's tests set it to compare the
+// directory's snapshot with a reference after every cycle.
+var testHookNewCohSystem func(*CohSystem)
 
 // Seed writes element i's initial value into the backing image.
 func (s *CohSystem) Seed(i int, v uint64) {
@@ -851,5 +867,16 @@ func (s *CohSystem) Idle() bool {
 	return true
 }
 
-// Err surfaces the directory's latched protocol violation, if any.
-func (s *CohSystem) Err() error { return s.Dir.err }
+// Err surfaces the directory's latched protocol violation or a port's
+// latched out-of-range request, if any.
+func (s *CohSystem) Err() error {
+	if s.Dir.err != nil {
+		return s.Dir.err
+	}
+	for _, p := range s.Ports {
+		if p.err != nil {
+			return p.err
+		}
+	}
+	return nil
+}

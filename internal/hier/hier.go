@@ -42,6 +42,54 @@ const (
 	l1MaxOutstanding = 8  // misses in flight downstream
 )
 
+// mshrTable is an L1's misses in flight: l1MaxOutstanding entries, each
+// holding one missing key and the requests waiting on it. Both L1 kinds
+// refuse a new miss while the table is full, so open never finds it
+// full. An entry's waiter slice is kept across its lives, so a warm
+// table allocates nothing.
+type mshrTable[W any] struct {
+	slots [l1MaxOutstanding]mshrSlot[W]
+}
+
+type mshrSlot[W any] struct {
+	key     metatag.Key
+	live    bool
+	waiters []W
+}
+
+// find returns the slot of key's live entry, or -1.
+func (t *mshrTable[W]) find(key metatag.Key) int {
+	for i := range t.slots {
+		if s := &t.slots[i]; s.live && s.key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// open claims the first free slot for key, with w as its first waiter.
+func (t *mshrTable[W]) open(key metatag.Key, w W) int {
+	for i := range t.slots {
+		if s := &t.slots[i]; !s.live {
+			s.key, s.live = key, true
+			s.waiters = append(s.waiters[:0], w)
+			return i
+		}
+	}
+	panic("hier: L1 MSHR table full")
+}
+
+// live counts the entries in use.
+func (t *mshrTable[W]) live() int {
+	n := 0
+	for i := range t.slots {
+		if t.slots[i].live {
+			n++
+		}
+	}
+	return n
+}
+
 // ConfigError is the typed error an invalid hierarchy configuration
 // builds to. It names the offending field so callers can surface the
 // exact knob instead of a latent zero-capacity cache.
@@ -103,10 +151,6 @@ func (s L1Stats) AvgLoadToUse() float64 {
 	return float64(s.L2USum) / float64(s.L2UCount)
 }
 
-type l1mshr struct {
-	waiters []ctrl.MetaReq
-}
-
 type l1pending struct {
 	readyAt sim.Cycle
 	resp    ctrl.MetaResp
@@ -127,13 +171,11 @@ type MetaL1 struct {
 	l2Req  *sim.Queue[ctrl.MetaReq]
 	l2Resp *sim.Queue[ctrl.MetaResp]
 
-	mshrs  map[metatag.Key]*l1mshr
-	ids    map[uint64]metatag.Key // forwarded id → key
-	nextID uint64
-	pend   []l1pending
-	stats  L1Stats
-	Meter  *energy.Counters
-	pool   payload.Pool // lends response payloads longer than payload.Inline
+	mshrs mshrTable[ctrl.MetaReq] // waiters unbounded: a miss merges every load of its key
+	pend  []l1pending
+	stats L1Stats
+	Meter *energy.Counters
+	pool  payload.Pool // lends response payloads longer than payload.Inline
 }
 
 // NewMetaL1 builds the upstream level over the downstream controller's
@@ -152,8 +194,6 @@ func NewMetaL1(k *sim.Kernel, cfg L1Config, l2 *ctrl.Controller, meter *energy.C
 		RespQ:  sim.NewQueue[ctrl.MetaResp](k, "l1.resp", 64),
 		l2Req:  l2.ReqQ,
 		l2Resp: l2.RespQ,
-		mshrs:  map[metatag.Key]*l1mshr{},
-		ids:    map[uint64]metatag.Key{},
 		Meter:  meter,
 	}
 	k.Add(l)
@@ -165,11 +205,11 @@ func (l *MetaL1) Stats() L1Stats { return l.stats }
 
 // Idle reports whether no requests are queued or outstanding.
 func (l *MetaL1) Idle() bool {
-	return l.ReqQ.Len() == 0 && len(l.mshrs) == 0 && len(l.pend) == 0
+	return l.ReqQ.Len() == 0 && l.mshrs.live() == 0 && len(l.pend) == 0
 }
 
-// l1IDBit marks the ctrl.MetaReq IDs a MetaL1 forwards downstream
-// (request-ID layout: DESIGN.md §9).
+// l1IDBit marks the ctrl.MetaReq IDs a MetaL1 forwards downstream; the
+// low bits carry the miss's MSHR slot (request-ID layout: DESIGN.md §9).
 const l1IDBit = uint64(1) << 62
 
 // Tick implements sim.Component.
@@ -194,15 +234,14 @@ func (l *MetaL1) Tick(cy sim.Cycle) {
 		if resp == nil {
 			break
 		}
-		key, mine := l.ids[resp.ID]
-		if !mine {
+		slot := resp.ID &^ l1IDBit
+		if resp.ID&l1IDBit == 0 || slot >= l1MaxOutstanding || !l.mshrs.slots[slot].live {
 			break // not ours (shouldn't happen when L1 owns the L2 port)
 		}
-		delete(l.ids, resp.ID)
-		m := l.mshrs[key]
-		delete(l.mshrs, key)
+		m := &l.mshrs.slots[slot]
+		m.live = false
 		if resp.Status == program.StatusOK && resp.Data.Len() > 0 {
-			l.install(key, resp.Data.Slice())
+			l.install(m.key, resp.Data.Slice())
 		}
 		// Each waiter's response gets its own copy of the payload: the
 		// datapath releases each one.
@@ -249,21 +288,18 @@ func (l *MetaL1) Tick(cy sim.Cycle) {
 		return
 	}
 	l.stats.Misses++
-	if m, exists := l.mshrs[req.Key]; exists {
+	if i := l.mshrs.find(req.Key); i >= 0 {
 		l.ReqQ.Drop()
+		m := &l.mshrs.slots[i]
 		m.waiters = append(m.waiters, req)
 		return
 	}
-	if len(l.mshrs) >= l1MaxOutstanding || !l.l2Req.CanPush() {
+	if l.mshrs.live() == l1MaxOutstanding || !l.l2Req.CanPush() {
 		return
 	}
 	l.ReqQ.Drop()
-	l.nextID++
-	id := l1IDBit | l.nextID
-	l.ids[id] = req.Key
-	l.mshrs[req.Key] = &l1mshr{waiters: []ctrl.MetaReq{req}}
 	fwd := req
-	fwd.ID = id
+	fwd.ID = l1IDBit | uint64(l.mshrs.open(req.Key, req))
 	fwd.Issued = cy
 	l.l2Req.MustPush(fwd)
 	l.stats.Forwards++

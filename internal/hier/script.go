@@ -39,13 +39,22 @@ type scriptPort struct {
 // RunScripts drives one script per port to completion (plus a quiesce
 // tail), under the harness's supervision when h is non-nil. It returns
 // each port's response values in script order; a poll records only its
-// final, matching value. Any latched coherence violation, invariant
-// failure, or L2 trap aborts with an error. Under a harness, a watchdog
+// final, matching value. A key outside the element array fails before
+// the first cycle. Any latched coherence violation, invariant failure,
+// or L2 trap aborts with an error. Under a harness, a watchdog
 // stall, a queue overflow and a blown cycle budget abort with a
 // *check.Failure of kind FailStall, FailOverflow and FailBudget.
 func RunScripts(s *CohSystem, h *check.Harness, scripts [][]ScriptOp, maxCycles int) ([][]uint64, error) {
 	if len(scripts) > len(s.Ports) {
 		return nil, fmt.Errorf("hier: %d scripts for %d ports", len(scripts), len(s.Ports))
+	}
+	for pi, ops := range scripts {
+		for i, op := range ops {
+			if op.Key >= uint64(s.Cfg.NumKeys) {
+				return nil, fmt.Errorf("hier: port %d op %d: key %d outside the %d-key element array",
+					pi, i, op.Key, s.Cfg.NumKeys)
+			}
+		}
 	}
 	ports := make([]*scriptPort, len(scripts))
 	for i, ops := range scripts {
