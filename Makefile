@@ -94,10 +94,11 @@ fuzz:
 # outcomes (store buffering, message passing, load buffering, write
 # serialization, upgrade, inclusion), the MESI-lite unit tests (sharing,
 # invalidation, eviction writeback, merge serialization, fault retry and
-# the liveness trap), the directory snapshot against its map-and-sort
-# reference after every cycle (litmus, fuzz corpus, supervised aborts,
-# coh-share cells), the allocation gates (warm coherent cycles, checked
-# and unchecked, and a MetaL1 miss), and the coh-share figure's golden +
+# the liveness trap), the directory's coherence self-check against the
+# map-and-sort reference checker after every cycle (litmus, fuzz corpus,
+# supervised aborts, open loop, coh-share cells) and on one corruption
+# per rule, the allocation gates (warm coherent cycles, checked and
+# unchecked, and a MetaL1 miss), and the coh-share figure's golden +
 # shape checks.
 litmus:
 	$(GO) test -race -count=1 -run 'TestLitmus|TestCoh|TestMetaL1MissAllocatesNothing' ./internal/hier

@@ -1,8 +1,10 @@
 // Package check is the simulation hardening-and-verification layer: a
 // deadlock/livelock watchdog that turns silent budget exhaustion into a
 // structured StallReport, invariant checkers that validate the kernel's
-// microarchitectural discipline every cycle, and a deterministic, seeded
-// fault injector (dropped/delayed DRAM responses, transiently-full
+// microarchitectural discipline every cycle (queue rules, and each
+// component's own self-check: controller bounds, DRAM timing, the
+// coherent hierarchy's protocol), and a deterministic, seeded fault
+// injector (dropped/delayed DRAM responses, transiently-full
 // queues, meta-tag bit flips) that exercises the controller's recovery
 // paths.
 //
@@ -40,9 +42,9 @@ type Config struct {
 	// and aborted with a StallReport. 0 disables the watchdog.
 	Watchdog int
 	// Invariants enables the per-cycle checkers: queue conservation
-	// (pushes − pops == occupancy), DRAM timing-protocol assertions, and
+	// (pushes − pops == occupancy), DRAM timing-protocol assertions,
 	// controller bounds (≤ #Exe wakes and actions per cycle, MSHR ledger
-	// consistency).
+	// consistency), and a coherent hierarchy's protocol rules.
 	Invariants bool
 	// Faults configures deterministic fault injection; the zero value
 	// injects nothing.
@@ -92,9 +94,16 @@ func (f FaultConfig) Any() bool {
 const defaultFillTimeout = 1024
 
 // selfChecker is implemented by components that can audit their own
-// invariants after a step (ctrl.Controller, dram.DRAM).
+// invariants after a step (ctrl.Controller, dram.DRAM, hier.Directory).
 type selfChecker interface {
 	CheckInvariants(c sim.Cycle) error
+}
+
+// protocolChecker is a component whose self-check of its own protocol
+// is off until Attach enables it: DRAM timing (dram.DRAM) and coherence
+// (hier.Directory).
+type protocolChecker interface {
+	EnableProtocolCheck()
 }
 
 // activitySource is a component exposing a monotonic progress counter.
@@ -138,7 +147,7 @@ func Attach(k *sim.Kernel, cfg *Config) *Harness {
 
 	var ctrls []*ctrl.Controller
 	var drams []*dram.DRAM
-	var cohs []CoherenceSource
+	var protos []protocolChecker
 	for _, c := range k.Components() {
 		switch v := c.(type) {
 		case *ctrl.Controller:
@@ -146,8 +155,8 @@ func Attach(k *sim.Kernel, cfg *Config) *Harness {
 		case *dram.DRAM:
 			drams = append(drams, v)
 		}
-		if s, ok := c.(CoherenceSource); ok {
-			cohs = append(cohs, s)
+		if p, ok := c.(protocolChecker); ok {
+			protos = append(protos, p)
 		}
 		if d, ok := c.(Diagnoser); ok {
 			h.diags = append(h.diags, d)
@@ -160,14 +169,10 @@ func Attach(k *sim.Kernel, cfg *Config) *Harness {
 		k.Observe(h.wd)
 	}
 	if cfg.Invariants {
-		for _, d := range drams {
-			d.EnableProtocolCheck()
+		for _, p := range protos {
+			p.EnableProtocolCheck()
 		}
 		h.inv = newInvariants(k)
-		for _, s := range cohs {
-			s.RecordCohEvents()
-			h.inv.checkers = append(h.inv.checkers, newCohChecker(s))
-		}
 		k.Observe(h.inv)
 	}
 	if cfg.Faults.Any() {

@@ -9,7 +9,8 @@ import (
 // invariants audits the kernel after every step: per-queue conservation
 // (pushes − pops == occupancy, nothing staged after commit, occupancy ≤
 // capacity) plus each component's own CheckInvariants (controller wake
-// and action budgets, MSHR ledger, DRAM timing protocol). The first
+// and action budgets, MSHR ledger, DRAM timing protocol, the coherent
+// hierarchy's protocol). The first
 // violation is latched; the supervised Run aborts on it with a
 // StallReport so the failing cycle's full machine state is preserved.
 //

@@ -1,7 +1,6 @@
 package check
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -126,7 +125,6 @@ type Lockstep struct {
 	inv    *refInvariants
 	wd     *refWatchdog
 	queues []sim.QueueInfo
-	coh    bool // the harness latched a coherence violation; the references run no coherence checker
 
 	// Diverged is the first disagreement, "" while the two agree.
 	Diverged string
@@ -166,13 +164,7 @@ func (l *Lockstep) AfterStep(c sim.Cycle) {
 		return
 	}
 	if inv := l.h.inv; inv != nil {
-		got, want := errText(inv.err), errText(l.inv.err)
-		var cv *CoherenceViolation
-		switch {
-		case l.coh:
-		case want == "" && errors.As(inv.err, &cv):
-			l.coh = true
-		case got != want:
+		if got, want := errText(inv.err), errText(l.inv.err); got != want {
 			l.Diverged = fmt.Sprintf("cycle %d: invariant error: harness %q, reference %q", c, got, want)
 			return
 		}

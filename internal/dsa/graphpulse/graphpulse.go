@@ -181,7 +181,6 @@ type engine struct {
 	nextID   uint64
 	lastPush sim.Cycle // last cycle an event was pushed (staged commits next cycle)
 	ss       int
-	events   uint64
 	done     bool
 	seeded   bool
 	seedPos  int
@@ -281,7 +280,6 @@ func (e *engine) Tick(cy sim.Cycle) {
 		if e.mode == modePageRank {
 			e.rank[w] += share
 		}
-		e.events++
 		b.emit++
 		emitted++
 	}

@@ -121,8 +121,8 @@ func TestCohWarmCycleAllocatesNothing(t *testing.T) {
 }
 
 // TestCohCheckedCycleAllocatesNothing: the same under check.Default(),
-// so every cycle also takes the directory's snapshot and drains its
-// value events into the coherence checker.
+// so every cycle also feeds the directory's value oracle and runs its
+// audit of the tag arrays.
 func TestCohCheckedCycleAllocatesNothing(t *testing.T) {
 	c := newCohLoop(t, 1)
 	h := check.Attach(c.s.K, check.Default())

@@ -18,14 +18,15 @@
 //     past the retry budget, latch a typed liveness violation — the
 //     protocol traps rather than silently diverging.
 //
-// The Directory implements check.CoherenceSource, so check.Attach audits
-// single-writer, inclusion, and no-stale-fill invariants every cycle.
+// The hierarchy checks its own protocol: once check.Attach enables it
+// (Directory.EnableProtocolCheck), the Directory's CheckInvariants
+// audits the single-writer, inclusion, and no-stale-fill rules every
+// cycle.
 package hier
 
 import (
 	"fmt"
 
-	"xcache/internal/check"
 	"xcache/internal/dataram"
 	"xcache/internal/energy"
 	"xcache/internal/metatag"
@@ -139,40 +140,36 @@ type CohL1 struct {
 	acks   *sim.Queue[snoopAck]
 	evicts *sim.Queue[evictMsg]
 
-	maxWaiters int
-	numKeys    int               // keys at or above it lie outside the element array
-	mshrs      mshrTable[CohReq] // each entry's waiters: maxWaiters, the bound admit keeps
-	issueQ     []dirReq          // requests waiting for room in dirQ, in arming order: one per unissued miss, so l1MaxOutstanding
-	pend       []cohPending
-	events     []check.CohEvent // value events, kept only while recording
-	recording  bool
-	err        error // a request outside the element array, latched
-	stats      CohL1Stats
+	numKeys int               // keys at or above it lie outside the element array
+	mshrs   mshrTable[CohReq] // each entry's waiters: l1MaxWaiters, the bound admit keeps
+	issueQ  []dirReq          // requests waiting for room in dirQ, in arming order: one per unissued miss, so l1MaxOutstanding
+	pend    []cohPending
+	coh     *cohCheck // the directory's value oracle, nil unless its protocol check is on
+	err     error     // a request outside the element array, latched
+	stats   CohL1Stats
 }
 
-func newCohL1(k *sim.Kernel, port int, cfg L1Config, maxWaiters, numKeys int, meter *energy.Counters) *CohL1 {
+func newCohL1(k *sim.Kernel, port int, cfg L1Config, numKeys int, meter *energy.Counters) *CohL1 {
 	cfg.defaults()
 	name := fmt.Sprintf("coh%d", port)
 	l := &CohL1{
-		Port:       port,
-		Cfg:        cfg,
-		Tags:       metatag.New(metatag.Config{Sets: cfg.Sets, Ways: cfg.Ways}, meter),
-		Data:       dataram.New(dataram.Config{Sectors: cfg.sectors(), WordsPerSector: 1}, meter),
-		ReqQ:       sim.NewQueue[CohReq](k, name+".req", l1ReqDepth),
-		RespQ:      sim.NewQueue[CohResp](k, name+".resp", 64),
-		dirQ:       sim.NewQueue[dirReq](k, name+".dir", 16),
-		grants:     sim.NewQueue[dirGrant](k, name+".grant", 16),
-		snoops:     sim.NewQueue[snoopMsg](k, name+".snoop", 16),
-		acks:       sim.NewQueue[snoopAck](k, name+".ack", 16),
-		evicts:     sim.NewQueue[evictMsg](k, name+".evict", 16),
-		maxWaiters: maxWaiters,
-		numKeys:    numKeys,
-		issueQ:     make([]dirReq, 0, l1MaxOutstanding),
+		Port:    port,
+		Cfg:     cfg,
+		Tags:    metatag.New(metatag.Config{Sets: cfg.Sets, Ways: cfg.Ways}, meter),
+		Data:    dataram.New(dataram.Config{Sectors: cfg.sectors(), WordsPerSector: 1}, meter),
+		ReqQ:    sim.NewQueue[CohReq](k, name+".req", l1ReqDepth),
+		RespQ:   sim.NewQueue[CohResp](k, name+".resp", 64),
+		dirQ:    sim.NewQueue[dirReq](k, name+".dir", 16),
+		grants:  sim.NewQueue[dirGrant](k, name+".grant", 16),
+		snoops:  sim.NewQueue[snoopMsg](k, name+".snoop", 16),
+		acks:    sim.NewQueue[snoopAck](k, name+".ack", 16),
+		evicts:  sim.NewQueue[evictMsg](k, name+".evict", 16),
+		numKeys: numKeys,
+		issueQ:  make([]dirReq, 0, l1MaxOutstanding),
 	}
-	w := max(maxWaiters, 1)
-	waiters := make([]CohReq, l1MaxOutstanding*w)
+	waiters := make([]CohReq, l1MaxOutstanding*l1MaxWaiters)
 	for i := range l.mshrs.slots {
-		l.mshrs.slots[i].waiters = waiters[i*w : i*w : (i+1)*w]
+		l.mshrs.slots[i].waiters = waiters[i*l1MaxWaiters : i*l1MaxWaiters : (i+1)*l1MaxWaiters]
 	}
 	k.Add(l)
 	return l
@@ -282,8 +279,9 @@ func (l *CohL1) handleGrants(cy sim.Cycle) {
 			e.State = int(g.state)
 		}
 		e.Dirty = g.state == MesiM
-		l.record(check.CohEvent{Cycle: cy, Port: l.Port,
-			Key: [2]uint64(g.key), Kind: check.CohEvGrant, State: g.state, Value: g.val})
+		if l.coh != nil {
+			l.coh.observe(cy, l.Port, g.key, valGrant, g.val)
+		}
 
 		i := l.mshrs.find(g.key)
 		if i < 0 {
@@ -326,7 +324,7 @@ func (l *CohL1) admit(cy sim.Cycle) {
 	}
 	if i := l.mshrs.find(req.Key); i >= 0 {
 		m := &l.mshrs.slots[i]
-		if len(m.waiters) >= l.maxWaiters {
+		if len(m.waiters) >= l1MaxWaiters {
 			return // backpressure: hold in the request queue
 		}
 		l.ReqQ.Drop()
@@ -385,22 +383,14 @@ func (l *CohL1) serveNow(cy sim.Cycle, e *metatag.Entry, req CohReq) {
 		}
 		l.Data.Write(w, v)
 		e.Dirty = true
-		l.record(check.CohEvent{Cycle: cy, Port: l.Port,
-			Key: [2]uint64(req.Key), Kind: check.CohEvApply, State: MesiM, Value: v})
-	} else {
-		l.record(check.CohEvent{Cycle: cy, Port: l.Port,
-			Key: [2]uint64(req.Key), Kind: check.CohEvHit, State: int8(e.State), Value: v})
+		if l.coh != nil {
+			l.coh.observe(cy, l.Port, req.Key, valStore, v)
+		}
+	} else if l.coh != nil {
+		l.coh.observe(cy, l.Port, req.Key, valHit, v)
 	}
 	l.pend = append(l.pend, cohPending{readyAt: cy + sim.Cycle(l.Cfg.HitLatency),
 		resp: CohResp{ID: req.ID, Value: v}})
-}
-
-// record logs a value event for the coherence checker, if one is
-// attached.
-func (l *CohL1) record(ev check.CohEvent) {
-	if l.recording {
-		l.events = append(l.events, ev)
-	}
 }
 
 // install allocates a granted line, notifying the directory of the victim

@@ -109,7 +109,7 @@ func TestCohMergeSerialization(t *testing.T) {
 // TestCohFaultRetry: with half the snoops dropped, the timeout+resend
 // path recovers and the run still produces coherent values.
 func TestCohFaultRetry(t *testing.T) {
-	cfg := CohConfig{SnoopTimeout: 16, Faults: CohFaults{DropSnoop: 0.5, Seed: 7}}
+	cfg := CohConfig{Faults: CohFaults{DropSnoop: 0.5, Seed: 7}}
 	s, res := cohRun(t, cfg, func(int) uint64 { return 5 }, [][]ScriptOp{
 		{Ld(0), Poll(0, 60)},
 		{Ld(0), St(0, 60)},
@@ -131,11 +131,7 @@ func TestCohFaultRetry(t *testing.T) {
 // traps instead of silently diverging. The supervised runner classifies
 // it as FailCoherence.
 func TestCohFaultLiveness(t *testing.T) {
-	s, err := NewCohSystem(CohConfig{
-		SnoopTimeout:    8,
-		MaxSnoopRetries: 3,
-		Faults:          CohFaults{DropSnoop: 1.0, Seed: 1},
-	})
+	s, err := NewCohSystem(CohConfig{Faults: CohFaults{DropSnoop: 1.0, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,17 +180,16 @@ func TestCohSupervisedAbort(t *testing.T) {
 	}
 }
 
-// TestCohSnapshotShape: the snapshot is sorted, sized to the port count,
-// and reflects resident states.
+// TestCohSnapshotShape: the reference checker's snapshot is sorted,
+// sized to the port count, and reflects resident states.
 func TestCohSnapshotShape(t *testing.T) {
 	s, _ := cohRun(t, CohConfig{}, func(int) uint64 { return 1 }, [][]ScriptOp{
 		{Ld(3), St(6, 2)},
 		{Ld(3)},
 	})
-	snap := s.Dir.CohSnapshot()
 	var sawShared, sawMod bool
 	last := uint64(0)
-	for i, ln := range snap.Lines {
+	for i, ln := range refCohSnapshot(s.Dir) {
 		if i > 0 && ln.Key[0] < last {
 			t.Fatal("snapshot lines not sorted by key")
 		}
@@ -202,10 +197,10 @@ func TestCohSnapshotShape(t *testing.T) {
 		if len(ln.L1) != 2 {
 			t.Fatalf("line has %d port states, want 2", len(ln.L1))
 		}
-		if ln.Key[0] == 3 && ln.L1[0] == check.CohShared && ln.L1[1] == check.CohShared {
+		if ln.Key[0] == 3 && ln.L1[0] == MesiS && ln.L1[1] == MesiS {
 			sawShared = true
 		}
-		if ln.Key[0] == 6 && ln.L1[0] == check.CohMod {
+		if ln.Key[0] == 6 && ln.L1[0] == MesiM {
 			sawMod = true
 		}
 	}
@@ -214,10 +209,11 @@ func TestCohSnapshotShape(t *testing.T) {
 	}
 }
 
-// TestCohUncheckedKeepsNoEventLog: without an attached checker nothing
-// drains the value-event log, so the L1s must not keep one. With a
-// checker attached every port records.
-func TestCohUncheckedKeepsNoEventLog(t *testing.T) {
+// TestCohUncheckedKeepsNoProtocolCheck: an unchecked run allocates no
+// audit state and hands no oracle to the ports. check.Attach with
+// invariants turns the audit on, sized to the key count, and every port
+// feeds the directory's oracle.
+func TestCohUncheckedKeepsNoProtocolCheck(t *testing.T) {
 	scripts := [][]ScriptOp{{Ld(0), St(0, 5), Merge(1, 3)}, {Ld(1), Ld(0), Merge(0, 2)}}
 	s, err := NewCohSystem(CohConfig{})
 	if err != nil {
@@ -226,9 +222,12 @@ func TestCohUncheckedKeepsNoEventLog(t *testing.T) {
 	if _, err := RunScripts(s, nil, scripts, 200_000); err != nil {
 		t.Fatal(err)
 	}
+	if s.Dir.coh != nil {
+		t.Fatal("unchecked run: the directory holds audit state")
+	}
 	for p, l1 := range s.Ports {
-		if len(l1.events) != 0 || cap(l1.events) != 0 {
-			t.Fatalf("unchecked run: port %d logged %d events (capacity %d)", p, len(l1.events), cap(l1.events))
+		if l1.coh != nil {
+			t.Fatalf("unchecked run: port %d holds a value oracle", p)
 		}
 	}
 
@@ -237,13 +236,21 @@ func TestCohUncheckedKeepsNoEventLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := check.Attach(s.K, check.Default())
+	if s.Dir.coh == nil || len(s.Dir.coh.keys) != s.Cfg.NumKeys {
+		t.Fatal("check.Attach did not size the directory's audit state to the key count")
+	}
 	for p, l1 := range s.Ports {
-		if !l1.recording {
-			t.Fatalf("port %d does not record under an attached checker", p)
+		if l1.coh != s.Dir.coh {
+			t.Fatalf("port %d does not feed the directory's oracle under an attached checker", p)
 		}
 	}
 	if _, err := RunScripts(s, h, scripts, 200_000); err != nil {
 		t.Fatal(err)
+	}
+	for _, key := range []int{0, 1} {
+		if !s.Dir.coh.keys[key].seeded {
+			t.Fatalf("the oracle saw no value of key %d", key)
+		}
 	}
 }
 
@@ -324,13 +331,13 @@ func TestCohKeyRange(t *testing.T) {
 // on a key can join the first one's miss, and a merge that joined a
 // read miss goes back to the directory for ownership once the read
 // grant arrives: paths the closed-loop scripts never take. The run stays
-// coherent under the checker, the snapshot agrees with its reference
-// after every cycle, and once the loop drains every key holds exactly
+// coherent under the checker, the directory's verdict agrees with the
+// reference checker's after every cycle, and once the loop drains every key holds exactly
 // the merges issued on it.
 func TestCohOpenLoop(t *testing.T) {
-	stop := TrackSnapshots()
+	stop := TrackVerdicts()
+	defer stop()
 	c := newCohLoop(t, 4)
-	ls := stop()
 	h := check.Attach(c.s.K, check.Default())
 	step := func() {
 		c.issue()
@@ -376,5 +383,5 @@ func TestCohOpenLoop(t *testing.T) {
 			t.Errorf("key %d reads %d after %d merges of 1", k, v, c.merges[k])
 		}
 	}
-	RequireLockstep(t, ls, 1)
+	RequireLockstep(t, stop(), 1)
 }

@@ -8,10 +8,11 @@ import (
 )
 
 // TestCohShareSnapshotLockstep runs the nine coh-share cells with the
-// reference snapshot beside the directory's (hier.TrackSnapshots) and
-// requires the two to agree after every cycle of every cell.
+// reference checker beside the directory's own (hier.TrackVerdicts) and
+// requires the two to give the same verdict after every cycle of every
+// cell.
 func TestCohShareSnapshotLockstep(t *testing.T) {
-	stop := hier.TrackSnapshots()
+	stop := hier.TrackVerdicts()
 	_, err := exp.FigCohShare()
 	ls := stop()
 	if err != nil {

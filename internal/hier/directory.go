@@ -118,9 +118,6 @@ func add[T any](list []T, v T, name string) []T {
 // It is the L2 controller's only client, so per-key ordering through the
 // shared level follows from its single request FIFO.
 type Directory struct {
-	SnoopTimeout int
-	MaxRetries   int
-
 	ports  []*CohL1
 	l2     *ctrl.Controller
 	bridge *memBridge
@@ -133,11 +130,7 @@ type Directory struct {
 	biQ    []int      // keys awaiting a recall: pendingBI admits each once, so NumKeys
 	l2Out  []ctrl.MetaReq
 
-	// CohSnapshot's and CohEvents' buffers, reused by every call.
-	snapStates []int8 // NumKeys × ports L1 states
-	snapFlags  []uint8
-	snapLines  []check.CohLine // capacity NumKeys
-	events     []check.CohEvent
+	coh *cohCheck // the protocol self-check, nil until EnableProtocolCheck
 
 	snoopSeq uint64
 	rng      uint64
@@ -149,16 +142,14 @@ type Directory struct {
 
 func newDirectory(k *sim.Kernel, l2 *ctrl.Controller, bridge *memBridge, cfg CohConfig) *Directory {
 	d := &Directory{
-		SnoopTimeout: cfg.SnoopTimeout,
-		MaxRetries:   cfg.MaxSnoopRetries,
-		l2:           l2,
-		bridge:       bridge,
-		lines:        make([]dirLine, cfg.NumKeys),
-		txns:         make([]int, 0, cfg.NumKeys),
-		snoops:       make([]snoopRec, 0, cfg.NumKeys*cfg.Ports),
-		biQ:          make([]int, 0, cfg.NumKeys),
-		faults:       cfg.Faults,
-		rng:          check.Mix64(cfg.Faults.Seed ^ 0x8b4d_17f3_a02c_55e9),
+		l2:     l2,
+		bridge: bridge,
+		lines:  make([]dirLine, cfg.NumKeys),
+		txns:   make([]int, 0, cfg.NumKeys),
+		snoops: make([]snoopRec, 0, cfg.NumKeys*cfg.Ports),
+		biQ:    make([]int, 0, cfg.NumKeys),
+		faults: cfg.Faults,
+		rng:    check.Mix64(cfg.Faults.Seed ^ 0x8b4d_17f3_a02c_55e9),
 	}
 	for i := range d.lines {
 		d.lines[i].owner = -1
@@ -189,9 +180,19 @@ func (d *Directory) ActivityCount() uint64 {
 	return s.Txns + s.Grants + s.Invals + s.Downgrades + s.Writebacks + s.SnoopRetry
 }
 
-// CheckInvariants implements the check package's per-cycle self-audit:
-// it surfaces the latched liveness violation, if any.
-func (d *Directory) CheckInvariants(sim.Cycle) error { return d.err }
+// CheckInvariants implements the check package's per-cycle self-audit.
+// It returns the latched liveness violation, if any; once
+// EnableProtocolCheck has run, then the first stale value a port served,
+// then the first single-writer or inclusion violation in key order.
+func (d *Directory) CheckInvariants(cy sim.Cycle) error {
+	if d.err != nil || d.coh == nil {
+		return d.err
+	}
+	if d.coh.stale != nil {
+		return d.coh.stale
+	}
+	return d.audit(cy)
+}
 
 // DiagnoseName implements check.Diagnoser.
 func (d *Directory) DiagnoseName() string { return "coh-directory" }
@@ -335,14 +336,14 @@ func (d *Directory) takeSnoop(seq uint64) (snoopRec, bool) {
 func (d *Directory) retrySnoops(cy sim.Cycle) {
 	for i := range d.snoops {
 		r := &d.snoops[i]
-		if cy-r.sent < sim.Cycle(d.SnoopTimeout) {
+		if cy-r.sent < snoopTimeout {
 			continue
 		}
 		r.retries++
-		if r.retries > d.MaxRetries {
+		if r.retries > maxSnoopRetries {
 			if d.err == nil {
 				d.err = &check.CoherenceViolation{Cycle: cy, Rule: "liveness", Key: [2]uint64(keyOf(r.key)),
-					Detail: fmt.Sprintf("snoop to port %d unacknowledged after %d retries", r.port, d.MaxRetries)}
+					Detail: fmt.Sprintf("snoop to port %d unacknowledged after %d retries", r.port, maxSnoopRetries)}
 			}
 			continue
 		}
@@ -519,85 +520,123 @@ func (d *Directory) intake(cy sim.Cycle) {
 	d.rr = (d.rr + 1) % n
 }
 
-// --- check.CoherenceSource ---
+// --- the protocol self-check ---
 
-// Snapshot flags, one byte per key; a key with none is left out.
+// keyCheck is one key's state in the protocol self-check: its value
+// oracle, and the copies the last audit counted (reset as it finishes).
+// Counts fit a byte: sharers is a uint64 mask, so there are at most 64
+// ports.
+type keyCheck struct {
+	val     uint64 // the newest value a port was granted, served or stored
+	seeded  bool   // val is set: the first grant, hit or store seeds it
+	inL2    bool   // the L2 holds the line, stable or being filled
+	mods    uint8  // L1 copies in M
+	shared  uint8  // L1 copies in S
+	modPort int8   // the port holding M, when mods is 1
+}
+
+// cohCheck is the hierarchy's coherence self-check: the value oracle
+// every port feeds, and the audit's per-key counts.
+type cohCheck struct {
+	keys  []keyCheck // one per key: NumKeys
+	stale error      // the first stale value a port served, latched
+}
+
+// The values a port feeds the oracle.
 const (
-	snapL1      uint8 = 1 << iota // some L1 holds the key
-	snapL2                        // stable in the L2
-	snapPending                   // in flight: an L2 walk, a transaction, a recall or a writeback
+	valGrant uint8 = iota // a grant's value, as the line is installed or upgraded
+	valHit                // a load served from a resident line
+	valStore              // the post-store value of a store applied under M
 )
 
-// CohSnapshot implements check.CoherenceSource: the cross-hierarchy state
-// of every key some level holds, in key order. It walks the key table
-// into buffers the next call reuses.
-func (d *Directory) CohSnapshot() check.CohSnapshot {
-	np := len(d.ports)
-	if d.snapFlags == nil {
-		d.snapStates = make([]int8, len(d.lines)*np)
-		d.snapFlags = make([]uint8, len(d.lines))
-		d.snapLines = make([]check.CohLine, 0, len(d.lines))
+// testHookCohValue, when non-nil, sees every value fed to an oracle, as
+// it is fed. The package's tests set it to drive a reference checker.
+var testHookCohValue func(o *cohCheck, cy sim.Cycle, port int, key metatag.Key, kind uint8, v uint64)
+
+// observe feeds the oracle one value port handled at cycle cy. A store
+// sets the key's value; the first grant or hit of a key seeds it (the
+// oracle does not read the backing image), and every later one must
+// match it.
+func (o *cohCheck) observe(cy sim.Cycle, port int, key metatag.Key, kind uint8, v uint64) {
+	if testHookCohValue != nil {
+		testHookCohValue(o, cy, port, key, kind, v)
 	}
-	clear(d.snapStates)
-	clear(d.snapFlags)
+	k := &o.keys[keyIndex(key)]
+	switch {
+	case kind == valStore || !k.seeded:
+		k.val, k.seeded = v, true
+	case v != k.val && o.stale == nil:
+		what := "grant"
+		if kind == valHit {
+			what = "hit"
+		}
+		o.stale = &check.CoherenceViolation{Cycle: cy, Rule: "no-stale-fill", Key: [2]uint64(key),
+			Detail: fmt.Sprintf("port %d %s served value %d, oracle holds %d", port, what, v, k.val)}
+	}
+}
+
+// EnableProtocolCheck turns on the coherence self-check that
+// CheckInvariants runs every cycle (check.Attach calls it): it sizes the
+// per-key state and hands the value oracle to every port. An unchecked
+// run keeps none of it.
+func (d *Directory) EnableProtocolCheck() {
+	d.coh = &cohCheck{keys: make([]keyCheck, len(d.lines))}
+	for _, l1 := range d.ports {
+		l1.coh = d.coh
+	}
+}
+
+// audit reads the L1 and L2 tag arrays and returns the first
+// single-writer or inclusion violation in key order. It leaves every
+// count at zero, so a second call in the same cycle gives the same
+// verdict.
+func (d *Directory) audit(cy sim.Cycle) error {
+	keys := d.coh.keys
 	for p, l1 := range d.ports {
 		l1.Tags.ForEach(func(e *metatag.Entry) {
-			k := keyIndex(e.Key)
-			d.snapStates[k*np+p] = int8(e.State)
-			d.snapFlags[k] |= snapL1
+			k := &keys[keyIndex(e.Key)]
+			switch e.State {
+			case MesiM:
+				k.mods++
+				k.modPort = int8(p)
+			case MesiS:
+				k.shared++
+			}
 		})
 	}
-	d.l2.Tags.ForEach(func(e *metatag.Entry) {
-		if e.Walker != metatag.NoWalker {
-			d.snapFlags[keyIndex(e.Key)] |= snapPending // transient: a walker is filling it
-		} else {
-			d.snapFlags[keyIndex(e.Key)] |= snapL2
+	// A line the L2 is still filling counts: its walker completes into a
+	// stable line.
+	d.l2.Tags.ForEach(func(e *metatag.Entry) { keys[keyIndex(e.Key)].inL2 = true })
+	var err error
+	for i := range keys {
+		k := &keys[i]
+		if err == nil && k.mods+k.shared > 0 {
+			err = d.ruleErr(cy, i, k)
 		}
-	})
+		k.mods, k.shared, k.inL2 = 0, 0, false
+	}
+	return err
+}
+
+// ruleErr checks one key an L1 holds against the single-writer and
+// inclusion rules.
+func (d *Directory) ruleErr(cy sim.Cycle, key int, k *keyCheck) error {
+	var rule, detail string
+	switch ln := &d.lines[key]; {
+	case k.mods > 1:
+		rule, detail = "single-writer", fmt.Sprintf("%d ports hold the line Modified", k.mods)
+	case k.mods == 1 && k.shared > 0:
+		rule, detail = "single-writer", fmt.Sprintf("port %d holds M while %d other ports hold S", k.modPort, k.shared)
 	// A busy transaction, queued back-inval, or outstanding writeback
-	// keeps the line logically pending: every in-flight message window
-	// (grant, snoop, ack, evict notice, queued L2 op) is covered by one of
-	// the three, because each is cleared only after its counterpart lands.
-	for k := range d.lines {
-		if ln := &d.lines[k]; ln.busy() || ln.pendingBI || ln.l2Ops > 0 {
-			d.snapFlags[k] |= snapPending
-		}
+	// keeps the line in flight: every message window (grant, snoop,
+	// ack, evict notice, queued L2 op) is covered by one of the three,
+	// because each is cleared only after its counterpart lands.
+	case !k.inL2 && !ln.busy() && !ln.pendingBI && ln.l2Ops == 0:
+		rule, detail = "inclusion", "line cached in an L1 but absent from the L2 with no transaction in flight"
+	default:
+		return nil
 	}
-	// A key's L1 states always sit at the same place in snapStates, so a
-	// line still in last call's slot for its key is updated in place.
-	lines := d.snapLines[:0]
-	for k, f := range d.snapFlags {
-		if f == 0 {
-			continue
-		}
-		lines = lines[:len(lines)+1]
-		ln := &lines[len(lines)-1]
-		if ln.L1 == nil || ln.Key[0] != uint64(k) {
-			*ln = check.CohLine{Key: [2]uint64(keyOf(k)), L1: d.snapStates[k*np : (k+1)*np : (k+1)*np]}
-		}
-		ln.L2, ln.Pending = f&snapL2 != 0, f&snapPending != 0
-	}
-	d.snapLines = lines
-	return check.CohSnapshot{Lines: lines}
-}
-
-// CohEvents implements check.CoherenceSource: it drains every port's
-// value events in port order, into a buffer the next call reuses.
-func (d *Directory) CohEvents() []check.CohEvent {
-	d.events = d.events[:0]
-	for _, l1 := range d.ports {
-		d.events = append(d.events, l1.events...)
-		l1.events = l1.events[:0]
-	}
-	return d.events
-}
-
-// RecordCohEvents implements check.CoherenceSource: every port logs its
-// value events from now on.
-func (d *Directory) RecordCohEvents() {
-	for _, l1 := range d.ports {
-		l1.recording = true
-	}
+	return &check.CoherenceViolation{Cycle: cy, Rule: rule, Key: [2]uint64(keyOf(key)), Detail: detail}
 }
 
 // onL2Evict is the L2 controller's eviction hook: flush a dirty victim to
@@ -716,16 +755,15 @@ type CohConfig struct {
 	L2Sets int
 	L2Ways int
 
-	SnoopTimeout    int // 0 → 64
-	MaxSnoopRetries int // 0 → 8
-	MaxWaiters      int // 0 → 8
-
 	NumKeys int // size of the backing element array (0 → 256)
 	Faults  CohFaults
 }
 
-// l2Active is the shared L2's walker count (#Active).
-const l2Active = 8
+const (
+	l2Active        = 8  // the shared L2's walker count (#Active)
+	snoopTimeout    = 64 // cycles before an unacknowledged snoop is re-sent
+	maxSnoopRetries = 8  // re-sends before the liveness violation latches
+)
 
 func (c *CohConfig) defaults() {
 	if c.Ports == 0 {
@@ -741,15 +779,6 @@ func (c *CohConfig) defaults() {
 	}
 	if c.L2Ways == 0 {
 		c.L2Ways = 4
-	}
-	if c.SnoopTimeout == 0 {
-		c.SnoopTimeout = 64
-	}
-	if c.MaxSnoopRetries == 0 {
-		c.MaxSnoopRetries = 8
-	}
-	if c.MaxWaiters == 0 {
-		c.MaxWaiters = 8
 	}
 	if c.NumKeys == 0 {
 		c.NumKeys = 256
@@ -830,7 +859,7 @@ func NewCohSystem(cfg CohConfig) (*CohSystem, error) {
 	dir := newDirectory(k, l2.Ctrl, bridge, cfg)
 	s := &CohSystem{K: k, Img: img, DRAM: d, L2: l2, Dir: dir, Meter: meter, Cfg: cfg}
 	for p := 0; p < cfg.Ports; p++ {
-		l1 := newCohL1(k, p, cfg.L1, cfg.MaxWaiters, cfg.NumKeys, meter)
+		l1 := newCohL1(k, p, cfg.L1, cfg.NumKeys, meter)
 		s.Ports = append(s.Ports, l1)
 		dir.ports = append(dir.ports, l1)
 	}
@@ -846,7 +875,7 @@ func NewCohSystem(cfg CohConfig) (*CohSystem, error) {
 
 // testHookNewCohSystem, when non-nil, is called with every system
 // NewCohSystem builds. The package's tests set it to compare the
-// directory's snapshot with a reference after every cycle.
+// directory's coherence verdict with a reference after every cycle.
 var testHookNewCohSystem func(*CohSystem)
 
 // Seed writes element i's initial value into the backing image.

@@ -40,6 +40,7 @@ type L1Config struct {
 const (
 	l1ReqDepth       = 16 // request queue depth
 	l1MaxOutstanding = 8  // misses in flight downstream
+	l1MaxWaiters     = 8  // requests a coherent L1 miss holds; admission waits at the bound
 )
 
 // mshrTable is an L1's misses in flight: l1MaxOutstanding entries, each
