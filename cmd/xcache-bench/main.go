@@ -4,16 +4,15 @@
 // Usage:
 //
 //	xcache-bench [-scale N] [-parallel N] [-v] [-fig all|none|4,7,14,15,16,17,18,19,20,t1,t2,t3,t4,btree,ablation]
-//	             [-partial] [-checkpoint dir]
-//	             [-hotloop] [-json FILE] [-bench-diff FILE]
+//	             [-partial] [-hotloop] [-json FILE] [-bench-diff FILE]
 //
 // scale divides the published workload sizes (and cache capacities with
-// them); -scale 1 runs the paper-scale configuration and takes several
-// minutes. -parallel sets the sweep-engine worker count (default
-// $XCACHE_BENCH_WORKERS, else GOMAXPROCS); output is byte-identical for
-// every worker count. -v prints the runner statistics (runs
-// launched/cached/failed, per-run cycles and wall time, peak workers) on
-// stderr.
+// them); -scale 1 runs the paper-scale configuration, about a minute for
+// every figure on two cores. -parallel sets the sweep-engine worker
+// count (default $XCACHE_BENCH_WORKERS, else GOMAXPROCS); output is
+// byte-identical for every worker count. -v prints the runner statistics
+// (runs launched/cached/failed, per-run cycles and wall time, peak
+// workers) on stderr.
 //
 // -hotloop appends the controller hot-loop microbenchmark (figure id
 // "hotloop"): the ALU-dense spin routine timed on both executor
@@ -37,16 +36,11 @@
 // BENCH_1.json perf baseline this way. The run's own wall time is
 // reported on stderr only, to keep the figures reproducible.
 //
-// Resilience:
-//
-//	-checkpoint dir   journal completed runs to dir and resume from it;
-//	                  an interrupted invocation re-run with the same flags
-//	                  produces byte-identical output to an uninterrupted one
-//	                  and executes only the runs that did not complete
-//	-partial          don't abort on a failed cell: annotate it in the
-//	                  affected tables/notes, keep going, and report the
-//	                  failure summary on stderr (exit code stays 0 — the
-//	                  degradation is explicit in the output)
+// -partial doesn't abort on a failed cell: it annotates the cell in the
+// affected tables and notes, keeps going, and reports the failure
+// summary on stderr (the exit code stays 0 — the degradation is explicit
+// in the output). A run is a pure function of its spec, so a failed cell
+// fails again on a rerun; an interrupted invocation is simply rerun.
 package main
 
 import (
@@ -124,7 +118,6 @@ func main() {
 	verbose := flag.Bool("v", false, "print runner statistics (launched/cached/failed, per-run wall time)")
 	figs := flag.String("fig", "all", "comma-separated ids (4,7,14..20, t1..t4, btree, ablation) or 'all'")
 	partial := flag.Bool("partial", false, "annotate failed cells instead of aborting the run")
-	checkpoint := flag.String("checkpoint", "", "journal completed runs to this directory and resume from it")
 	jsonPath := flag.String("json", "", "write a machine-readable (and byte-reproducible) result baseline to this file")
 	hotloop := flag.Bool("hotloop", false, "append the controller hot-loop executor microbenchmark (figure id 'hotloop')")
 	benchDiff := flag.String("bench-diff", "", "compare against this baseline file: exact match for deterministic figures, 5% tolerance on the hotloop speedup; exit 1 on regression")
@@ -155,15 +148,8 @@ func main() {
 
 	// One runner for the whole invocation: points shared between figures
 	// (the sweep baselines reappear in Fig 7/17 and the ablations) are
-	// simulated once and served from the content-addressed run cache.
-	run, err := runner.NewFrom(runner.Config{
-		Workers:       *parallel,
-		CheckpointDir: *checkpoint,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xcache-bench:", err)
-		os.Exit(1)
-	}
+	// simulated once and served from the run cache.
+	run := runner.New(*parallel)
 
 	var outs []*exp.Out
 	var degraded []string

@@ -25,8 +25,10 @@ func TestMain(m *testing.M) {
 // (usage); -fig none and -h exit 0. The runner executes each spec once
 // and a run's outcome depends only on its spec, so it takes no retry
 // flags and no wall deadline. Every figure comes from exact simulation,
-// so it has no approximate-tier flag either.
+// so it has no approximate-tier flag either. A sweep is rerun, not
+// resumed, so there is no -checkpoint journal.
 func TestFlagErrorsExitUsage(t *testing.T) {
+	dir := t.TempDir()
 	for _, tc := range []struct {
 		args   []string
 		want   int
@@ -40,6 +42,7 @@ func TestFlagErrorsExitUsage(t *testing.T) {
 		{[]string{"-fig", "none", "-spec-wall", "5m"}, 2, "flag provided but not defined: -spec-wall"},
 		{[]string{"-fig", "none", "-hotloop-exec", "both"}, 2, "flag provided but not defined: -hotloop-exec"},
 		{[]string{"-fig", "none", "-approx"}, 2, "flag provided but not defined: -approx"},
+		{[]string{"-fig", "none", "-checkpoint", dir}, 2, "flag provided but not defined: -checkpoint"},
 	} {
 		cmd := exec.Command(os.Args[0], tc.args...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")

@@ -964,9 +964,14 @@ func (c *Controller) backend(cy sim.Cycle) {
 				status = c.step(cy, r)
 			}
 		}
-		if status == stepStall && !stalled {
-			c.stats.StallCycles++
-			stalled = true
+		if status == stepStall {
+			// The runaway budget counts issued actions: a stalled one
+			// retries next cycle, so its step is not spent yet.
+			r.steps--
+			if !stalled {
+				c.stats.StallCycles++
+				stalled = true
+			}
 		}
 		if status != stepDone {
 			keep = append(keep, *r)

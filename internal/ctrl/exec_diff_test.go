@@ -310,6 +310,10 @@ func runExecDiffCases(t *testing.T) {
 		dataCfg dataram.Config
 		reqs    []diffReq
 		array   int // fillArray size, 0 → multiFill element layout
+		// clogMem makes MemReq refuse pushes before this cycle, so an
+		// enqfilli stalls on a full queue for that long.
+		clogMem sim.Cycle
+		traps   bool // the case drives a routine into a trap
 	}{
 		{name: "arraywalk_load_mix", cfg: Config{NumActive: 8},
 			spec: arrayWalkSpec(), tagCfg: defaultTagCfg(), dataCfg: defaultDataCfg(),
@@ -342,11 +346,20 @@ func runExecDiffCases(t *testing.T) {
 			reqs: loadMix(20), array: 0},
 		{name: "runaway_trap", cfg: Config{MaxRoutineSteps: 64},
 			spec: loopSpec(), tagCfg: defaultTagCfg(), dataCfg: defaultDataCfg(),
-			reqs: []diffReq{{at: 0, op: MetaLoad, key: 1}, {at: 40, op: MetaLoad, key: 2}}, array: 8},
+			reqs: []diffReq{{at: 0, op: MetaLoad, key: 1}, {at: 40, op: MetaLoad, key: 2}}, array: 8,
+			traps: true},
+		// The runaway budget counts issued actions, not stall retries:
+		// enqfilli waits 200 cycles on a clogged MemReq, far past the
+		// 64-step budget, in a routine of 8 actions.
+		{name: "stalled_fill_within_budget", cfg: Config{NumActive: 4, MaxRoutineSteps: 64},
+			spec: fillFirstSpec(), tagCfg: defaultTagCfg(), dataCfg: defaultDataCfg(),
+			reqs: []diffReq{{at: 0, op: MetaLoad, key: 1}, {at: 1, op: MetaLoad, key: 2}}, array: 8,
+			clogMem: 200},
 		{name: "trap_with_fills_outstanding", cfg: Config{NumActive: 4, NumExe: 1},
 			spec: trapFillsSpec(), tagCfg: defaultTagCfg(), dataCfg: defaultDataCfg(),
 			reqs: []diffReq{{at: 0, op: MetaLoad, key: 1}, {at: 1, op: MetaLoad, key: 9},
-				{at: 2, op: MetaLoad, key: 17}, {at: 300, op: MetaLoad, key: 4}}, array: 32},
+				{at: 2, op: MetaLoad, key: 17}, {at: 300, op: MetaLoad, key: 4}}, array: 32,
+			traps: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -363,7 +376,22 @@ func runExecDiffCases(t *testing.T) {
 					r.c.SetEnv(0, base)
 				}
 			}
+			for _, r := range []*rig{p.ri, p.rf} {
+				if until, k := c.clogMem, r.k; until > 0 {
+					r.c.MemReq.SetClog(func() bool { return k.Cycle() < until })
+				}
+			}
 			p.lockstep(t, c.reqs, 400000)
+			// Lockstep passes when both rigs trap alike, so the verdict
+			// itself is checked too.
+			for _, r := range []*rig{p.ri, p.rf} {
+				if tr := r.c.Trap(); (tr != nil) != c.traps {
+					t.Fatalf("trap %v, want a trap: %t", tr, c.traps)
+				}
+			}
+			if st := p.ri.c.Stats(); c.clogMem > 0 && st.StallCycles < uint64(c.cfg.MaxRoutineSteps) {
+				t.Fatalf("%d stall cycles, want the clog to outlast the %d-step budget", st.StallCycles, c.cfg.MaxRoutineSteps)
+			}
 		})
 	}
 }
@@ -384,6 +412,28 @@ func loopSpec() program.Spec {
 			`},
 		},
 	}
+}
+
+// fillFirstSpec is arrayWalkSpec with the fill issued before allocm,
+// so a clogged MemReq stalls the routine at its enqfilli.
+func fillFirstSpec() program.Spec {
+	s := arrayWalkSpec()
+	s.Name = "fillfirst"
+	s.Transitions[0].Asm = `
+		lde r4, e1
+		bge r1, r4, nf
+		lde r4, e0
+		shl r5, r1, 3
+		add r5, r4, r5
+		enqfilli r5, 1
+		allocm
+		state WaitFill
+	nf:
+		li r6, 0
+		enqresp r6, NOTFOUND
+		abort
+	`
+	return s
 }
 
 // trapFillsSpec issues three fills and traps on the first fill's wake

@@ -22,11 +22,11 @@ import (
 	"xcache/internal/sim"
 )
 
-// TestUnsupervisedBudgetIsTyped: the address-cache and baseline runs have
-// no harness attached, yet a blown cycle budget must still surface as a
-// *check.Failure of kind budget, so the sweep runner and xcache-sim
-// classify it as a budget failure rather than a malformed spec. Each
-// error names its DSA and storage idiom.
+// TestUnsupervisedBudgetIsTyped: a run with no harness attached must
+// still surface a blown cycle budget as a *check.Failure of kind budget,
+// so the sweep runner and xcache-sim classify it as a budget failure
+// rather than a malformed spec. Each error names its DSA and storage
+// idiom.
 func TestUnsupervisedBudgetIsTyped(t *testing.T) {
 	hash := widx.DefaultWork(hashidx.TPCH()[0], 100)
 	gpCfg := core.GraphPulseConfig()
@@ -42,8 +42,20 @@ func TestUnsupervisedBudgetIsTyped(t *testing.T) {
 		{"SpArch addr:", func() (dsa.Result, error) {
 			return spgemm.RunAddr(spgemm.SpArch, spgemm.P2PGnutella31(200), spgemm.Options{MaxCycles: 500})
 		}},
+		{"Gamma xcache:", func() (dsa.Result, error) {
+			return spgemm.RunXCache(spgemm.Gamma, spgemm.P2PGnutella31(200), spgemm.Options{MaxCycles: 500})
+		}},
+		{"Gamma baseline:", func() (dsa.Result, error) {
+			return spgemm.RunBaseline(spgemm.Gamma, spgemm.P2PGnutella31(200), spgemm.Options{MaxCycles: 500})
+		}},
 		{"graphpulse addr:", func() (dsa.Result, error) {
 			return graphpulse.RunAddr(graphpulse.P2PGnutella08(20), graphpulse.Options{Cfg: gpCfg, MaxCycles: 500})
+		}},
+		{"graphpulse xcache:", func() (dsa.Result, error) {
+			return graphpulse.RunXCache(graphpulse.P2PGnutella08(20), graphpulse.Options{Cfg: gpCfg, MaxCycles: 500})
+		}},
+		{"graphpulse baseline:", func() (dsa.Result, error) {
+			return graphpulse.RunBaseline(graphpulse.P2PGnutella08(20), graphpulse.Options{Cfg: gpCfg, MaxCycles: 500})
 		}},
 		{"btree addr:", func() (dsa.Result, error) {
 			return btreeidx.RunAddr(btreeidx.DefaultWork(200), btreeidx.Options{MaxCycles: 500})

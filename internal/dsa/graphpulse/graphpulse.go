@@ -422,14 +422,15 @@ func run(w Work, opt Options, hardwired bool, mode algoMode, src int) (dsa.Resul
 	if mode == modeSSSP {
 		name = "graphpulse sssp"
 	}
+	kind := dsa.KindXCache
+	if hardwired {
+		kind = dsa.KindBaseline
+	}
 	r, err := dsa.Run(sys.K, sys.Meter, opt.Check, func() bool { return e.done }, opt.MaxCycles)
 	if err != nil {
-		return dsa.Result{}, fmt.Errorf("%s: aborted in superstep %d: %w", name, e.ss, err)
+		return dsa.Result{}, fmt.Errorf("%s %s: aborted in superstep %d: %w", name, kind, e.ss, err)
 	}
-	r.DSA, r.Workload, r.Kind = "GraphPulse", w.Name, dsa.KindXCache
-	if hardwired {
-		r.Kind = dsa.KindBaseline
-	}
+	r.DSA, r.Workload, r.Kind = "GraphPulse", w.Name, kind
 	if mode == modeSSSP {
 		r.Workload += "/sssp"
 		r.Checked = distancesMatch(e.settled, graph.BFS(g, src), src)

@@ -386,14 +386,15 @@ func runX(alg Algorithm, w Work, opt Options, hardwired bool) (dsa.Result, error
 	dp := &datapath{c: sys.Cache.Ctrl, stream: str, b: fetch, sched: sched,
 		lookahead: opt.Lookahead, ok: true}
 	sys.K.Add(dp)
+	kind := dsa.KindXCache
+	if hardwired {
+		kind = dsa.KindBaseline
+	}
 	r, err := dsa.Run(sys.K, sys.Meter, opt.Check, dp.finished, opt.MaxCycles)
 	if err != nil {
-		return dsa.Result{}, fmt.Errorf("%s xcache: aborted at %d/%d rows: %w", alg, dp.done, len(sched), err)
+		return dsa.Result{}, fmt.Errorf("%s %s: aborted at %d/%d rows: %w", alg, kind, dp.done, len(sched), err)
 	}
-	r.DSA, r.Workload, r.Kind, r.Checked = string(alg), "p2p-31", dsa.KindXCache, dp.ok
-	if hardwired {
-		r.Kind = dsa.KindBaseline
-	}
+	r.DSA, r.Workload, r.Kind, r.Checked = string(alg), "p2p-31", kind, dp.ok
 	return r, nil
 }
 

@@ -65,21 +65,6 @@ type Counters struct {
 	DRAMAccesses uint64
 }
 
-// Merge adds other into c.
-func (c *Counters) Merge(other Counters) {
-	c.RegBitsWritten += other.RegBitsWritten
-	c.AddOps += other.AddOps
-	c.MulOps += other.MulOps
-	c.BitOps += other.BitOps
-	c.ShiftOps += other.ShiftOps
-	c.TagBytes += other.TagBytes
-	c.DataBytes += other.DataBytes
-	c.RtnBytes += other.RtnBytes
-	c.QueueBytes += other.QueueBytes
-	c.DRAMBytes += other.DRAMBytes
-	c.DRAMAccesses += other.DRAMAccesses
-}
-
 // Breakdown is on-chip energy by component, in pJ.
 type Breakdown struct {
 	DataRAM    float64

@@ -42,15 +42,6 @@ func TestEnergyConversion(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := Counters{AddOps: 1, TagBytes: 2, DRAMBytes: 3}
-	b := Counters{AddOps: 10, TagBytes: 20, DRAMBytes: 30, DRAMAccesses: 4}
-	a.Merge(b)
-	if a.AddOps != 11 || a.TagBytes != 22 || a.DRAMBytes != 33 || a.DRAMAccesses != 4 {
-		t.Fatalf("merge: %+v", a)
-	}
-}
-
 func TestTable4Constants(t *testing.T) {
 	p := DefaultParams()
 	// Pin the published Table 4 values so drift is caught.

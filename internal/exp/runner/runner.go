@@ -11,25 +11,22 @@ import (
 )
 
 // Runner executes Specs across a pool of workers and memoises every
-// completed run in a content-addressed cache, so the same point
+// completed run in a cache keyed by Spec.Key, so the same point
 // requested by several figures (the baseline config appears in Fig 4,
 // Fig 14 and Fig 15) simulates exactly once per process.
 //
 // Determinism contract: Run returns results in spec order, each result
-// a pure function of its Spec. Worker count, completion order and
-// checkpoint resume affect only wall time and Stats — never the
-// returned values. Errors are reported for the lowest-indexed failing
-// spec, again independent of scheduling.
+// a pure function of its Spec. Worker count and completion order affect
+// only wall time and Stats — never the returned values. Errors are
+// reported for the lowest-indexed failing spec, again independent of
+// scheduling.
 //
 // Resilience: each spec executes once, and its failure resolves to a
 // structured *RunError. A failure is a pure function of its spec, so it
 // is memoised like a result: a failing point shared by several figures
-// also executes once. Worker panics are isolated to their spec, and
-// completed results can be journaled to a crash-safe on-disk checkpoint
-// for resume.
+// also executes once. Worker panics are isolated to their spec.
 type Runner struct {
-	cfg  Config
-	ckpt *Checkpoint
+	workers int
 
 	// exec is the execution function (Spec.Execute in production); a seam
 	// so resilience tests can script failures without a real simulation.
@@ -41,19 +38,9 @@ type Runner struct {
 	running int // workers currently executing a simulation
 }
 
-// Config configures a Runner beyond its worker count.
-type Config struct {
-	// Workers is the pool size; <= 0 uses GOMAXPROCS.
-	Workers int
-	// CheckpointDir, when non-empty, journals every completed result to a
-	// content-addressed on-disk store and consults it before executing,
-	// so an interrupted sweep resumes instead of recomputing.
-	CheckpointDir string
-}
-
-// entry is one content-addressed cache slot. done closes when the
-// simulation finishes; until then other requesters for the same hash
-// block on it instead of launching a duplicate run.
+// entry is one run-cache slot. done closes when the simulation
+// finishes; until then other requesters for the same key block on it
+// instead of launching a duplicate run.
 type entry struct {
 	done chan struct{}
 	res  dsa.Result
@@ -64,33 +51,14 @@ type entry struct {
 // GOMAXPROCS. New(1) gives serial execution with the same caching and
 // merge semantics.
 func New(workers int) *Runner {
-	r, err := NewFrom(Config{Workers: workers})
-	if err != nil {
-		// Unreachable: only the checkpoint store can fail to open.
-		panic(err)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return r
-}
-
-// NewFrom returns a Runner for the full configuration. It fails only
-// when the checkpoint directory cannot be created.
-func NewFrom(cfg Config) (*Runner, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	r := &Runner{cfg: cfg, cache: map[string]*entry{}, exec: Spec.Execute}
-	if cfg.CheckpointDir != "" {
-		ckpt, err := OpenCheckpoint(cfg.CheckpointDir)
-		if err != nil {
-			return nil, err
-		}
-		r.ckpt = ckpt
-	}
-	return r, nil
+	return &Runner{workers: workers, cache: map[string]*entry{}, exec: Spec.Execute}
 }
 
 // Workers returns the configured pool size.
-func (r *Runner) Workers() int { return r.cfg.Workers }
+func (r *Runner) Workers() int { return r.workers }
 
 // One executes a single spec (through the cache).
 func (r *Runner) One(s Spec) (dsa.Result, error) {
@@ -140,7 +108,7 @@ func (r *Runner) RunAll(specs []Spec) []Outcome {
 		}
 	}
 
-	workers := r.cfg.Workers
+	workers := r.workers
 	if workers > n {
 		workers = n
 	}
@@ -173,7 +141,7 @@ func (r *Runner) RunAll(specs []Spec) []Outcome {
 // if no other request has, or waiting on / reusing the cached run
 // otherwise.
 func (r *Runner) resolve(s Spec) (dsa.Result, *RunError) {
-	key := s.Hash()
+	key := s.Key()
 	r.mu.Lock()
 	if e, ok := r.cache[key]; ok {
 		r.stats.Cached++
@@ -183,20 +151,6 @@ func (r *Runner) resolve(s Spec) (dsa.Result, *RunError) {
 	}
 	e := &entry{done: make(chan struct{})}
 	r.cache[key] = e
-	r.mu.Unlock()
-
-	// Crash-safe resume: a journaled result is a pure function of the
-	// spec, so loading it is indistinguishable from re-executing.
-	if res, ok := r.ckpt.load(s); ok {
-		e.res = res
-		close(e.done)
-		r.mu.Lock()
-		r.stats.Resumed++
-		r.mu.Unlock()
-		return e.res, nil
-	}
-
-	r.mu.Lock()
 	r.stats.Launched++
 	r.running++
 	if r.running > r.stats.PeakWorkers {
@@ -206,7 +160,7 @@ func (r *Runner) resolve(s Spec) (dsa.Result, *RunError) {
 
 	start := time.Now()
 	res, err := r.execShielded(s)
-	run := RunStat{Key: s.Key(), Wall: time.Since(start)}
+	run := RunStat{Key: key, Wall: time.Since(start)}
 	var rerr *RunError
 	if err != nil {
 		rerr = classify(s, err)
@@ -229,19 +183,6 @@ func (r *Runner) resolve(s Spec) (dsa.Result, *RunError) {
 		r.stats.SimCycles += res.Cycles
 	}
 	r.mu.Unlock()
-
-	if rerr == nil && r.ckpt != nil {
-		if err := r.ckpt.save(s, res); err != nil {
-			// The in-memory result is still valid; surface via Stats.
-			r.mu.Lock()
-			r.stats.CheckpointErrs++
-			r.mu.Unlock()
-		} else {
-			r.mu.Lock()
-			r.stats.Checkpointed++
-			r.mu.Unlock()
-		}
-	}
 	return res, rerr
 }
 
@@ -261,6 +202,6 @@ func (r *Runner) Stats() Stats {
 	defer r.mu.Unlock()
 	s := r.stats
 	s.Runs = append([]RunStat(nil), r.stats.Runs...)
-	s.Workers = r.cfg.Workers
+	s.Workers = r.workers
 	return s
 }

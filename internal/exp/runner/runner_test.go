@@ -113,9 +113,9 @@ func TestExecuteRejectsUnknowns(t *testing.T) {
 }
 
 // TestKeyDistinguishesEveryField mutates every field of Spec and of its
-// check.FaultConfig, and requires each mutation to change the key and
-// the hash. A field the table does not name fails the test, so a field
-// added later cannot slip out of Key() unnoticed.
+// check.FaultConfig, and requires each mutation to change the key. A
+// field the table does not name fails the test, so a field added later
+// cannot slip out of Key() unnoticed.
 func TestKeyDistinguishesEveryField(t *testing.T) {
 	base := tinySpec()
 	// Each mutated rate agrees with its base to 6 significant digits, so
@@ -173,9 +173,6 @@ func TestKeyDistinguishesEveryField(t *testing.T) {
 		mutate(&m)
 		if m.Key() == base.Key() {
 			t.Errorf("mutating %s does not change the canonical key", name)
-		}
-		if m.Hash() == base.Hash() {
-			t.Errorf("mutating %s does not change the content hash", name)
 		}
 	}
 }

@@ -3,15 +3,12 @@
 // independent Specs (DSA × workload × idiom × scale × overrides), the
 // Runner executes them across a worker pool with per-run isolated
 // sim.Kernel/dram/check instances, memoises outcomes (results and
-// failures) in a content-addressed cache keyed by the canonical spec
-// hash, and merges
+// failures) in a run cache keyed by the canonical spec key, and merges
 // results deterministically by spec order — output is byte-identical to
 // serial execution regardless of worker count or completion order.
 package runner
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 
 	"xcache/internal/check"
@@ -39,7 +36,7 @@ const (
 
 // Spec identifies one independent simulation run. It is pure data — two
 // equal Specs always produce bit-identical Results — which is what makes
-// the content-addressed run cache and the determinism contract sound.
+// the run cache and the determinism contract sound.
 //
 // Zero values mean "design point": DivMul 0 acts as 1, WorkScale 0
 // follows Scale, Lookahead/NumActive/NumExe 0 keep the DSA defaults.
@@ -88,12 +85,6 @@ func (s Spec) Key() string {
 		s.Mode, s.Exec, s.Hardwired, s.Lookahead, s.NumActive, s.NumExe,
 		s.Check, f.DropResp, f.DelayResp, f.DelayMax, f.ClogQueue, f.FlipBit,
 		f.FillTimeout, check.FormatChannelFaults(f.Channels), s.Seed)
-}
-
-// Hash returns the content address of the spec: SHA-256 over Key().
-func (s Spec) Hash() string {
-	h := sha256.Sum256([]byte(s.Key()))
-	return hex.EncodeToString(h[:])
 }
 
 func (s Spec) workScale() int {

@@ -8,30 +8,22 @@ import (
 )
 
 // Stats summarises what a Runner did: how many simulations were
-// launched vs served from the content-addressed cache or resumed from
-// the on-disk checkpoint, how many failed, the journal activity, the
-// total simulated cycles and cumulative simulation wall time (sum over
+// launched vs served from the run cache, how many failed, the total
+// simulated cycles and cumulative simulation wall time (sum over
 // executions — larger than elapsed time when workers overlap), and the
 // peak number of concurrently executing simulations.
 //
 // Counter contract (pinned by TestStatsConsistencyUnderFailure): every
-// resolve request increments exactly one of Launched, Cached or Resumed,
-// and each launch executes its spec exactly once, so Runs has one record
-// per launch. Failed counts launches that failed; a failure is memoised
-// like a result, so a repeated request for a failed spec counts as
-// Cached. Checkpointed counts successful journal writes; CheckpointErrs
-// successful runs whose journal write failed (the in-memory result is
-// still served).
+// resolve request increments exactly one of Launched or Cached, and each
+// launch executes its spec exactly once, so Runs has one record per
+// launch. Failed counts launches that failed; a failure is memoised like
+// a result, so a repeated request for a failed spec counts as Cached.
 type Stats struct {
 	Workers     int
 	Launched    int
 	Cached      int
-	Resumed     int
 	Failed      int
 	PeakWorkers int
-
-	Checkpointed   int
-	CheckpointErrs int
 
 	SimCycles uint64
 	Wall      time.Duration
@@ -47,14 +39,13 @@ type RunStat struct {
 	Err    string
 }
 
-// HitRate is the fraction of requests served without executing: run
-// cache hits plus checkpoint resumes.
+// HitRate is the fraction of requests served from the run cache.
 func (s Stats) HitRate() float64 {
-	total := s.Launched + s.Cached + s.Resumed
+	total := s.Launched + s.Cached
 	if total == 0 {
 		return 0
 	}
-	return float64(s.Cached+s.Resumed) / float64(total)
+	return float64(s.Cached) / float64(total)
 }
 
 // String renders the summary block xcache-bench -v prints.
@@ -64,14 +55,6 @@ func (s Stats) String() string {
 		s.Workers, s.PeakWorkers, s.Launched, s.Cached, 100*s.HitRate(), s.Failed)
 	fmt.Fprintf(&b, "runner: %d simulated cycles, %.2fs cumulative simulation time\n",
 		s.SimCycles, s.Wall.Seconds())
-	if s.Resumed > 0 || s.Checkpointed > 0 || s.CheckpointErrs > 0 {
-		fmt.Fprintf(&b, "runner: %d resumed from checkpoint, %d checkpointed",
-			s.Resumed, s.Checkpointed)
-		if s.CheckpointErrs > 0 {
-			fmt.Fprintf(&b, " (%d journal write failures)", s.CheckpointErrs)
-		}
-		b.WriteString("\n")
-	}
 	return b.String()
 }
 

@@ -82,22 +82,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Merge appends other's rows to t. The tables must share a header; the
-// row order is t's rows followed by other's, so merging partial tables
-// produced by concurrent workers in a fixed sequence is deterministic.
-func (t *Table) Merge(other *Table) error {
-	if len(other.Header) != len(t.Header) {
-		return fmt.Errorf("stats: merge header arity %d != %d", len(other.Header), len(t.Header))
-	}
-	for i, h := range other.Header {
-		if h != t.Header[i] {
-			return fmt.Errorf("stats: merge header mismatch at column %d: %q != %q", i, h, t.Header[i])
-		}
-	}
-	t.Rows = append(t.Rows, other.Rows...)
-	return nil
-}
-
 // Diff returns one human-readable line per difference between two
 // tables: title, header, row count, and per-cell mismatches, each
 // located by row and column. Identical tables yield nil.

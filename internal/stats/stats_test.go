@@ -80,27 +80,6 @@ func TestHistogramZeroAndHuge(t *testing.T) {
 	}
 }
 
-func TestTableMerge(t *testing.T) {
-	a := NewTable("t", "A", "B")
-	a.Add("1", "2")
-	b := NewTable("other title ok", "A", "B")
-	b.Add("3", "4")
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Rows) != 2 || a.Rows[1][0] != "3" {
-		t.Fatalf("merged rows %v", a.Rows)
-	}
-	c := NewTable("t", "A", "C")
-	if err := a.Merge(c); err == nil {
-		t.Fatal("header mismatch not rejected")
-	}
-	d := NewTable("t", "A")
-	if err := a.Merge(d); err == nil {
-		t.Fatal("arity mismatch not rejected")
-	}
-}
-
 func TestTableDiff(t *testing.T) {
 	mk := func() *Table {
 		tb := NewTable("t", "A", "B")
